@@ -7,9 +7,8 @@ from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from .dd_frame import (Constellation, FrameLayout, FrameParams, build_layout,
                        demap_symbols, map_bits)
 from .estimation import (EffectiveChannelEstimate, SolverDivergence,
-                         SupportRegion, build_io_matrix, dd_noise_var,
-                         equalize_taps, estimate, guard_noise_var, manual_taps,
-                         mmse_equalize, predict_io)
+                         SupportRegion, dd_noise_var, equalize_taps, estimate,
+                         guard_noise_var, manual_taps, predict_io)
 from .iqfile import IqFormatError, read_iq, read_iq_header, write_iq
 from .runner import BerCurve, BerPoint, TrialReport, run_trial, sweep
 from .sync import (Preamble, SyncResult, correct, detect_timing, estimate_cfo,
@@ -26,12 +25,12 @@ __all__ = [
     "ExperimentConfig", "FrameLayout", "FrameParams", "ImpairmentSpec",
     "IqFormatError", "PathSpec", "Preamble", "PulseShape", "SolverDivergence",
     "SupportRegion", "SyncResult", "TrialReport", "apply_impairments",
-    "apply_paths", "build_io_matrix", "build_layout", "config_from_dict",
+    "apply_paths", "build_layout", "config_from_dict",
     "correct", "dd_noise_var", "demap_symbols", "detect_timing", "dzt",
     "equalize_taps", "estimate", "estimate_cfo", "extend", "fold_impairments",
     "guard_noise_var",
     "idzt", "kay_cfo", "load_config", "make_preamble", "manual_taps",
-    "map_bits", "matched_filter", "mmse_equalize", "predict_io", "read_iq",
+    "map_bits", "matched_filter", "predict_io", "read_iq",
     "read_iq_header", "rrc_w1", "rrc_w2", "run_trial", "sample_and_periodize",
     "shape_preamble", "sweep", "synthesize", "write_iq",
 ]

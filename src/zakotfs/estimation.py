@@ -2,8 +2,8 @@
 delay-Doppler input-output prediction built on it.
 
 The receiver reads the channel off the guard neighbourhood of the pilot
-cell, keeps taps only inside a declared support region, and turns the
-result into a sparse linear operator for MMSE equalization.  Doppler tap
+cell, keeps taps only inside a declared support region, and inverts the
+operator those taps define by an exact banded MMSE solve.  Doppler tap
 indices are signed, l in [-N/2, N/2), stored in the grid at column
 l mod N; delay tap indices are signed as well, relative to the pilot row
 M/2, stored at row k mod M.
@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
+import scipy.linalg
 
 from .dd_frame import FrameLayout
-from .zak import ROLE_CHANNEL, DDGrid, dzt, extend, idzt
+from .zak import ROLE_CHANNEL, DDGrid, dzt, idzt
 
 
 @dataclass(frozen=True)
@@ -168,119 +168,13 @@ def predict_io(s_dd: DDGrid, h: EffectiveChannelEstimate) -> DDGrid:
     return DDGrid(values=out, role=s_dd.role)
 
 
-def build_io_matrix(h: EffectiveChannelEstimate,
-                    layout: FrameLayout) -> scipy.sparse.csr_matrix:
-    """Matrix H with vec(y) = H @ vec(s) reproducing predict_io.
-
-    vec ordering is row-major over (delay, Doppler).  Each tap lands one
-    phased entry per grid cell, so rows carry at most |support| nonzeros.
-    """
-    m, n = layout.m, layout.n
-    if h.support.m != m or h.support.n != n:
-        raise ValueError("estimate and layout grid sizes disagree")
-    mn = m * n
-    kk = np.arange(m)[:, None]
-    ll = np.arange(n)[None, :]
-    rows_idx = (kk * n + ll).ravel()
-
-    rows, cols, data = [], [], []
-    for k, l, val in h.tap_items():
-        if val == 0:
-            continue
-        dk = kk - k
-        dl = ll - l
-        wrap = np.exp(2j * np.pi * (dk // m) * dl / n)
-        twist = np.exp(2j * np.pi * dk * l / (m * n))
-        col = ((dk % m) * n + (dl % n)).ravel()
-        rows.append(rows_idx)
-        cols.append(col)
-        data.append((val * wrap * twist).ravel())
-    if not rows:
-        return scipy.sparse.csr_matrix((mn, mn), dtype=np.complex128)
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mn, mn),
-    )
-    return mat.tocsr()
-
-
-_DENSE_LIMIT = 1024
-_CG_TOL = 1e-8
-
-
 class SolverDivergence(RuntimeError):
-    """Iterative equalizer failed to reach its residual target."""
+    """The regularized normal matrix H H^H + noise_var I is singular.
 
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
-            f"conjugate gradient stalled at relative residual {residual:.3e} "
-            f"after {iterations} iterations"
-        )
-        self.residual = residual
-        self.iterations = iterations
-
-
-def _cg_hermitian(matvec, b: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Plain conjugate gradient for a Hermitian positive definite system."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = np.vdot(r, r).real
-    b_norm = np.sqrt(np.vdot(b, b).real)
-    if b_norm == 0:
-        return x
-    for it in range(max_iter):
-        if np.sqrt(rs) <= tol * b_norm:
-            return x
-        ap = matvec(p)
-        curvature = np.vdot(p, ap).real
-        if curvature <= 0:
-            # The search direction sits in the operator's null space, so the
-            # system is singular and no further progress is possible.
-            raise SolverDivergence(np.sqrt(rs) / b_norm, it)
-        alpha = rs / curvature
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = np.vdot(r, r).real
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    if np.sqrt(rs) <= tol * b_norm:
-        return x
-    raise SolverDivergence(np.sqrt(rs) / b_norm, max_iter)
-
-
-def mmse_equalize(y_dd: DDGrid, h_matrix: scipy.sparse.spmatrix,
-                  noise_var: float) -> DDGrid:
-    """Linear MMSE inversion x = H^H (H H^H + noise_var I)^{-1} y.
-
-    Small systems are solved densely; larger ones run conjugate gradient
-    on the regularized normal equations without ever forming H H^H.
+    Only an unregularized solve (noise_var = 0) on taps whose operator is
+    rank deficient gets here: its banded Cholesky factorization meets a
+    pivot that is not positive to working precision.
     """
-    if noise_var < 0:
-        raise ValueError("noise_var must be nonnegative")
-    m, n = y_dd.m, y_dd.n
-    mn = m * n
-    if h_matrix.shape != (mn, mn):
-        raise ValueError(f"operator shape {h_matrix.shape} does not match grid {(mn, mn)}")
-    y = y_dd.values.ravel()
-
-    if mn <= _DENSE_LIMIT:
-        hd = h_matrix.toarray()
-        gram = hd @ hd.conj().T + noise_var * np.eye(mn)
-        z = np.linalg.solve(gram, y)
-        x = hd.conj().T @ z
-    else:
-        hh = h_matrix.conj().T.tocsr()
-
-        def matvec(v):
-            return h_matrix @ (hh @ v) + noise_var * v
-
-        # Well-posed systems converge in tens of iterations; the cap only
-        # bounds how long a near-singular unregularized solve can grind
-        # before the divergence diagnostic surfaces.
-        z = _cg_hermitian(matvec, y, _CG_TOL, max_iter=min(10 * mn, 2000))
-        x = hh @ z
-    return DDGrid(values=x.reshape(m, n), role=y_dd.role)
 
 
 def _delay_gain_profiles(h: EffectiveChannelEstimate) -> tuple[np.ndarray, np.ndarray]:
@@ -305,15 +199,56 @@ def _delay_gain_profiles(h: EffectiveChannelEstimate) -> tuple[np.ndarray, np.nd
     return delays, profiles
 
 
+def _ring_fold(mn: int) -> np.ndarray:
+    """Band position of each sample of a length-mn ring.
+
+    Sample i goes to 2i in the first half and to 2(mn-1-i)+1 in the
+    second, so the two ends interleave: samples within ring distance d,
+    across the wrap-around included, sit within 2d positions.
+    """
+    i = np.arange(mn)
+    return np.where(2 * i < mn, 2 * i, 2 * (mn - 1 - i) + 1)
+
+
+def _normal_band(delays: np.ndarray, profiles: np.ndarray, noise_var: float,
+                 pos: np.ndarray) -> np.ndarray:
+    """Upper band storage of the folded H H^H + noise_var I.
+
+    H v = sum_d roll(g_d * v, d), so entry (t, t+off) of H H^H is
+    sum_d g_d[t-d] conj(g_{d+off}[t-d]) over the contiguous delays, and
+    only ring offsets up to span = max(delays) - min(delays) are nonzero.
+    Folding by pos turns that ring band into a plain band of half-width
+    2*span, returned in the upper layout scipy.linalg.cholesky_banded reads.
+    """
+    d_count, mn = profiles.shape
+    span = d_count - 1
+    if 2 * span >= mn:
+        raise ValueError(f"delay span {span} is too wide for a ring of "
+                         f"{mn} samples")
+    u = 2 * span
+    band = np.zeros((u + 1, mn), dtype=np.complex128)
+    t = np.arange(mn)
+    for off in range(span + 1):
+        prod = profiles[:d_count - off] * np.conj(profiles[off:])
+        src = (t - delays[:d_count - off, None]) % mn
+        entry = np.take_along_axis(prod, src, axis=1).sum(axis=0)
+        p, q = pos, pos[(t + off) % mn]
+        row, col = np.minimum(p, q), np.maximum(p, q)
+        band[u + row - col, col] = np.where(p <= q, entry, np.conj(entry))
+    band[u] += noise_var
+    return band
+
+
 def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
                   noise_var: float) -> DDGrid:
-    """MMSE inversion driven directly by the estimated taps.
+    """Linear MMSE inversion x = H^H (H H^H + noise_var I)^{-1} y.
 
-    Same solution as build_io_matrix followed by mmse_equalize, but the
-    operator runs in the time domain, where each supported delay is one
-    circular shift under a time-varying gain.  A matvec then costs a few
-    multiplies per sample instead of a sparse row sum over the whole
-    Doppler axis, which is what keeps wide supports tractable.
+    H is the twisted convolution of predict_io, applied in the time
+    domain, where each supported delay is one circular shift under a
+    time-varying gain.  The normal matrix is then a ring band that
+    _ring_fold turns into a plain band, solved exactly by a banded
+    Cholesky factorization in O(MN * span^2) for a delay span of span
+    bins.  Raises SolverDivergence when that matrix is singular.
     """
     if noise_var < 0:
         raise ValueError("noise_var must be nonnegative")
@@ -321,25 +256,28 @@ def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
         raise ValueError("tap support and grid dimensions disagree")
     delays, profiles = _delay_gain_profiles(h)
     y = idzt(y_dd).samples
-
-    def apply_h(v):
-        out = np.zeros_like(v)
-        for d, g in zip(delays, profiles):
-            out += np.roll(g * v, d)
-        return out
-
-    def apply_hh(w):
-        out = np.zeros_like(w)
-        for d, g in zip(delays, profiles):
-            out += np.conj(g) * np.roll(w, -d)
-        return out
-
-    def matvec(v):
-        return apply_h(apply_hh(v)) + noise_var * v
-
-    z = _cg_hermitian(matvec, y, _CG_TOL, max_iter=min(10 * y.size, 2000))
-    x = dzt(apply_hh(z), m=y_dd.m, n=y_dd.n)
-    return DDGrid(values=x.values, role=y_dd.role)
+    pos = _ring_fold(y.size)
+    band = _normal_band(delays, profiles, noise_var, pos)
+    y_folded = np.empty_like(y)
+    y_folded[pos] = y
+    try:
+        factor = scipy.linalg.cholesky_banded(band, check_finite=False)
+    except np.linalg.LinAlgError:
+        factor = None
+    # Rounding leaves a null direction a pivot near eps rather than zero, so
+    # pivots are judged against the largest diagonal entry, not against 0.
+    floor = y.size * np.finfo(float).eps * np.max(band[-1].real)
+    if factor is None or np.min(factor[-1].real) ** 2 <= floor:
+        raise SolverDivergence(
+            "regularized normal matrix H H^H + noise_var I is singular "
+            f"(noise_var={noise_var:g}); the taps do not determine the frame")
+    z_folded = scipy.linalg.cho_solve_banded((factor, False), y_folded,
+                                             check_finite=False)
+    z = z_folded[pos]
+    x = np.zeros_like(z)
+    for d, g in zip(delays, profiles):
+        x += np.conj(g) * np.roll(z, -d)
+    return dzt(x, m=y_dd.m, n=y_dd.n, role=y_dd.role)
 
 
 def dd_noise_var(noise_psd: float, q: int, b: float) -> float:

@@ -2,22 +2,20 @@
 
 import numpy as np
 import pytest
-import scipy.sparse
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-import zakotfs.estimation
 from zakotfs.channel import ImpairmentSpec, PathSpec, apply_impairments, apply_paths
 from zakotfs.dd_frame import FrameParams, build_layout, map_bits, Constellation
 from zakotfs.estimation import (
     EffectiveChannelEstimate,
     SolverDivergence,
     SupportRegion,
-    build_io_matrix,
     dd_noise_var,
     equalize_taps,
     estimate,
     guard_noise_var,
     manual_taps,
-    mmse_equalize,
     predict_io,
 )
 from zakotfs.waveform import PulseShape, matched_filter, sample_and_periodize, synthesize
@@ -36,6 +34,32 @@ def pilot_frame(layout, pilot_amp=8.0):
     v = np.zeros((layout.m, layout.n), dtype=complex)
     v[layout.k_p, layout.l_p] = pilot_amp
     return DDGrid(values=v)
+
+
+def dense_io_matrix(h):
+    """Oracle matrix H with vec(predict_io(s, h)) = H @ vec(s), one
+    column per unit grid, row-major over (delay, Doppler)."""
+    m, n = h.support.m, h.support.n
+    return np.stack([predict_io(DDGrid(values=e.reshape(m, n)), h).values.ravel()
+                     for e in np.eye(m * n)], axis=1)
+
+
+def dense_mmse(y, h, noise_var):
+    """Oracle x = H^H (H H^H + noise_var I)^{-1} y by a dense solve."""
+    hd = dense_io_matrix(h)
+    gram = hd @ hd.conj().T + noise_var * np.eye(hd.shape[0])
+    return (hd.conj().T @ np.linalg.solve(gram, y.values.ravel())).reshape(y.m, y.n)
+
+
+@st.composite
+def supports(draw):
+    """Random even grid with N >= 2 and a C1 or C2 delay range on it."""
+    m = 2 * draw(st.integers(1, 8))
+    n = draw(st.sampled_from([2, 4, 8]))
+    k_lo = draw(st.integers(0, m - 1))
+    k_hi = draw(st.integers(k_lo + 1, m))
+    kind = draw(st.sampled_from(["C1", "C2"]))
+    return SupportRegion(kind=kind, k_lo=k_lo, k_hi=k_hi, m=m, n=n)
 
 
 def run_chain(grid, params, shape, q, paths=(), imp=None):
@@ -274,131 +298,90 @@ class TestPredictIo:
         assert 1e-3 < err < 0.15
 
 
-class TestBuildIoMatrix:
-    """Sparse operator equivalence with the direct prediction."""
-
-    def test_identity_tap_gives_identity_matrix(self):
-        _, lay = make_layout(m=8, n=8, c_bins=1.0)
-        sup = SupportRegion.from_layout(lay, "C1")
-        h = manual_taps({(0, 0): 1.0}, sup)
-        mat = build_io_matrix(h, lay)
-        assert (mat - scipy.sparse.eye(64)).nnz == 0
-
-    def test_matrix_reproduces_predict_io(self):
-        _, lay = make_layout(m=16, n=8, c_bins=2.0)
-        sup = SupportRegion.from_layout(lay, "C2")
-        rng = np.random.default_rng(3)
-        entries = {(int(k), int(l)): complex(rng.standard_normal(), rng.standard_normal())
-                   for k in sup.delay_taps() for l in sup.doppler_taps()
-                   if rng.uniform() < 0.2}
-        h = manual_taps(entries, sup)
-        s = DDGrid(values=rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8)))
-        via_matrix = (build_io_matrix(h, lay) @ s.values.ravel()).reshape(16, 8)
-        direct = predict_io(s, h).values
-        assert np.max(np.abs(via_matrix - direct)) < 1e-12
-
-    def test_row_sparsity_bounded_by_support(self):
-        _, lay = make_layout(m=16, n=8, c_bins=2.0)
-        sup = SupportRegion.from_layout(lay, "C1")
-        rng = np.random.default_rng(4)
-        entries = {(int(k), int(l)): 1.0 + 0j
-                   for k in sup.delay_taps() for l in sup.doppler_taps()}
-        mat = build_io_matrix(manual_taps(entries, sup), lay).tocsr()
-        row_nnz = np.diff(mat.indptr)
-        assert np.max(row_nnz) <= sup.size
-
-    def test_empty_taps_give_zero_matrix(self):
-        _, lay = make_layout(m=8, n=8, c_bins=1.0)
-        sup = SupportRegion.from_layout(lay, "C1")
-        mat = build_io_matrix(manual_taps({}, sup), lay)
-        assert mat.nnz == 0
-
-    def test_layout_mismatch_rejected(self):
-        _, lay8 = make_layout(m=8, n=8, c_bins=1.0)
-        _, lay16 = make_layout(m=16, n=8, c_bins=1.0)
-        sup = SupportRegion.from_layout(lay8, "C1")
-        with pytest.raises(ValueError, match="disagree"):
-            build_io_matrix(manual_taps({(0, 0): 1.0}, sup), lay16)
-
-
 class TestMmseEqualize:
-    """Linear MMSE inversion on dense and iterative paths."""
+    """The MMSE equalizer against closed forms and its error contract."""
 
     def test_identity_channel_noiseless(self):
+        _, lay = make_layout(m=16, n=8, c_bins=2.0)
+        sup = SupportRegion.from_layout(lay, "C2")
         rng = np.random.default_rng(5)
-        y = DDGrid(values=rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)),
+        y = DDGrid(values=rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8)),
                    role="received")
-        x = mmse_equalize(y, scipy.sparse.eye(64, format="csr"), 0.0)
+        x = equalize_taps(y, manual_taps({(0, 0): 1.0}, sup), 0.0)
         assert np.max(np.abs(x.values - y.values)) < 1e-10
 
     def test_diagonal_channel_closed_form(self):
-        """For H = diag(d): x = conj(d) y / (|d|^2 + noise_var)."""
+        """Zero-delay taps act in time as one gain g[t] = sum_l h_l
+        exp(j 2 pi l t / MN), so x = conj(g) y / (|g|^2 + noise_var) there."""
+        _, lay = make_layout(m=8, n=8, c_bins=1.0)
+        sup = SupportRegion.from_layout(lay, "C1")
         rng = np.random.default_rng(6)
-        d = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        gains = {int(l): complex(rng.standard_normal(), rng.standard_normal())
+                 for l in sup.doppler_taps()}
+        h = manual_taps({(0, l): g for l, g in gains.items()}, sup)
+        t = np.arange(64)
+        g = sum(v * np.exp(2j * np.pi * l * t / 64) for l, v in gains.items())
         y = DDGrid(values=rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)),
                    role="received")
         var = 0.3
-        x = mmse_equalize(y, scipy.sparse.diags(d).tocsr(), var)
-        expect = (np.conj(d) * y.values.ravel() / (np.abs(d) ** 2 + var)).reshape(8, 8)
-        assert np.max(np.abs(x.values - expect)) < 1e-10
+        x = equalize_taps(y, h, var)
+        expect = dzt(np.conj(g) * idzt(y).samples / (np.abs(g) ** 2 + var), m=8, n=8)
+        assert np.max(np.abs(x.values - expect.values)) < 1e-10
 
     def test_noiseless_two_tap_channel_inverts(self):
+        """y built by the oracle matrix, not by predict_io itself."""
         _, lay = make_layout(m=8, n=8, c_bins=2.0)
         sup = SupportRegion.from_layout(lay, "C1")
         h = manual_taps({(0, 0): 1.0, (1, -2): 0.4j}, sup)
-        mat = build_io_matrix(h, lay)
         rng = np.random.default_rng(7)
-        s = DDGrid(values=rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-        y = predict_io(s, h)
-        x = mmse_equalize(DDGrid(values=y.values, role="received"), mat, 0.0)
-        assert np.max(np.abs(x.values - s.values)) < 1e-6
+        s = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        y = DDGrid(values=(dense_io_matrix(h) @ s).reshape(8, 8), role="received")
+        x = equalize_taps(y, h, 0.0)
+        assert np.max(np.abs(x.values.ravel() - s)) < 1e-9
 
     def test_heavy_noise_shrinks_output(self):
+        _, lay = make_layout(m=8, n=8, c_bins=1.0)
+        sup = SupportRegion.from_layout(lay, "C1")
         rng = np.random.default_rng(8)
         y = DDGrid(values=rng.standard_normal((8, 8)), role="received")
-        x = mmse_equalize(y, scipy.sparse.eye(64, format="csr"), 1e9)
+        x = equalize_taps(y, manual_taps({(0, 0): 1.0}, sup), 1e9)
         assert np.linalg.norm(x.values) < 1e-6 * np.linalg.norm(y.values)
 
-    def test_cg_matches_dense(self, monkeypatch):
-        """Forcing the iterative path reproduces the dense solution."""
-        rng = np.random.default_rng(9)
-        d0 = rng.standard_normal(64) + 1j * rng.standard_normal(64) + 3.0
-        d1 = 0.3 * (rng.standard_normal(63) + 1j * rng.standard_normal(63))
-        mat = scipy.sparse.diags([d0, d1], [0, 1]).tocsr()
-        y = DDGrid(values=rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)),
-                   role="received")
-        dense = mmse_equalize(y, mat, 0.01)
-        monkeypatch.setattr(zakotfs.estimation, "_DENSE_LIMIT", 0)
-        iterative = mmse_equalize(y, mat, 0.01)
-        assert np.max(np.abs(dense.values - iterative.values)) < 1e-6
-
-    def test_singular_system_raises_divergence(self, monkeypatch):
-        """An unsolvable normal system surfaces as SolverDivergence."""
-        monkeypatch.setattr(zakotfs.estimation, "_DENSE_LIMIT", 0)
-        d = np.ones(16)
-        d[-1] = 0.0
-        y = DDGrid(values=np.ones((4, 4)), role="received")
-        with pytest.raises(SolverDivergence):
-            mmse_equalize(y, scipy.sparse.diags(d).tocsr(), 0.0)
+    def test_singular_system_raises_divergence(self):
+        """Rank-deficient taps without regularization: the operators below
+        annihilate a constant, an alternating or a single-sample time
+        sequence, so H H^H has a null direction."""
+        _, lay = make_layout(m=16, n=16, c_bins=2.0)
+        sup = SupportRegion.from_layout(lay, "C1")
+        y = DDGrid(values=np.ones((16, 16)), role="received")
+        for entries in ({(0, 0): 1.0, (1, 0): -1.0},
+                        {(0, 0): 1.0, (1, 0): 1.0},
+                        {(0, 0): 1.0, (0, 1): -1.0},
+                        {(-1, 0): 0.5, (0, 0): 1.0, (1, 0): 0.5}):
+            h = manual_taps(entries, sup)
+            with pytest.raises(SolverDivergence, match="singular"):
+                equalize_taps(y, h, 0.0)
+            assert np.all(np.isfinite(equalize_taps(y, h, 1e-3).values))
 
     def test_negative_noise_rejected(self):
+        sup = SupportRegion(kind="C1", k_lo=2, k_hi=3, m=4, n=4)
         y = DDGrid(values=np.zeros((4, 4)), role="received")
         with pytest.raises(ValueError, match="noise_var"):
-            mmse_equalize(y, scipy.sparse.eye(16, format="csr"), -1.0)
+            equalize_taps(y, manual_taps({(0, 0): 1.0}, sup), -1.0)
 
     def test_shape_mismatch_rejected(self):
-        y = DDGrid(values=np.zeros((4, 4)), role="received")
-        with pytest.raises(ValueError, match="operator shape"):
-            mmse_equalize(y, scipy.sparse.eye(9, format="csr"), 0.0)
+        sup = SupportRegion(kind="C1", k_lo=2, k_hi=3, m=4, n=4)
+        y = DDGrid(values=np.zeros((6, 6)), role="received")
+        with pytest.raises(ValueError, match="disagree"):
+            equalize_taps(y, manual_taps({(0, 0): 1.0}, sup), 0.0)
 
 
 class TestEqualizeTaps:
-    """The tap-driven equalizer against the sparse-matrix reference.
+    """The banded tap-driven solve against the dense oracle.
 
-    Both solve the same regularized normal equations; the tap form just
-    applies the operator as per-delay circular shifts under time-varying
-    gains instead of a sparse matrix, so it must agree to solver
-    tolerance on any support."""
+    Both solve the same regularized normal equations; the tap form
+    assembles them as a folded band from per-delay circular shifts under
+    time-varying gains, so it must agree to rounding on any support."""
 
     def _random_estimate(self, sup, seed, density=0.3):
         rng = np.random.default_rng(seed)
@@ -422,10 +405,33 @@ class TestEqualizeTaps:
         rng = np.random.default_rng(3)
         y = DDGrid(values=rng.standard_normal((m, n))
                    + 1j * rng.standard_normal((m, n)), role="received")
-        via_matrix = mmse_equalize(y, build_io_matrix(h, lay), 0.05)
+        via_matrix = dense_mmse(y, h, 0.05)
         via_taps = equalize_taps(y, h, 0.05)
-        scale = np.max(np.abs(via_matrix.values))
-        assert np.max(np.abs(via_taps.values - via_matrix.values)) / scale < 1e-6
+        scale = np.max(np.abs(via_matrix))
+        assert np.max(np.abs(via_taps.values - via_matrix)) / scale < 1e-9
+
+    @settings(max_examples=50, deadline=None)
+    @given(sup=supports(), seed=st.integers(0, 2 ** 32 - 1),
+           noise_var=st.floats(1e-3, 10.0))
+    @example(sup=SupportRegion("C2", 0, 2, 2, 2), seed=0, noise_var=1e-3)
+    @example(sup=SupportRegion("C2", 0, 16, 16, 2), seed=1, noise_var=1e-3)
+    def test_band_layout_matches_oracle(self, sup, seed, noise_var):
+        """Random grids down to N = 2, where a support over the whole
+        delay axis brings the folded band closest to aliasing around the
+        ring."""
+        m, n = sup.m, sup.n
+        span = sup.k_hi - sup.k_lo - 1
+        assert 2 * span < m * n
+        rng = np.random.default_rng(seed)
+        entries = {(int(k), int(l)): complex(rng.standard_normal(), rng.standard_normal())
+                   for k in sup.delay_taps() for l in sup.doppler_taps()
+                   if rng.random() < 0.5}
+        h = manual_taps(entries, sup)
+        y = DDGrid(values=rng.standard_normal((m, n))
+                   + 1j * rng.standard_normal((m, n)), role="received")
+        want = dense_mmse(y, h, noise_var)
+        got = equalize_taps(y, h, noise_var).values
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_noiseless_two_tap_channel_inverts(self):
         _, lay = make_layout(m=8, n=8, c_bins=2.0)
@@ -436,7 +442,7 @@ class TestEqualizeTaps:
                    + 1j * rng.standard_normal((8, 8)))
         y = predict_io(s, h)
         x = equalize_taps(DDGrid(values=y.values, role="received"), h, 0.0)
-        assert np.max(np.abs(x.values - s.values)) < 1e-6
+        assert np.max(np.abs(x.values - s.values)) < 1e-9
 
     def test_identity_taps_pass_through(self):
         _, lay = make_layout(m=8, n=8, c_bins=1.0)
@@ -446,14 +452,14 @@ class TestEqualizeTaps:
         y = DDGrid(values=rng.standard_normal((8, 8))
                    + 1j * rng.standard_normal((8, 8)), role="received")
         x = equalize_taps(y, h, 0.0)
-        assert np.max(np.abs(x.values - y.values)) < 1e-8
+        assert np.max(np.abs(x.values - y.values)) < 1e-10
 
     def test_all_zero_taps_without_noise_diverge(self):
         _, lay = make_layout(m=4, n=4, c_bins=0.0)
         sup = SupportRegion.from_layout(lay, "C1")
         h = manual_taps({}, sup)
         y = DDGrid(values=np.ones((4, 4)), role="received")
-        with pytest.raises(SolverDivergence):
+        with pytest.raises(SolverDivergence, match="singular"):
             equalize_taps(y, h, 0.0)
 
     def test_negative_noise_rejected(self):
@@ -469,6 +475,13 @@ class TestEqualizeTaps:
         h = manual_taps({(0, 0): 1.0}, sup)
         with pytest.raises(ValueError, match="disagree"):
             equalize_taps(DDGrid(values=np.zeros((4, 4))), h, 0.0)
+
+    def test_delay_span_wider_than_half_the_ring_rejected(self):
+        """With N = 1 a full delay support would fold the band onto itself."""
+        sup = SupportRegion(kind="C2", k_lo=0, k_hi=4, m=4, n=1)
+        h = manual_taps({}, sup)
+        with pytest.raises(ValueError, match="too wide"):
+            equalize_taps(DDGrid(values=np.ones((4, 1))), h, 0.1)
 
 
 class TestNoiseCalibration:
