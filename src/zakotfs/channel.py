@@ -35,6 +35,7 @@ __all__ = [
     "ChannelSpec",
     "apply_paths",
     "apply_impairments",
+    "add_noise",
     "fold_impairments",
 ]
 
@@ -129,18 +130,28 @@ def apply_paths(sig: AnalogSignal, paths: tuple[PathSpec, ...] | list[PathSpec])
 def apply_impairments(sig: AnalogSignal, imp: ImpairmentSpec, noise_psd: float = 0.0,
                       rng: np.random.Generator | None = None) -> AnalogSignal:
     """Apply timing/carrier/phase impairments, then add noise once."""
-    if noise_psd < 0:
-        raise ValueError("noise_psd must be non-negative")
-    if noise_psd > 0 and rng is None:
-        raise ValueError("noise injection needs an explicit rng")
     x = _delay_samples(sig.samples, imp.dt * sig.rate)
     t = sig.times()
     x = x * np.exp(1j * (2 * np.pi * imp.eps0 * t + imp.phi))
-    if noise_psd > 0:
-        n = sig.samples.size
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = x + np.sqrt(noise_psd / 2) * z
-    return AnalogSignal(samples=x, rate=sig.rate, t0=sig.t0)
+    return add_noise(AnalogSignal(samples=x, rate=sig.rate, t0=sig.t0), noise_psd, rng)
+
+
+def add_noise(sig: AnalogSignal, noise_psd: float,
+              rng: np.random.Generator | None) -> AnalogSignal:
+    """Add complex white Gaussian noise of per-sample variance noise_psd.
+
+    Draws all real parts, then all imaginary parts; noise_psd = 0 draws nothing.
+    """
+    if not noise_psd >= 0:
+        raise ValueError("noise_psd must be non-negative")
+    if noise_psd == 0:
+        return sig
+    if rng is None:
+        raise ValueError("noise injection needs an explicit rng")
+    n = sig.samples.size
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return AnalogSignal(samples=sig.samples + np.sqrt(noise_psd / 2) * z,
+                        rate=sig.rate, t0=sig.t0)
 
 
 def fold_impairments(spec: ChannelSpec) -> tuple[PathSpec, ...]:

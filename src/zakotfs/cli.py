@@ -14,7 +14,7 @@ from .config import ConfigError, load_config
 from .dd_frame import FrameParams, build_layout
 from .estimation import SupportRegion, equalize_taps, manual_taps, predict_io
 from .iqfile import IqFormatError, read_iq_header, write_iq
-from .runner import _make_tx, _trial_rng, run_trial, sweep
+from .runner import run_trial, sweep
 from .sync import make_preamble
 from .zak import DDGrid, dzt, idzt
 
@@ -42,11 +42,8 @@ def _cmd_trial(args) -> int:
           + (", sync failed" if report.sync_failed else ""))
     if args.dump_dir:
         os.makedirs(args.dump_dir, exist_ok=True)
-        layout = cfg.layout()
-        rng, _ = _trial_rng(cfg, args.snr_index, args.index)
-        _, burst, _, _ = _make_tx(cfg, layout, cfg.constellation(), rng)
         iq_path = os.path.join(args.dump_dir, f"tx_trial{args.index}.iq")
-        write_iq(iq_path, burst)
+        write_iq(iq_path, report.tx)
         chart = svg.scatter_chart(report.symbols,
                                   title=f"trial {args.index}, "
                                         f"{report.snr_db:g} dB",

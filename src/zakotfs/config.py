@@ -178,11 +178,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         span = None
     else:
         span = _get_int(sh, "shape", "w1_span", default=16, minimum=1)
-    q = _get_int(sh, "shape", "oversampling", default=4, minimum=1)
+    q = _get_int(sh, "shape", "oversampling", default=4, minimum=2)
     try:
         shape = PulseShape(family=family, beta=beta, w1_span=span)
     except ValueError as e:
         raise ConfigError("shape", str(e)) from e
+    try:
+        shape.check_truncation(b, q)
+    except ValueError as e:
+        raise ConfigError("shape.w1_span", str(e)) from e
 
     ch = _section(raw, "channel")
     _check_unknown(ch, {"paths", "normalize_power", "cfo_hz",

@@ -68,9 +68,9 @@ class SupportRegion:
         return np.arange(self.n) - self.n // 2
 
     def contains(self, k: int, l: int) -> bool:
-        """Membership test on signed tap indices."""
+        """Membership in delay_taps() x doppler_taps(), signed indices."""
         return (self.k_lo - self.m // 2 <= k < self.k_hi - self.m // 2
-                and -self.n // 2 <= l < self.n // 2)
+                and -(self.n // 2) <= l < self.n - self.n // 2)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from . import svg
-from .channel import apply_impairments, apply_paths
+from .channel import add_noise, apply_impairments, apply_paths
 from .config import ExperimentConfig
 from .dd_frame import demap_symbols, map_bits
 from .estimation import (SupportRegion, dd_noise_var, equalize_taps, estimate)
@@ -25,7 +26,7 @@ __all__ = ["TrialReport", "BerPoint", "BerCurve", "run_trial", "sweep",
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Everything one end-to-end trial produced."""
+    """Everything one end-to-end trial produced, including the burst it sent."""
 
     snr_db: float
     trial_index: int
@@ -35,11 +36,16 @@ class TrialReport:
     symbols: np.ndarray
     taps: object
     sync: SyncResult | None
-    sync_failed: bool = False
+    tx: AnalogSignal
 
     def __post_init__(self):
         if self.bit_errors > self.bits_sent:
             raise ValueError("more bit errors than bits sent")
+
+    @property
+    def sync_failed(self) -> bool:
+        """Sync was on and found no preamble; the frame was not decoded."""
+        return self.sync is not None and not self.sync.detected
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,6 @@ def _compose_burst(cfg: ExperimentConfig, frame_sig: AnalogSignal,
     of preamble chip 0 in the buffer (-1 without a preamble).  The tail
     is padded out so channel delays never push content off the end.
     """
-    b = cfg.params.b
     rate = frame_sig.rate
     q = cfg.q
     frame_start = int(round(frame_sig.t0 * rate))
@@ -102,15 +107,12 @@ def _compose_burst(cfg: ExperimentConfig, frame_sig: AnalogSignal,
     # The gap separates the template's last sample from the first frame
     # sample, which for a wide transmit window sits well before the
     # frame core, so the preamble clears the frame's rolloff flank.
-    tpl_start = frame_start - cfg.gap_symbols * q - template.samples.size
-    start = tpl_start
+    start = frame_start - cfg.gap_symbols * q - template.samples.size
     end = frame_start + frame_sig.samples.size + tail_pad
     buf = np.zeros(end - start, dtype=np.complex128)
     buf[:template.samples.size] += template.samples
     buf[frame_start - start:frame_start - start + frame_sig.samples.size] += frame_sig.samples
-    pad_q = -int(round(template.t0 * rate))
-    chip0_index = pad_q
-    return AnalogSignal(samples=buf, rate=rate, t0=start / rate), chip0_index
+    return AnalogSignal(samples=buf, rate=rate, t0=start / rate), -int(round(template.t0 * rate))
 
 
 def _make_tx(cfg: ExperimentConfig, layout, constellation,
@@ -137,7 +139,6 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     layout = cfg.layout()
     constellation = cfg.constellation()
     b = params.b
-    rate = cfg.q * b
     snr_db = cfg.snr_db[snr_index]
     rng, seed_key = _trial_rng(cfg, snr_index, trial_index)
 
@@ -147,15 +148,11 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     faded = apply_paths(burst, cfg.paths)
     impaired = apply_impairments(faded, cfg.impairments)
 
-    core_lo = int(round(-impaired.t0 * rate))
+    core_lo = int(round(-impaired.t0 * impaired.rate))
     core = impaired.samples[core_lo:core_lo + params.m * params.n * cfg.q]
     signal_power = float(np.mean(np.abs(core) ** 2))
     noise_psd = 0.0 if math.isinf(snr_db) else signal_power / 10 ** (snr_db / 10)
-    rx_samples = impaired.samples
-    if noise_psd > 0:
-        z = rng.standard_normal(rx_samples.size) + 1j * rng.standard_normal(rx_samples.size)
-        rx_samples = rx_samples + np.sqrt(noise_psd / 2) * z
-    rx = AnalogSignal(samples=rx_samples, rate=rate, t0=impaired.t0)
+    rx = add_noise(impaired, noise_psd, rng)
 
     sync_res = None
     if cfg.sync_enabled:
@@ -167,7 +164,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
                 snr_db=snr_db, trial_index=trial_index, seed_key=seed_key,
                 bit_errors=int(np.sum(bits)), bits_sent=nbits,
                 symbols=np.zeros(layout.n_data_cells, dtype=np.complex128),
-                taps=None, sync=sync_res, sync_failed=True,
+                taps=None, sync=sync_res, tx=burst,
             )
         if cfg.cfo_mode == "time_domain":
             shift = max(sync_res.start_index - chip0_nominal, 0)
@@ -175,7 +172,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
                                    shape=cfg.shape)
             sync_res = replace(sync_res, cfo_hat=cfo_hat)
             trimmed = correct(rx, replace(sync_res, start_index=shift))
-            rx = AnalogSignal(samples=trimmed.samples, rate=rate, t0=rx.t0)
+            rx = AnalogSignal(samples=trimmed.samples, rate=rx.rate, t0=rx.t0)
 
     y_dd = dzt(sample_and_periodize(matched_filter(rx, cfg.shape, params), params))
     support = SupportRegion.from_layout(layout, cfg.support_kind)
@@ -189,52 +186,46 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     return TrialReport(
         snr_db=snr_db, trial_index=trial_index, seed_key=seed_key,
         bit_errors=errors, bits_sent=nbits, symbols=symbols,
-        taps=h_est, sync=sync_res, sync_failed=False,
+        taps=h_est, sync=sync_res, tx=burst,
     )
 
 
 def _trial_stats(cfg: ExperimentConfig, trial_index: int,
-                 snr_index: int) -> tuple[int, int, int, int, bool, np.ndarray | None]:
+                 snr_index: int) -> tuple[int, int, np.ndarray | None]:
     r = run_trial(cfg, trial_index, snr_index)
-    symbols = r.symbols if trial_index == 0 else None
-    return (snr_index, trial_index, r.bit_errors, r.bits_sent,
-            r.sync_failed, symbols)
+    return r.bit_errors, r.bits_sent, (r.symbols if trial_index == 0 else None)
 
 
 def sweep(cfg: ExperimentConfig, emit: bool = True
           ) -> tuple[BerCurve, dict[float, np.ndarray]]:
     """Run the configured trial grid and aggregate one BER curve.
 
-    Trials fan out over processes when cfg.workers > 1; results are
-    reduced in (snr, trial) order from integer counters, so the curve
-    and every emitted byte are independent of the worker count.  Returns
-    the curve plus the trial-0 equalized symbols per SNR point for the
-    constellation dumps.
+    Trials fan out over processes when cfg.workers > 1; results come
+    back in (snr, trial) job order and reduce from integer counters, so
+    the curve and every emitted byte are independent of the worker
+    count.  Returns the curve plus the trial-0 equalized symbols per SNR
+    point for the constellation dumps.
     """
-    jobs = [(si, ti) for si in range(len(cfg.snr_db))
-            for ti in range(cfg.trials)]
+    n_snr = len(cfg.snr_db)
+    trial_idx = list(range(cfg.trials)) * n_snr
+    snr_idx = [si for si in range(n_snr) for _ in range(cfg.trials)]
     if cfg.workers == 1:
-        stats = [_trial_stats(cfg, ti, si) for si, ti in jobs]
+        stats = list(map(_trial_stats, repeat(cfg), trial_idx, snr_idx))
     else:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_trial_stats, cfg, ti, si)
-                       for si, ti in jobs]
-            stats = [f.result() for f in futures]
-    stats.sort(key=lambda s: (s[0], s[1]))
+            stats = list(pool.map(_trial_stats, repeat(cfg), trial_idx, snr_idx))
 
     points = []
     scatters: dict[float, np.ndarray] = {}
     for si, snr_db in enumerate(cfg.snr_db):
-        rows = [s for s in stats if s[0] == si]
-        errors = sum(s[2] for s in rows)
-        bits = sum(s[3] for s in rows)
+        rows = stats[si * cfg.trials:(si + 1) * cfg.trials]
+        errors = sum(r[0] for r in rows)
+        bits = sum(r[1] for r in rows)
         ber = errors / bits
         ci = 1.96 * math.sqrt(ber * (1 - ber) / bits)
         points.append(BerPoint(snr_db=snr_db, ber=ber, ci95=ci,
                                trials=len(rows), errors=errors, bits=bits))
-        first = rows[0]
-        if first[5] is not None:
-            scatters[snr_db] = first[5]
+        scatters[snr_db] = rows[0][2]
     curve = BerCurve(points=tuple(points))
     if emit:
         write_outputs(cfg, curve, scatters)

@@ -82,10 +82,19 @@ def shape_preamble(pre: Preamble, shape: PulseShape, b: float, q: int) -> Analog
     return AnalogSignal(samples=shaped, rate=q * b, t0=-pad / b)
 
 
-def _upsampled_chips(pre: Preamble, q: int) -> np.ndarray:
-    train = np.zeros(pre.length * q, dtype=np.complex128)
-    train[::q] = pre.samples
-    return train
+def _reference(pre: Preamble, shape: PulseShape | None, b: float,
+               q: int) -> tuple[np.ndarray, int]:
+    """Matched reference samples at rate q*B and the index of chip 0 in them.
+
+    With a shape this is the pulse-shaped preamble that shape_preamble
+    transmits, filter tails included; without one, the raw zero-stuffed
+    chip train, which starts at chip 0.
+    """
+    if shape is None:
+        train = np.zeros(pre.length * q, dtype=np.complex128)
+        train[::q] = pre.samples
+        return train, 0
+    return shape_preamble(pre, shape, b, q).samples, shape.reach() * q
 
 
 def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
@@ -101,13 +110,7 @@ def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
     """
     if q < 1:
         raise ValueError("oversampling factor must be >= 1")
-    if shape is None:
-        template = _upsampled_chips(preamble, q)
-        core_offset = 0
-    else:
-        shaped = shape_preamble(preamble, shape, rx.rate / q, q)
-        template = shaped.samples
-        core_offset = shape.reach() * q
+    template, core_offset = _reference(preamble, shape, rx.rate / q, q)
     if rx.samples.size < template.size:
         raise ValueError(
             f"buffer of {rx.samples.size} samples cannot hold a "
@@ -115,7 +118,9 @@ def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
         )
 
     corr = fftconvolve(rx.samples, np.conj(template[::-1]), mode="valid")
-    power = np.convolve(np.abs(rx.samples) ** 2, np.ones(template.size), mode="valid")
+    # Window energies as differences of a running sum, O(n) for any length.
+    energy = np.concatenate(([0.0], np.cumsum(np.abs(rx.samples) ** 2)))
+    power = energy[template.size:] - energy[:-template.size]
     tnorm = np.sqrt(np.sum(np.abs(template) ** 2))
     peak_power = float(np.max(power))
     if peak_power <= 0.0:
@@ -173,11 +178,8 @@ def estimate_cfo(rx: AnalogSignal, preamble: Preamble, q: int,
     """
     if not 1 <= block_chips <= preamble.length:
         raise ValueError("block size must be between 1 chip and the preamble")
-    if shape is None:
-        template = _upsampled_chips(preamble, q)
-    else:
-        shaped = shape_preamble(preamble, shape, rx.rate / q, q)
-        template = shaped.samples[shape.reach() * q:(shape.reach() + preamble.length) * q]
+    reference, chip0 = _reference(preamble, shape, rx.rate / q, q)
+    template = reference[chip0:chip0 + preamble.length * q]
     lo = start_index
     hi = start_index + template.size
     if lo < 0 or hi > rx.samples.size:

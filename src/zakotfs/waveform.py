@@ -196,6 +196,13 @@ class PulseShape:
         edge = np.sum(np.abs(taps[: q]) ** 2) + np.sum(np.abs(taps[-q:]) ** 2)
         return float(edge / total)
 
+    def check_truncation(self, b: float, q: int) -> None:
+        """Reject a span whose clipped filter tails hold too much energy."""
+        tail = self.tail_fraction(b, q)
+        if tail > _TAIL_LIMIT:
+            raise ValueError(f"w1_span={self.w1_span} leaves {tail:.2e} of the tap "
+                             "energy in the outer period; increase the span")
+
 
 _TAP_CACHE: dict[tuple, np.ndarray] = {}
 
@@ -234,6 +241,7 @@ _EDGE_EPS = 1e-9
 
 def _tx_window(shape: PulseShape, t: np.ndarray, t_period: float,
                margin_s: float) -> np.ndarray:
+    """Unit-peak window V; with margin_s = 0 it is also the receive window."""
     if shape.family == "rrc":
         return np.sqrt(t_period) * rrc_w2(t - t_period / 2, t_period, shape.beta)
     lo = -margin_s - _EDGE_EPS * t_period
@@ -241,11 +249,15 @@ def _tx_window(shape: PulseShape, t: np.ndarray, t_period: float,
     return ((t >= lo) & (t < hi)).astype(float)
 
 
-def _rx_window(shape: PulseShape, t: np.ndarray, t_period: float) -> np.ndarray:
-    if shape.family == "rrc":
-        return np.sqrt(t_period) * rrc_w2(t - t_period / 2, t_period, shape.beta)
-    eps = _EDGE_EPS * t_period
-    return ((t >= -eps) & (t < t_period - eps)).astype(float)
+def _sample_grid(sig: AnalogSignal, b: float) -> tuple[int, int]:
+    """Oversampling factor q = rate/B and the index of the sample at t = 0."""
+    q = int(round(sig.rate / b))
+    if abs(sig.rate - q * b) > 1e-6 * b or q < 2:
+        raise ValueError(f"rate {sig.rate} is not an integer multiple >= 2 of B={b}")
+    i_zero = -sig.t0 * sig.rate
+    if abs(i_zero - round(i_zero)) > 1e-6:
+        raise ValueError("signal time origin is not aligned to the sample grid")
+    return q, int(round(i_zero))
 
 
 def synthesize(dt: DTSignal, shape: PulseShape, q: int,
@@ -267,11 +279,7 @@ def synthesize(dt: DTSignal, shape: PulseShape, q: int,
     t_period = mn / b
     if margin is None:
         margin = shape.reach() + 8
-    if shape.tail_fraction(b, q) > _TAIL_LIMIT:
-        raise ValueError(
-            f"w1_span={shape.w1_span} leaves {shape.tail_fraction(b, q):.2e} "
-            "of the tap energy in the outer period; increase the span"
-        )
+    shape.check_truncation(b, q)
 
     if shape.family == "rrc":
         # Window support is [-beta*T/2, T + beta*T/2).
@@ -281,15 +289,14 @@ def synthesize(dt: DTSignal, shape: PulseShape, q: int,
     q_lo, q_hi = -ext, mn + ext
     span_q = shape.reach() * q
     t0 = (q_lo * q - span_q) / (q * b)
+    n_out = (q_hi - q_lo - 1) * q + 2 * span_q + 1
 
     if shape.exact:
         # Periodic steady state first: exact trigonometric interpolation
         # of the symbol sequence on the q-grid, then the window cuts it.
         period = np.zeros(mn * q, dtype=np.complex128)
         period[::q] = dt.samples
-        f = np.fft.fftfreq(mn * q, d=1.0 / (q * b))
-        core = np.fft.ifft(np.fft.fft(period) * (q * b) * shape.w1_gain(f, b))
-        n_out = (q_hi - q_lo - 1) * q + 2 * span_q + 1
+        core = w1_filter(period, shape, b, q)
         t = t0 + np.arange(n_out) / (q * b)
         idx = np.arange(n_out) + (q_lo * q - span_q)
         shaped = core[np.mod(idx, mn * q)] * _tx_window(shape, t, t_period, margin / b)
@@ -298,7 +305,6 @@ def synthesize(dt: DTSignal, shape: PulseShape, q: int,
     sym_idx = np.arange(q_lo, q_hi)
     window = _tx_window(shape, sym_idx / b, t_period, margin / b)
     vals = dt.samples[np.mod(sym_idx, mn)] * window
-    n_out = (q_hi - q_lo - 1) * q + 2 * span_q + 1
     train = np.zeros(n_out, dtype=np.complex128)
     train[span_q + (sym_idx - q_lo) * q] = vals
     shaped = w1_filter(train, shape, b, q)
@@ -316,24 +322,16 @@ def matched_filter(r: AnalogSignal, shape: PulseShape, params: FrameParams) -> A
     starting at t = 0.
     """
     b = params.b
-    q = int(round(r.rate / b))
-    if abs(r.rate - q * b) > 1e-6 * b or q < 2:
-        raise ValueError(f"rate {r.rate} is not an integer multiple >= 2 of B={b}")
+    q, i_zero = _sample_grid(r, b)
+    window = _tx_window(shape, r.times(), params.t, 0.0)
     if shape.exact:
-        i_zero = -r.t0 * r.rate
-        if abs(i_zero - round(i_zero)) > 1e-6:
-            raise ValueError("signal time origin is not aligned to the sample grid")
-        i_zero = int(round(i_zero))
-        windowed = r.samples * np.conj(_rx_window(shape, r.times(), params.t))
         period = params.m * params.n * q
         folded = np.zeros(period, dtype=np.complex128)
         slots = np.mod(np.arange(r.samples.size) - i_zero, period)
-        np.add.at(folded, slots, windowed)
-        f = np.fft.fftfreq(period, d=1.0 / (q * b))
-        z = np.fft.ifft(np.fft.fft(folded) * shape.w1_gain(f, b))
+        np.add.at(folded, slots, r.samples * np.conj(window))
+        z = w1_filter(folded, shape, b, q, correlate=True)
         return AnalogSignal(samples=z, rate=r.rate, t0=0.0)
     z = w1_filter(r.samples, shape, b, q, correlate=True)
-    window = _rx_window(shape, r.times(), params.t)
     return AnalogSignal(samples=z * np.conj(window), rate=r.rate, t0=r.t0)
 
 
@@ -344,16 +342,8 @@ def sample_and_periodize(y: AnalogSignal, params: FrameParams) -> DTSignal:
     symbols, so tapered frame edges reassemble and any content beyond
     one period aliases back onto the core.
     """
-    b = params.b
     mn = params.m * params.n
-    q = int(round(y.rate / b))
-    if abs(y.rate - q * b) > 1e-6 * b:
-        raise ValueError(f"rate {y.rate} is not an integer multiple of B={b}")
-    # Index of the sample at t = 0; t0 is an integer number of periods.
-    i_zero = -y.t0 * y.rate
-    if abs(i_zero - round(i_zero)) > 1e-6:
-        raise ValueError("signal time origin is not aligned to the sample grid")
-    i_zero = int(round(i_zero))
+    q, i_zero = _sample_grid(y, params.b)
     n = y.samples.size
     # Symbol instants q_t with 0 <= i_zero + q_t*q < n.
     q_min = -(i_zero // q)
@@ -364,4 +354,4 @@ def sample_and_periodize(y: AnalogSignal, params: FrameParams) -> DTSignal:
     picked = y.samples[i_zero + sym * q]
     folded = np.zeros(mn, dtype=np.complex128)
     np.add.at(folded, np.mod(sym, mn), picked)
-    return DTSignal(samples=folded, m=params.m, n=params.n, rate=b)
+    return DTSignal(samples=folded, m=params.m, n=params.n, rate=params.b)

@@ -7,6 +7,7 @@ from zakotfs.channel import (
     ChannelSpec,
     ImpairmentSpec,
     PathSpec,
+    add_noise,
     apply_impairments,
     apply_paths,
     fold_impairments,
@@ -172,6 +173,30 @@ class TestApplyImpairments:
         sig = AnalogSignal(samples=np.zeros(16), rate=RATE, t0=0.0)
         with pytest.raises(ValueError, match="noise_psd"):
             apply_impairments(sig, ImpairmentSpec(), noise_psd=-1.0)
+
+
+class TestAddNoise:
+    """The one place a trial's receiver noise is drawn."""
+
+    def test_draws_real_then_imaginary_parts(self):
+        sig = band_limited_probe(n=64, seed=9)
+        out = add_noise(sig, 0.5, np.random.default_rng(3))
+        ref = np.random.default_rng(3)
+        re, im = ref.standard_normal(64), ref.standard_normal(64)
+        assert np.array_equal(out.samples, sig.samples + np.sqrt(0.25) * (re + 1j * im))
+        assert (out.rate, out.t0) == (sig.rate, sig.t0)
+
+    def test_zero_noise_draws_nothing(self):
+        sig = band_limited_probe(n=64, seed=9)
+        rng = np.random.default_rng(3)
+        assert add_noise(sig, 0.0, rng) is sig
+        assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
+
+    @pytest.mark.parametrize("noise_psd", [-1.0, float("nan")])
+    def test_bad_noise_level_rejected(self, noise_psd):
+        sig = AnalogSignal(samples=np.zeros(16), rate=RATE, t0=0.0)
+        with pytest.raises(ValueError, match="noise_psd"):
+            add_noise(sig, noise_psd, np.random.default_rng(0))
 
 
 class TestFoldImpairments:

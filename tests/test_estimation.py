@@ -107,6 +107,18 @@ class TestSupportRegion:
         assert not s.contains(3, 0)
         assert not s.contains(0, 32)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_contains_exactly_the_listed_taps(self, n):
+        s = SupportRegion(kind="C1", k_lo=2, k_hi=5, m=8, n=n)
+        ks, ls = s.delay_taps(), s.doppler_taps()
+        for k in ks:
+            for l in ls:
+                assert s.contains(int(k), int(l))
+        assert not s.contains(int(ks[0]) - 1, int(ls[0]))
+        assert not s.contains(int(ks[-1]) + 1, int(ls[0]))
+        assert not s.contains(int(ks[0]), int(ls[0]) - 1)
+        assert not s.contains(int(ks[0]), int(ls[-1]) + 1)
+
     def test_unknown_kind_rejected(self):
         _, lay = make_layout()
         with pytest.raises(ValueError, match="kind"):

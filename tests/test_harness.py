@@ -145,6 +145,17 @@ class TestConfigFromDict:
         with pytest.raises(ConfigError, match="layout"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("shape, field", [
+        ({"oversampling": 1}, "shape.oversampling"),
+        ({"family": "sinc", "w1_span": 8}, "shape.w1_span"),
+        ({"w1_span": 2}, "shape.w1_span"),
+    ])
+    def test_shape_problems_fail_at_config_time(self, shape, field):
+        raw = tiny_config_dict()
+        raw["shape"].update(shape)
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(raw)
+
     def test_sync_section_defaults(self):
         cfg = config_from_dict(tiny_config_dict())
         assert cfg.preamble_length == 256
@@ -344,6 +355,15 @@ class TestRunTrial:
         assert report.sync_failed
         assert report.bit_errors > 0.3 * report.bits_sent
 
+    def test_failed_sync_report_keeps_its_burst(self):
+        raw = tiny_config_dict(sync=True)
+        locked = run_trial(config_from_dict(raw), 0)
+        raw["sync"] = {"threshold": 1.01}
+        failed = run_trial(config_from_dict(raw), 0)
+        assert failed.sync_failed and not locked.sync_failed
+        assert np.array_equal(failed.tx.samples, locked.tx.samples)
+        assert failed.tx.t0 == locked.tx.t0
+
     def test_sync_mode_noiseless_still_clean(self):
         cfg = config_from_dict(tiny_config_dict(sync=True))
         report = run_trial(cfg, 0)
@@ -354,7 +374,8 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="more bit errors"):
             TrialReport(snr_db=10.0, trial_index=0, seed_key=(0, 0),
                         bit_errors=5, bits_sent=4, symbols=np.zeros(1),
-                        taps=None, sync=None)
+                        taps=None, sync=None,
+                        tx=AnalogSignal(samples=np.zeros(1), rate=1.0))
 
 
 class TestSweep:
@@ -459,6 +480,13 @@ class TestCli:
         assert main(["sweep", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_shape_problem_exits_one(self, tmp_path, capsys):
+        raw = tiny_config_dict()
+        raw["shape"].update(family="sinc", w1_span=8)
+        path = self._write_config(tmp_path, raw)
+        assert main(["sweep", "--config", path]) == 1
+        assert "shape.w1_span" in capsys.readouterr().err
+
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "no.yaml")]) == 1
 
@@ -470,7 +498,8 @@ class TestCli:
         iq = dump / "tx_trial0.iq"
         assert iq.exists()
         sig = read_iq(str(iq))
-        assert sig.samples.size > 0
+        sent = run_trial(load_config(cfg_path), 0).tx.samples
+        assert np.array_equal(sig.samples, sent.astype(np.complex64))
         taps = (dump / "taps_trial0.csv").read_text()
         assert taps.splitlines()[0] == "delay_bin,doppler_bin,re,im"
         assert (dump / "constellation_trial0.svg").exists()

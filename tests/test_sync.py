@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from zakotfs.sync import (
     SyncResult,
@@ -129,6 +132,56 @@ class TestDetectTiming:
         rx = AnalogSignal(samples=np.zeros(2048), rate=RATE, t0=0.0)
         with pytest.raises(ValueError, match="oversampling"):
             detect_timing(rx, pre, 0)
+
+
+def convolve_timing_oracle(rx, template):
+    """detect_timing's metric with the window energies as a direct sum."""
+    corr = fftconvolve(rx, np.conj(template[::-1]), mode="valid")
+    power = np.convolve(np.abs(rx) ** 2, np.ones(template.size), mode="valid")
+    peak_power = np.max(power)
+    if peak_power <= 0.0:
+        return 0, 0.0
+    tnorm = np.sqrt(np.sum(np.abs(template) ** 2))
+    metric = np.abs(corr) / (tnorm * np.sqrt(np.maximum(power, 1e-12 * peak_power)))
+    lag = int(np.argmax(metric))
+    return lag, float(metric[lag])
+
+
+class TestTimingEnergyNormalizer:
+    """The running-sum window energies against a direct convolution."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           total=st.integers(32, 400),
+           offset=st.floats(0.0, 1.0),
+           amp=st.floats(0.0, 4.0),
+           scale=st.sampled_from([1e-6, 1.0, 1e6]),
+           silences=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.25)),
+                             max_size=3))
+    def test_matches_convolution_oracle(self, seed, total, offset, amp, scale,
+                                        silences):
+        pre = make_preamble(length=16, root=1)
+        q = 2
+        chips = np.zeros(pre.length * q, dtype=complex)
+        chips[::q] = pre.samples
+        rng = np.random.default_rng(seed)
+        buf = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+        at = int(offset * (total - chips.size))
+        buf[at:at + chips.size] += amp * chips
+        for start, width in silences:
+            lo = int(start * total)
+            buf[lo:lo + int(width * total)] = 0.0
+        buf *= scale
+        res = detect_timing(AnalogSignal(samples=buf, rate=RATE, t0=0.0), pre, q)
+        lag, peak = convolve_timing_oracle(buf, chips)
+        assert res.start_index == lag
+        assert res.peak_metric == pytest.approx(peak, rel=1e-9)
+
+    def test_silent_buffer_is_not_detected(self):
+        pre = make_preamble(length=16, root=1)
+        rx = AnalogSignal(samples=np.zeros(100), rate=RATE, t0=0.0)
+        res = detect_timing(rx, pre, 2)
+        assert not res.detected and res.peak_metric == 0.0
 
 
 class TestKayCfo:
