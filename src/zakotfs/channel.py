@@ -24,6 +24,7 @@ tails lands in silence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,16 +76,14 @@ class ImpairmentSpec:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Paths plus impairments plus the noise level at the channel output.
+    """Paths plus impairments; noise is added separately, by add_noise.
 
-    noise_psd is the per-sample complex noise variance at the signal's
-    sample rate; tau_max / nu_max declare the support bounds the frame
-    layout was built for.
+    tau_max / nu_max declare the support bounds the frame layout was
+    built for.
     """
 
     paths: tuple[PathSpec, ...]
     impairments: ImpairmentSpec = ImpairmentSpec()
-    noise_psd: float = 0.0
     tau_max: float = 0.0
     nu_max: float = 0.0
 
@@ -92,8 +91,6 @@ class ChannelSpec:
         if not self.paths:
             raise ValueError("a channel needs at least one path")
         object.__setattr__(self, "paths", tuple(self.paths))
-        if self.noise_psd < 0:
-            raise ValueError("noise_psd must be non-negative")
         for p in self.paths:
             if p.delay > self.tau_max + 1e-12:
                 raise ValueError(f"path delay {p.delay} exceeds tau_max={self.tau_max}")
@@ -109,6 +106,28 @@ def _delay_samples(x: np.ndarray, shift: float) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(x) * np.exp(-2j * np.pi * f * shift))
 
 
+# The phase ramps depend only on the signal's time axis and the channel
+# parameters, so each is built once per process; the cached arrays are
+# shared and therefore read-only.
+
+@lru_cache(maxsize=16)
+def _doppler_ramp(t0: float, rate: float, n: int, doppler: float,
+                  delay: float) -> np.ndarray:
+    t = t0 + np.arange(n) / rate
+    ramp = np.exp(2j * np.pi * doppler * (t - delay))
+    ramp.setflags(write=False)
+    return ramp
+
+
+@lru_cache(maxsize=16)
+def _carrier_ramp(t0: float, rate: float, n: int, eps0: float,
+                  phi: float) -> np.ndarray:
+    t = t0 + np.arange(n) / rate
+    ramp = np.exp(1j * (2 * np.pi * eps0 * t + phi))
+    ramp.setflags(write=False)
+    return ramp
+
+
 def apply_paths(sig: AnalogSignal, paths: tuple[PathSpec, ...] | list[PathSpec]) -> AnalogSignal:
     """Superpose all propagation paths onto the signal.
 
@@ -119,11 +138,10 @@ def apply_paths(sig: AnalogSignal, paths: tuple[PathSpec, ...] | list[PathSpec])
     for p in paths:
         if p.delay * sig.rate > n:
             raise ValueError(f"path delay {p.delay}s exceeds the signal extent")
-    t = sig.times()
     out = np.zeros(n, dtype=np.complex128)
     for p in paths:
         shifted = _delay_samples(sig.samples, p.delay * sig.rate)
-        out += p.gain * shifted * np.exp(2j * np.pi * p.doppler * (t - p.delay))
+        out += p.gain * shifted * _doppler_ramp(sig.t0, sig.rate, n, p.doppler, p.delay)
     return AnalogSignal(samples=out, rate=sig.rate, t0=sig.t0)
 
 
@@ -131,8 +149,11 @@ def apply_impairments(sig: AnalogSignal, imp: ImpairmentSpec, noise_psd: float =
                       rng: np.random.Generator | None = None) -> AnalogSignal:
     """Apply timing/carrier/phase impairments, then add noise once."""
     x = _delay_samples(sig.samples, imp.dt * sig.rate)
-    t = sig.times()
-    x = x * np.exp(1j * (2 * np.pi * imp.eps0 * t + imp.phi))
+    # Multiply by a fresh copy of the ramp: above a size threshold numpy
+    # reuses a temporary operand as the output and swaps the factors, and
+    # the copy keeps the last bit of every sample the same as multiplying
+    # by a newly computed ramp.
+    x = x * _carrier_ramp(sig.t0, sig.rate, x.size, imp.eps0, imp.phi).copy()
     return add_noise(AnalogSignal(samples=x, rate=sig.rate, t0=sig.t0), noise_psd, rng)
 
 

@@ -10,7 +10,7 @@ import yaml
 
 from .channel import ImpairmentSpec, PathSpec
 from .dd_frame import Constellation, FrameLayout, FrameParams, build_layout
-from .waveform import PulseShape
+from .waveform import PulseShape, ShapeError
 
 __all__ = ["ConfigError", "ExperimentConfig", "config_from_dict", "load_config"]
 
@@ -181,12 +181,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     q = _get_int(sh, "shape", "oversampling", default=4, minimum=2)
     try:
         shape = PulseShape(family=family, beta=beta, w1_span=span)
-    except ValueError as e:
-        raise ConfigError("shape", str(e)) from e
-    try:
         shape.check_truncation(b, q)
-    except ValueError as e:
-        raise ConfigError("shape.w1_span", str(e)) from e
+    except ShapeError as e:
+        raise ConfigError(f"shape.{e.field}", str(e)) from e
 
     ch = _section(raw, "channel")
     _check_unknown(ch, {"paths", "normalize_power", "cfo_hz",

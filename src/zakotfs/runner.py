@@ -6,6 +6,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -13,9 +14,9 @@ import numpy as np
 from . import svg
 from .channel import add_noise, apply_impairments, apply_paths
 from .config import ExperimentConfig
-from .dd_frame import demap_symbols, map_bits
+from .dd_frame import Constellation, FrameLayout, demap_symbols, map_bits
 from .estimation import (SupportRegion, dd_noise_var, equalize_taps, estimate)
-from .sync import (SyncResult, correct, detect_timing, estimate_cfo,
+from .sync import (Preamble, SyncResult, correct, detect_timing, estimate_cfo,
                    make_preamble, shape_preamble)
 from .waveform import AnalogSignal, matched_filter, sample_and_periodize, synthesize
 from .zak import dzt, idzt
@@ -86,6 +87,37 @@ def _trial_rng(cfg: ExperimentConfig, snr_index: int,
     return np.random.Generator(np.random.Philox(key=key)), (cfg.base_seed, word)
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What every trial of one config shares; the arrays are read-only."""
+
+    layout: FrameLayout
+    constellation: Constellation
+    support: SupportRegion
+    data_rows: np.ndarray
+    preamble: Preamble | None
+    template: AnalogSignal | None
+
+
+@lru_cache(maxsize=8)
+def _plan(cfg: ExperimentConfig) -> _Plan:
+    """Build a config's constant link state once per process.
+
+    Pool workers need no initializer: each builds (or inherits) the plan
+    on its first trial of a config.
+    """
+    layout = cfg.layout()
+    data_rows = np.array(layout.data_delay_bins)
+    data_rows.setflags(write=False)
+    preamble = template = None
+    if cfg.sync_enabled:
+        preamble = make_preamble(cfg.preamble_length, cfg.preamble_root)
+        template = shape_preamble(preamble, cfg.shape, cfg.params.b, cfg.q)
+    return _Plan(layout=layout, constellation=cfg.constellation(),
+                 support=SupportRegion.from_layout(layout, cfg.support_kind),
+                 data_rows=data_rows, preamble=preamble, template=template)
+
+
 def _compose_burst(cfg: ExperimentConfig, frame_sig: AnalogSignal,
                    template: AnalogSignal | None) -> tuple[AnalogSignal, int]:
     """Put preamble (optional), gap, and frame on one time axis.
@@ -115,34 +147,28 @@ def _compose_burst(cfg: ExperimentConfig, frame_sig: AnalogSignal,
     return AnalogSignal(samples=buf, rate=rate, t0=start / rate), -int(round(template.t0 * rate))
 
 
-def _make_tx(cfg: ExperimentConfig, layout, constellation,
-             rng: np.random.Generator):
+def _make_tx(cfg: ExperimentConfig, plan: _Plan, rng: np.random.Generator):
     """Draw one frame's bits and build the transmit burst around them."""
-    nbits = layout.n_data_cells * constellation.bits_per_symbol
+    nbits = plan.layout.n_data_cells * plan.constellation.bits_per_symbol
     bits = rng.integers(0, 2, size=nbits)
-    tx_grid = map_bits(bits, constellation, layout, cfg.pilot_amp)
+    tx_grid = map_bits(bits, plan.constellation, plan.layout, cfg.pilot_amp)
     frame_sig = synthesize(idzt(tx_grid, rate=cfg.params.b), cfg.shape, cfg.q)
-
-    template = None
-    preamble = None
-    if cfg.sync_enabled:
-        preamble = make_preamble(cfg.preamble_length, cfg.preamble_root)
-        template = shape_preamble(preamble, cfg.shape, cfg.params.b, cfg.q)
-    burst, chip0_nominal = _compose_burst(cfg, frame_sig, template)
-    return bits, burst, chip0_nominal, preamble
+    burst, chip0_nominal = _compose_burst(cfg, frame_sig, plan.template)
+    return bits, burst, chip0_nominal
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int,
               snr_index: int = 0) -> TrialReport:
     """One frame through the whole pipeline at cfg.snr_db[snr_index]."""
     params = cfg.params
-    layout = cfg.layout()
-    constellation = cfg.constellation()
+    plan = _plan(cfg)
+    layout = plan.layout
+    preamble = plan.preamble
     b = params.b
     snr_db = cfg.snr_db[snr_index]
     rng, seed_key = _trial_rng(cfg, snr_index, trial_index)
 
-    bits, burst, chip0_nominal, preamble = _make_tx(cfg, layout, constellation, rng)
+    bits, burst, chip0_nominal = _make_tx(cfg, plan, rng)
     nbits = bits.size
 
     faded = apply_paths(burst, cfg.paths)
@@ -175,14 +201,12 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
             rx = AnalogSignal(samples=trimmed.samples, rate=rx.rate, t0=rx.t0)
 
     y_dd = dzt(sample_and_periodize(matched_filter(rx, cfg.shape, params), params))
-    support = SupportRegion.from_layout(layout, cfg.support_kind)
-    h_est = estimate(y_dd, layout, support, cfg.pilot_amp)
+    h_est = estimate(y_dd, layout, plan.support, cfg.pilot_amp)
     x_hat = equalize_taps(y_dd, h_est, dd_noise_var(noise_psd, cfg.q, b))
 
-    rx_bits = demap_symbols(x_hat, layout, constellation)
+    rx_bits = demap_symbols(x_hat, layout, plan.constellation)
     errors = int(np.sum(rx_bits != bits))
-    rows = np.array(layout.data_delay_bins)
-    symbols = x_hat.values[rows, :].reshape(-1).copy()
+    symbols = x_hat.values[plan.data_rows, :].reshape(-1).copy()
     return TrialReport(
         snr_db=snr_db, trial_index=trial_index, seed_key=seed_key,
         bit_errors=errors, bits_sent=nbits, symbols=symbols,
@@ -212,8 +236,11 @@ def sweep(cfg: ExperimentConfig, emit: bool = True
     if cfg.workers == 1:
         stats = list(map(_trial_stats, repeat(cfg), trial_idx, snr_idx))
     else:
+        # About four chunks per worker: few round trips, still balanced.
+        chunk = max(1, len(trial_idx) // (4 * cfg.workers))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            stats = list(pool.map(_trial_stats, repeat(cfg), trial_idx, snr_idx))
+            stats = list(pool.map(_trial_stats, repeat(cfg), trial_idx, snr_idx,
+                                  chunksize=chunk))
 
     points = []
     scatters: dict[float, np.ndarray] = {}

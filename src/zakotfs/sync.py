@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -88,11 +89,23 @@ def _reference(pre: Preamble, shape: PulseShape | None, b: float,
 
     With a shape this is the pulse-shaped preamble that shape_preamble
     transmits, filter tails included; without one, the raw zero-stuffed
-    chip train, which starts at chip 0.
+    chip train, which starts at chip 0.  The samples are read-only.
     """
+    return _cached_reference(pre.length, pre.root, pre.samples.tobytes(),
+                             shape, b, q)
+
+
+@lru_cache(maxsize=8)
+def _cached_reference(length: int, root: int, chips: bytes,
+                      shape: PulseShape | None, b: float,
+                      q: int) -> tuple[np.ndarray, int]:
+    """_reference keyed on the chip bytes, built once per process."""
+    pre = Preamble(length=length, root=root,
+                   samples=np.frombuffer(chips, dtype=np.complex128))
     if shape is None:
         train = np.zeros(pre.length * q, dtype=np.complex128)
         train[::q] = pre.samples
+        train.setflags(write=False)
         return train, 0
     return shape_preamble(pre, shape, b, q).samples, shape.reach() * q
 

@@ -24,6 +24,7 @@ clean chain is the identity:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -33,6 +34,7 @@ from .zak import DTSignal
 
 __all__ = [
     "PulseShape",
+    "ShapeError",
     "AnalogSignal",
     "rrc_w1",
     "rrc_w2",
@@ -117,6 +119,17 @@ class AnalogSignal:
         return self.t0 + np.arange(self.samples.size) / self.rate
 
 
+class ShapeError(ValueError):
+    """A PulseShape parameter out of range; `field` names the parameter."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(field, message)
+        self.field = field
+
+    def __str__(self) -> str:
+        return self.args[1]
+
+
 @dataclass(frozen=True)
 class PulseShape:
     """Filter family and truncation used by the shaping chain.
@@ -134,11 +147,11 @@ class PulseShape:
 
     def __post_init__(self) -> None:
         if self.family not in ("rrc", "sinc"):
-            raise ValueError(f"unknown pulse family {self.family!r}")
+            raise ShapeError("family", f"unknown pulse family {self.family!r}")
         if self.family == "rrc" and not 0 < self.beta <= 1:
-            raise ValueError(f"beta must be in (0, 1] for rrc, got {self.beta}")
+            raise ShapeError("beta", f"beta must be in (0, 1] for rrc, got {self.beta}")
         if self.w1_span is not None and self.w1_span < 2:
-            raise ValueError("w1_span must be at least 2 symbol periods")
+            raise ShapeError("w1_span", "w1_span must be at least 2 symbol periods")
 
     @property
     def exact(self) -> bool:
@@ -152,19 +165,7 @@ class PulseShape:
         """Unit-energy sampled delay filter at rate q*B, length 2*span*q + 1."""
         if self.exact:
             raise ValueError("the non-truncated realization has no tap form")
-        key = (self.family, self.beta, self.w1_span, float(b), int(q))
-        taps = _TAP_CACHE.get(key)
-        if taps is None:
-            m = np.arange(-self.w1_span * q, self.w1_span * q + 1)
-            t = m / (q * b)
-            if self.family == "rrc":
-                taps = rrc_w1(t, b, self.beta).astype(np.complex128)
-            else:
-                taps = np.sinc(b * t).astype(np.complex128)
-            taps /= np.sqrt(np.sum(np.abs(taps) ** 2) / (q * b))
-            taps.setflags(write=False)
-            _TAP_CACHE[key] = taps
-        return taps
+        return _sampled_taps(self, float(b), int(q))
 
     def w1_gain(self, f: np.ndarray, b: float) -> np.ndarray:
         """Closed-form filter spectrum, unit-energy normalized.
@@ -200,11 +201,37 @@ class PulseShape:
         """Reject a span whose clipped filter tails hold too much energy."""
         tail = self.tail_fraction(b, q)
         if tail > _TAIL_LIMIT:
-            raise ValueError(f"w1_span={self.w1_span} leaves {tail:.2e} of the tap "
-                             "energy in the outer period; increase the span")
+            raise ShapeError("w1_span", f"w1_span={self.w1_span} leaves {tail:.2e} of "
+                             "the tap energy in the outer period; increase the span")
 
 
-_TAP_CACHE: dict[tuple, np.ndarray] = {}
+# Constants of a shape and a sample grid are built once per process by
+# lru_cache'd helpers keyed on hashable scalars; every caller shares the
+# returned array, so it is made read-only.
+
+@lru_cache(maxsize=16)
+def _sampled_taps(shape: PulseShape, b: float, q: int) -> np.ndarray:
+    m = np.arange(-shape.w1_span * q, shape.w1_span * q + 1)
+    t = m / (q * b)
+    if shape.family == "rrc":
+        taps = rrc_w1(t, b, shape.beta).astype(np.complex128)
+    else:
+        taps = np.sinc(b * t).astype(np.complex128)
+    taps /= np.sqrt(np.sum(np.abs(taps) ** 2) / (q * b))
+    taps.setflags(write=False)
+    return taps
+
+
+@lru_cache(maxsize=16)
+def _w1_spectrum(shape: PulseShape, n: int, b: float, q: int,
+                 correlate: bool) -> np.ndarray:
+    f = np.fft.fftfreq(n, d=1.0 / (q * b))
+    gain = shape.w1_gain(f, b)
+    if not correlate:
+        gain = q * b * gain
+    gain.setflags(write=False)
+    return gain
+
 
 # A shaped frame whose truncated filter tails still hold more than this
 # fraction of the tap energy in the outermost period is rejected.  The
@@ -223,11 +250,7 @@ def w1_filter(x: np.ndarray, shape: PulseShape, b: float, q: int,
     The correlator variant folds in the 1/(q*B) matched-filter scale.
     """
     if shape.exact:
-        f = np.fft.fftfreq(x.size, d=1.0 / (q * b))
-        gain = shape.w1_gain(f, b)
-        if not correlate:
-            gain = q * b * gain
-        return np.fft.ifft(np.fft.fft(x) * gain)
+        return np.fft.ifft(np.fft.fft(x) * _w1_spectrum(shape, x.size, b, q, correlate))
     taps = shape.w1_taps(b, q)
     kernel = np.conj(taps[::-1]) / (q * b) if correlate else taps
     return fftconvolve(x, kernel, mode="same")
@@ -247,6 +270,32 @@ def _tx_window(shape: PulseShape, t: np.ndarray, t_period: float,
     lo = -margin_s - _EDGE_EPS * t_period
     hi = t_period + margin_s - _EDGE_EPS * t_period
     return ((t >= lo) & (t < hi)).astype(float)
+
+
+@lru_cache(maxsize=16)
+def _window_at(shape: PulseShape, t0: float, rate: float, n: int,
+               t_period: float, margin_s: float) -> np.ndarray:
+    """_tx_window on the n sample instants t0 + i/rate."""
+    window = _tx_window(shape, t0 + np.arange(n) / rate, t_period, margin_s)
+    window.setflags(write=False)
+    return window
+
+
+@lru_cache(maxsize=16)
+def _symbol_window(shape: PulseShape, q_lo: int, q_hi: int, b: float,
+                   t_period: float, margin_s: float) -> np.ndarray:
+    """_tx_window on the symbol instants q/B for q in [q_lo, q_hi)."""
+    window = _tx_window(shape, np.arange(q_lo, q_hi) / b, t_period, margin_s)
+    window.setflags(write=False)
+    return window
+
+
+@lru_cache(maxsize=16)
+def _fold_slots(n: int, start: int, period: int) -> np.ndarray:
+    """Slot (i + start) mod period of each of n samples."""
+    slots = np.mod(np.arange(n) + start, period)
+    slots.setflags(write=False)
+    return slots
 
 
 def _sample_grid(sig: AnalogSignal, b: float) -> tuple[int, int]:
@@ -297,13 +346,12 @@ def synthesize(dt: DTSignal, shape: PulseShape, q: int,
         period = np.zeros(mn * q, dtype=np.complex128)
         period[::q] = dt.samples
         core = w1_filter(period, shape, b, q)
-        t = t0 + np.arange(n_out) / (q * b)
-        idx = np.arange(n_out) + (q_lo * q - span_q)
-        shaped = core[np.mod(idx, mn * q)] * _tx_window(shape, t, t_period, margin / b)
-        return AnalogSignal(samples=shaped, rate=q * b, t0=t0)
+        slots = _fold_slots(n_out, q_lo * q - span_q, mn * q)
+        window = _window_at(shape, t0, q * b, n_out, t_period, margin / b)
+        return AnalogSignal(samples=core[slots] * window, rate=q * b, t0=t0)
 
     sym_idx = np.arange(q_lo, q_hi)
-    window = _tx_window(shape, sym_idx / b, t_period, margin / b)
+    window = _symbol_window(shape, q_lo, q_hi, b, t_period, margin / b)
     vals = dt.samples[np.mod(sym_idx, mn)] * window
     train = np.zeros(n_out, dtype=np.complex128)
     train[span_q + (sym_idx - q_lo) * q] = vals
@@ -323,11 +371,12 @@ def matched_filter(r: AnalogSignal, shape: PulseShape, params: FrameParams) -> A
     """
     b = params.b
     q, i_zero = _sample_grid(r, b)
-    window = _tx_window(shape, r.times(), params.t, 0.0)
+    # A timing trim shortens the buffer, so the length is part of the key.
+    window = _window_at(shape, r.t0, r.rate, r.samples.size, params.t, 0.0)
     if shape.exact:
         period = params.m * params.n * q
         folded = np.zeros(period, dtype=np.complex128)
-        slots = np.mod(np.arange(r.samples.size) - i_zero, period)
+        slots = _fold_slots(r.samples.size, -i_zero, period)
         np.add.at(folded, slots, r.samples * np.conj(window))
         z = w1_filter(folded, shape, b, q, correlate=True)
         return AnalogSignal(samples=z, rate=r.rate, t0=0.0)

@@ -75,9 +75,12 @@ class TestSpecsValidation:
             ChannelSpec(paths=(p,), nu_max=1e3)
 
     def test_negative_noise_rejected(self):
+        """A channel spec carries no noise level; add_noise is the one entry."""
         p = PathSpec(gain=1.0, delay=0.0, doppler=0.0)
-        with pytest.raises(ValueError, match="noise_psd"):
+        with pytest.raises(TypeError, match="noise_psd"):
             ChannelSpec(paths=(p,), noise_psd=-1.0)
+        with pytest.raises(TypeError, match="noise_psd"):
+            ChannelSpec(paths=(p,), noise_psd=0.0)
 
 
 class TestApplyPaths:

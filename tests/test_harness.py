@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from zakotfs import svg
+from zakotfs import channel, runner, svg, sync, waveform
 from zakotfs.cli import main
 from zakotfs.config import ConfigError, config_from_dict, load_config
 from zakotfs.iqfile import IqFormatError, read_iq, read_iq_header, write_iq
@@ -149,12 +149,15 @@ class TestConfigFromDict:
         ({"oversampling": 1}, "shape.oversampling"),
         ({"family": "sinc", "w1_span": 8}, "shape.w1_span"),
         ({"w1_span": 2}, "shape.w1_span"),
+        ({"beta": 0}, "shape.beta"),
+        ({"w1_span": 1}, "shape.w1_span"),
     ])
     def test_shape_problems_fail_at_config_time(self, shape, field):
         raw = tiny_config_dict()
         raw["shape"].update(shape)
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(ConfigError) as info:
             config_from_dict(raw)
+        assert info.value.field_name == field
 
     def test_sync_section_defaults(self):
         cfg = config_from_dict(tiny_config_dict())
@@ -378,6 +381,97 @@ class TestRunTrial:
                         tx=AnalogSignal(samples=np.zeros(1), rate=1.0))
 
 
+def clear_memos():
+    """Empty every per-process memo of the link chain."""
+    for module in (runner, sync, waveform, channel):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def linked_config_dict(span):
+    """Sync, a carrier offset and a Doppler echo, so every memo is used."""
+    raw = tiny_config_dict(sync=True, snr_db=[20])
+    raw["shape"]["w1_span"] = span
+    raw["channel"] = {"paths": [{"delay_bins": 0},
+                                {"delay_bins": 1, "doppler_bins": 1, "gain_db": -3}],
+                      "cfo_hz": 300.0}
+    return raw
+
+
+def same_report(a, b):
+    return (a.bit_errors == b.bit_errors and a.bits_sent == b.bits_sent
+            and np.array_equal(a.symbols, b.symbols)
+            and np.array_equal(a.tx.samples, b.tx.samples) and a.tx.t0 == b.tx.t0
+            and a.sync == b.sync)
+
+
+class TestMemos:
+    """Per-config state is built once per process and never goes stale."""
+
+    CHANGES = {
+        "cfo": lambda raw: raw["channel"].update(cfo_hz=400.0),
+        "doppler": lambda raw: raw["channel"]["paths"][1].update(doppler_bins=-1),
+        "family": lambda raw: raw["shape"].update(family="sinc"),
+        # Same window extent as beta 0.5, so only the shape tells them apart.
+        "beta": lambda raw: raw["shape"].update(beta=0.48),
+    }
+
+    @pytest.mark.parametrize("span", [None, 16])
+    @pytest.mark.parametrize("change", sorted(CHANGES))
+    def test_cache_keys_are_complete(self, span, change):
+        """A config differing in one field gets its own state, not a stale one."""
+        base = linked_config_dict(span)
+        other = copy.deepcopy(base)
+        self.CHANGES[change](other)
+        clear_memos()
+        first = run_trial(config_from_dict(base), 0)
+        warm = run_trial(config_from_dict(other), 0)
+        clear_memos()
+        cold = run_trial(config_from_dict(other), 0)
+        assert not same_report(first, cold)
+        assert same_report(warm, cold)
+
+    def _cached_arrays(self):
+        cfg = config_from_dict(linked_config_dict(16))
+        b, q = cfg.params.b, cfg.q
+        plan = runner._plan(cfg)
+        exact = waveform.PulseShape(w1_span=None)
+        return {
+            "plan.data_rows": plan.data_rows,
+            "plan.template": plan.template.samples,
+            "w1_taps": cfg.shape.w1_taps(b, q),
+            "w1_spectrum": waveform._w1_spectrum(exact, 64, b, q, False),
+            "window_at": waveform._window_at(cfg.shape, -1e-5, q * b, 64, cfg.params.t, 0.0),
+            "symbol_window": waveform._symbol_window(cfg.shape, -4, 68, b, cfg.params.t, 0.0),
+            "fold_slots": waveform._fold_slots(64, -3, 16),
+            "doppler_ramp": channel._doppler_ramp(0.0, q * b, 64, 500.0, 1e-6),
+            "carrier_ramp": channel._carrier_ramp(0.0, q * b, 64, 300.0, 0.1),
+            "reference": sync._reference(plan.preamble, cfg.shape, b, q)[0],
+            "chip_train": sync._reference(plan.preamble, None, b, q)[0],
+        }
+
+    def test_cached_arrays_are_read_only(self):
+        for name, arr in self._cached_arrays().items():
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+    def test_plan_is_built_once(self, monkeypatch):
+        cfg = config_from_dict(linked_config_dict(None))
+        shaped = []
+        original = runner.shape_preamble
+
+        def counting(*args, **kwargs):
+            shaped.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(runner, "shape_preamble", counting)
+        runner._plan.cache_clear()
+        for t in range(5):
+            run_trial(cfg, t)
+        assert len(shaped) == 1
+
+
 class TestSweep:
     """Aggregation across the trial grid."""
 
@@ -424,16 +518,18 @@ class TestSweep:
         assert fields[3] == "1"
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
+        """21 jobs go out in chunks of 2 to two workers and of 1 to three."""
         outputs = {}
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             sub = tmp_path / f"w{workers}"
             sub.mkdir()
-            cfg = self._cfg(sub, snr_db=[20, 30], trials=2, workers=workers)
+            cfg = self._cfg(sub, snr_db=[10, 20, 30], trials=7, workers=workers)
             sweep(cfg, emit=True)
             outputs[workers] = {
                 p.name: p.read_bytes() for p in sub.iterdir()
             }
-        assert outputs[1] == outputs[2]
+        assert outputs[2] == outputs[1]
+        assert outputs[3] == outputs[1]
 
     def test_curve_validation(self):
         with pytest.raises(ValueError, match="outside"):
@@ -481,11 +577,13 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     def test_shape_problem_exits_one(self, tmp_path, capsys):
-        raw = tiny_config_dict()
-        raw["shape"].update(family="sinc", w1_span=8)
-        path = self._write_config(tmp_path, raw)
-        assert main(["sweep", "--config", path]) == 1
-        assert "shape.w1_span" in capsys.readouterr().err
+        for shape, field in (({"family": "sinc", "w1_span": 8}, "shape.w1_span"),
+                             ({"beta": 0}, "shape.beta")):
+            raw = tiny_config_dict()
+            raw["shape"].update(shape)
+            path = self._write_config(tmp_path, raw)
+            assert main(["sweep", "--config", path]) == 1
+            assert field in capsys.readouterr().err
 
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "no.yaml")]) == 1
