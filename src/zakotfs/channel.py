@@ -170,9 +170,12 @@ def add_noise(sig: AnalogSignal, noise_psd: float,
     if rng is None:
         raise ValueError("noise injection needs an explicit rng")
     n = sig.samples.size
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return AnalogSignal(samples=sig.samples + np.sqrt(noise_psd / 2) * z,
-                        rate=sig.rate, t0=sig.t0)
+    z = np.empty(n, dtype=np.complex128)
+    z.real = rng.standard_normal(n)
+    z.imag = rng.standard_normal(n)
+    z *= np.sqrt(noise_psd / 2)
+    z += sig.samples
+    return AnalogSignal(samples=z, rate=sig.rate, t0=sig.t0)
 
 
 def fold_impairments(spec: ChannelSpec) -> tuple[PathSpec, ...]:

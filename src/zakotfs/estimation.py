@@ -12,6 +12,7 @@ M/2, stored at row k mod M.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -210,32 +211,59 @@ def _ring_fold(mn: int) -> np.ndarray:
     return np.where(2 * i < mn, 2 * i, 2 * (mn - 1 - i) + 1)
 
 
-def _normal_band(delays: np.ndarray, profiles: np.ndarray, noise_var: float,
-                 pos: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _band_plan(delays: tuple[int, ...], mn: int) -> tuple[np.ndarray, tuple]:
+    """Index maps of _normal_band for contiguous delays on a length-mn ring.
+
+    Returns the ring fold positions and, for each offset off = 0..span,
+    the flat gather indices into the (len(delays) - off, mn) profile
+    products, the flat destinations in the (2*span + 1, mn) band, and
+    the mask of entries stored conjugated.  Built once per process; the
+    arrays are read-only.
+    """
+    span = len(delays) - 1
+    if 2 * span >= mn:
+        raise ValueError(f"delay span {span} is too wide for a ring of "
+                         f"{mn} samples")
+    u = 2 * span
+    d = np.array(delays)
+    t = np.arange(mn)
+    pos = _ring_fold(mn)
+    steps = []
+    for off in range(span + 1):
+        rows = d.size - off
+        gather = (t - d[:rows, None]) % mn + mn * np.arange(rows)[:, None]
+        p, q = pos, pos[(t + off) % mn]
+        row, col = np.minimum(p, q), np.maximum(p, q)
+        dest = (u + row - col) * mn + col
+        steps.append((gather, dest, p > q))
+    for arr in (pos, *(a for step in steps for a in step)):
+        arr.setflags(write=False)
+    return pos, tuple(steps)
+
+
+def _normal_band(profiles: np.ndarray, noise_var: float, steps: tuple) -> np.ndarray:
     """Upper band storage of the folded H H^H + noise_var I.
 
     H v = sum_d roll(g_d * v, d), so entry (t, t+off) of H H^H is
     sum_d g_d[t-d] conj(g_{d+off}[t-d]) over the contiguous delays, and
     only ring offsets up to span = max(delays) - min(delays) are nonzero.
-    Folding by pos turns that ring band into a plain band of half-width
-    2*span, returned in the upper layout scipy.linalg.cholesky_banded reads.
+    Folding by _ring_fold turns that ring band into a plain band of
+    half-width 2*span, returned in the upper layout
+    scipy.linalg.cholesky_banded reads; steps are _band_plan's index maps.
     """
     d_count, mn = profiles.shape
-    span = d_count - 1
-    if 2 * span >= mn:
-        raise ValueError(f"delay span {span} is too wide for a ring of "
-                         f"{mn} samples")
-    u = 2 * span
-    band = np.zeros((u + 1, mn), dtype=np.complex128)
-    t = np.arange(mn)
-    for off in range(span + 1):
+    band = np.zeros((2 * d_count - 1, mn), dtype=np.complex128)
+    flat = band.reshape(-1)
+    for off, (gather, dest, conj) in enumerate(steps):
+        # Kept as one expression: numpy may multiply a large temporary in
+        # place with the factors swapped, and complex products round by
+        # operand order, so hoisting the conjugate would move the last bit.
         prod = profiles[:d_count - off] * np.conj(profiles[off:])
-        src = (t - delays[:d_count - off, None]) % mn
-        entry = np.take_along_axis(prod, src, axis=1).sum(axis=0)
-        p, q = pos, pos[(t + off) % mn]
-        row, col = np.minimum(p, q), np.maximum(p, q)
-        band[u + row - col, col] = np.where(p <= q, entry, np.conj(entry))
-    band[u] += noise_var
+        entry = np.take(prod, gather).sum(axis=0)
+        np.conjugate(entry, out=entry, where=conj)
+        flat[dest] = entry
+    band[-1] += noise_var
     return band
 
 
@@ -256,17 +284,18 @@ def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
         raise ValueError("tap support and grid dimensions disagree")
     delays, profiles = _delay_gain_profiles(h)
     y = idzt(y_dd).samples
-    pos = _ring_fold(y.size)
-    band = _normal_band(delays, profiles, noise_var, pos)
+    pos, steps = _band_plan(tuple(delays.tolist()), y.size)
+    band = _normal_band(profiles, noise_var, steps)
     y_folded = np.empty_like(y)
     y_folded[pos] = y
-    try:
-        factor = scipy.linalg.cholesky_banded(band, check_finite=False)
-    except np.linalg.LinAlgError:
-        factor = None
     # Rounding leaves a null direction a pivot near eps rather than zero, so
     # pivots are judged against the largest diagonal entry, not against 0.
     floor = y.size * np.finfo(float).eps * np.max(band[-1].real)
+    try:
+        factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True,
+                                              check_finite=False)
+    except np.linalg.LinAlgError:
+        factor = None
     if factor is None or np.min(factor[-1].real) ** 2 <= floor:
         raise SolverDivergence(
             "regularized normal matrix H H^H + noise_var I is singular "

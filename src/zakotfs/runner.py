@@ -184,6 +184,13 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     if cfg.sync_enabled:
         sync_res = detect_timing(rx, preamble, cfg.q, shape=cfg.shape,
                                  threshold=cfg.sync_threshold)
+        shift = max(sync_res.start_index - chip0_nominal, 0)
+        last_symbol = core_lo + (params.m * params.n - 1) * cfg.q
+        if (sync_res.detected and cfg.cfo_mode == "time_domain"
+                and last_symbol >= rx.samples.size - shift):
+            # A lock so late that the trimmed buffer ends before the frame's
+            # last symbol instant cannot be decoded: a sync failure.
+            sync_res = replace(sync_res, detected=False)
         if not sync_res.detected:
             # Counted as a decode of all-zero bits against what was sent.
             return TrialReport(
@@ -193,7 +200,6 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
                 taps=None, sync=sync_res, tx=burst,
             )
         if cfg.cfo_mode == "time_domain":
-            shift = max(sync_res.start_index - chip0_nominal, 0)
             cfo_hat = estimate_cfo(rx, preamble, cfg.q, sync_res.start_index,
                                    shape=cfg.shape)
             sync_res = replace(sync_res, cfo_hat=cfo_hat)

@@ -7,9 +7,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 
-from .waveform import AnalogSignal, PulseShape, w1_filter
+from .waveform import (AnalogSignal, PulseShape, fft_conv_length, fft_convolve,
+                       w1_filter)
 
 __all__ = [
     "Preamble",
@@ -48,7 +49,8 @@ class SyncResult:
 
     start_index points at the first sample of the preamble core (chip 0)
     inside the searched buffer; detected reflects the threshold test at
-    the correlation peak.
+    the correlation peak.  run_trial also clears it on a lock too late
+    for the trimmed buffer to hold the frame.
     """
 
     start_index: int
@@ -91,8 +93,12 @@ def _reference(pre: Preamble, shape: PulseShape | None, b: float,
     transmits, filter tails included; without one, the raw zero-stuffed
     chip train, which starts at chip 0.  The samples are read-only.
     """
-    return _cached_reference(pre.length, pre.root, pre.samples.tobytes(),
-                             shape, b, q)
+    return _cached_reference(*_reference_key(pre, shape, b, q))
+
+
+def _reference_key(pre: Preamble, shape: PulseShape | None, b: float,
+                   q: int) -> tuple:
+    return pre.length, pre.root, pre.samples.tobytes(), shape, b, q
 
 
 @lru_cache(maxsize=8)
@@ -110,6 +116,17 @@ def _cached_reference(length: int, root: int, chips: bytes,
     return shape_preamble(pre, shape, b, q).samples, shape.reach() * q
 
 
+@lru_cache(maxsize=8)
+def _template_spectrum(length: int, root: int, chips: bytes,
+                       shape: PulseShape | None, b: float, q: int,
+                       nfft: int) -> np.ndarray:
+    """Spectrum of the time-reversed conjugate reference, for fft_convolve."""
+    template, _ = _cached_reference(length, root, chips, shape, b, q)
+    spectrum = scipy.fft.fftn(np.conj(template[::-1]), (nfft,), axes=(0,))
+    spectrum.setflags(write=False)
+    return spectrum
+
+
 def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
                   shape: PulseShape | None = None,
                   threshold: float = DEFAULT_THRESHOLD) -> SyncResult:
@@ -123,14 +140,17 @@ def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
     """
     if q < 1:
         raise ValueError("oversampling factor must be >= 1")
-    template, core_offset = _reference(preamble, shape, rx.rate / q, q)
+    key = _reference_key(preamble, shape, rx.rate / q, q)
+    template, core_offset = _cached_reference(*key)
     if rx.samples.size < template.size:
         raise ValueError(
             f"buffer of {rx.samples.size} samples cannot hold a "
             f"{template.size}-sample preamble"
         )
 
-    corr = fftconvolve(rx.samples, np.conj(template[::-1]), mode="valid")
+    nfft = fft_conv_length(rx.samples.size, template.size)
+    corr = fft_convolve(rx.samples, _template_spectrum(*key, nfft),
+                        template.size, mode="valid")
     # Window energies as differences of a running sum, O(n) for any length.
     energy = np.concatenate(([0.0], np.cumsum(np.abs(rx.samples) ** 2)))
     power = energy[template.size:] - energy[:-template.size]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 
 from .dd_frame import FrameParams
 from .zak import DTSignal
@@ -38,6 +38,8 @@ __all__ = [
     "AnalogSignal",
     "rrc_w1",
     "rrc_w2",
+    "fft_conv_length",
+    "fft_convolve",
     "synthesize",
     "matched_filter",
     "sample_and_periodize",
@@ -233,6 +235,17 @@ def _w1_spectrum(shape: PulseShape, n: int, b: float, q: int,
     return gain
 
 
+@lru_cache(maxsize=16)
+def _kernel_spectrum(shape: PulseShape, b: float, q: int, correlate: bool,
+                     nfft: int) -> np.ndarray:
+    """Spectrum of w1_filter's kernel: the taps, or the matched correlator."""
+    taps = _sampled_taps(shape, b, q)
+    kernel = np.conj(taps[::-1]) / (q * b) if correlate else taps
+    spectrum = scipy.fft.fftn(kernel, (nfft,), axes=(0,))
+    spectrum.setflags(write=False)
+    return spectrum
+
+
 # A shaped frame whose truncated filter tails still hold more than this
 # fraction of the tap energy in the outermost period is rejected.  The
 # sinc tail only decays like 1/t, so the bar is set where a span-16
@@ -251,9 +264,44 @@ def w1_filter(x: np.ndarray, shape: PulseShape, b: float, q: int,
     """
     if shape.exact:
         return np.fft.ifft(np.fft.fft(x) * _w1_spectrum(shape, x.size, b, q, correlate))
-    taps = shape.w1_taps(b, q)
-    kernel = np.conj(taps[::-1]) / (q * b) if correlate else taps
-    return fftconvolve(x, kernel, mode="same")
+    k = shape.w1_taps(b, q).size
+    nfft = fft_conv_length(x.size, k)
+    return fft_convolve(x, _kernel_spectrum(shape, float(b), int(q), correlate, nfft),
+                        k, mode="same")
+
+
+def fft_conv_length(n: int, k: int) -> int:
+    """FFT length fft_convolve uses for an n-sample buffer and a k-tap kernel."""
+    return scipy.fft.next_fast_len(n + k - 1, False)
+
+
+def fft_convolve(x: np.ndarray, spectrum: np.ndarray, k: int,
+                 mode: str) -> np.ndarray:
+    """Linearly convolve a complex buffer with a k-tap kernel given by its spectrum.
+
+    spectrum is scipy.fft.fftn of the complex kernel at
+    fft_conv_length(x.size, k), so a constant kernel is transformed once
+    and reused.  The arithmetic is scipy.signal.fftconvolve's for complex
+    operands, operand order included, so the result equals it bit for
+    bit.  mode is 'same' (x.size samples, centred on the full output) or
+    'valid' (x.size - k + 1 samples); both lengths must be at least 2,
+    since fftconvolve skips the transform on a unit axis.
+    """
+    n = x.size
+    if mode not in ("same", "valid"):
+        raise ValueError(f"mode must be 'same' or 'valid', got {mode!r}")
+    if n < 2 or k < 2 or (mode == "valid" and n < k):
+        raise ValueError(f"cannot {mode}-convolve {n} samples with {k} taps")
+    full = n + k - 1
+    nfft = fft_conv_length(n, k)
+    if spectrum.shape != (nfft,):
+        raise ValueError(f"kernel spectrum has shape {spectrum.shape}, "
+                         f"expected ({nfft},)")
+    data = scipy.fft.fftn(x, (nfft,), axes=(0,))
+    ret = scipy.fft.ifftn(data * spectrum, (nfft,), axes=(0,))
+    size = n if mode == "same" else n - k + 1
+    start = (full - size) // 2
+    return ret[start:start + size].copy()
 
 
 # Brick-window edges sit exactly on sample instants; comparisons are

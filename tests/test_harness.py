@@ -2,12 +2,15 @@
 
 import copy
 import os
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zakotfs import channel, runner, svg, sync, waveform
+from zakotfs import channel, estimation, runner, svg, sync, waveform
 from zakotfs.cli import main
 from zakotfs.config import ConfigError, config_from_dict, load_config
 from zakotfs.iqfile import IqFormatError, read_iq, read_iq_header, write_iq
@@ -219,6 +222,34 @@ class TestIqFiles:
         # float32 storage quantizes at about 1e-7 relative.
         assert np.max(np.abs(back.samples - sig.samples)) < 1e-5
 
+    @settings(max_examples=40, deadline=None)
+    @given(parts=st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                          min_size=2, max_size=200).filter(lambda v: len(v) % 2 == 0),
+           rate=st.floats(1.0, 1e10))
+    def test_round_trip_is_exact_on_float32_values(self, parts, rate):
+        """Samples that float32 holds exactly come back bit for bit."""
+        x = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "cap.iq")
+            write_iq(path, AnalogSignal(samples=x, rate=rate, t0=0.0))
+            back = read_iq(path)
+            assert read_iq_header(path).count == x.size
+        assert back.rate == rate and back.t0 == 0.0
+        assert np.array_equal(back.samples, x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 500),
+           scale=st.sampled_from([1e-20, 1e-3, 1.0, 1e6, 1e20]))
+    def test_round_trip_rounds_to_float32(self, seed, n, scale):
+        """Double-precision samples come back as their nearest float32 values."""
+        rng = np.random.default_rng(seed)
+        x = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "cap.iq")
+            write_iq(path, AnalogSignal(samples=x, rate=7.68e6, t0=0.0))
+            back = read_iq(path)
+        assert np.array_equal(back.samples, x.astype(np.complex64))
+
     def test_header_fields(self, tmp_path):
         path = str(tmp_path / "cap.iq")
         write_iq(path, self._signal(n=123))
@@ -373,6 +404,23 @@ class TestRunTrial:
         assert not report.sync_failed
         assert report.bit_errors == 0
 
+    def test_late_lock_counts_as_sync_failure(self):
+        """A lock too late for the trimmed buffer to hold the frame is a miss.
+
+        At 500 Hz this frame locks on a preamble sidelobe 164 samples late;
+        the peak still clears the threshold.
+        """
+        raw = linked_config_dict(16)
+        raw["channel"]["cfo_hz"] = 500.0
+        cfg = config_from_dict(raw)
+        report = run_trial(cfg, 0)
+        assert report.sync.peak_metric >= cfg.sync_threshold
+        assert report.sync_failed and report.taps is None
+        assert not np.any(report.symbols)
+        assert 0 < report.bit_errors < report.bits_sent
+        on_time = run_trial(config_from_dict(linked_config_dict(16)), 0)
+        assert report.sync.start_index - on_time.sync.start_index == 164
+
     def test_report_validates_error_count(self):
         with pytest.raises(ValueError, match="more bit errors"):
             TrialReport(snr_db=10.0, trial_index=0, seed_key=(0, 0),
@@ -383,7 +431,7 @@ class TestRunTrial:
 
 def clear_memos():
     """Empty every per-process memo of the link chain."""
-    for module in (runner, sync, waveform, channel):
+    for module in (runner, sync, waveform, channel, estimation):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
@@ -397,6 +445,14 @@ def linked_config_dict(span):
                                 {"delay_bins": 1, "doppler_bins": 1, "gain_db": -3}],
                       "cfo_hz": 300.0}
     return raw
+
+
+def same_value(a, b):
+    """Equal arrays, or equal nested tuples of arrays."""
+    if isinstance(a, tuple):
+        return (isinstance(b, tuple) and len(a) == len(b)
+                and all(same_value(x, y) for x, y in zip(a, b)))
+    return np.array_equal(a, b)
 
 
 def same_report(a, b):
@@ -432,11 +488,47 @@ class TestMemos:
         assert not same_report(first, cold)
         assert same_report(warm, cold)
 
+    @staticmethod
+    def _memo_calls():
+        """Memo name -> (memo, args, args differing in one named argument)."""
+        cfg = config_from_dict(linked_config_dict(16))
+        b, q = cfg.params.b, cfg.q
+        key = sync._reference_key(runner._plan(cfg).preamble, cfg.shape, b, q)
+        taps = cfg.shape.w1_taps(b, q).size
+        nfft, wider = (waveform.fft_conv_length(n, taps) for n in (400, 700))
+        kernel = (cfg.shape, b, q, False, nfft)
+        return {
+            "fold_slots.start": (waveform._fold_slots, (64, -3, 16), (64, 5, 16)),
+            "kernel_spectrum.correlate": (waveform._kernel_spectrum, kernel,
+                                          kernel[:3] + (True, nfft)),
+            "kernel_spectrum.nfft": (waveform._kernel_spectrum, kernel,
+                                     kernel[:4] + (wider,)),
+            "template_spectrum.nfft": (sync._template_spectrum, key + (nfft,),
+                                       key + (wider,)),
+            "band_plan.delays": (estimation._band_plan, ((-1, 0, 1), 16), ((0, 1, 2), 16)),
+            "band_plan.mn": (estimation._band_plan, ((-1, 0, 1), 16), ((-1, 0, 1), 32)),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "fold_slots.start", "kernel_spectrum.correlate", "kernel_spectrum.nfft",
+        "template_spectrum.nfft", "band_plan.delays", "band_plan.mn"])
+    def test_memo_keys_are_complete(self, name):
+        """Two calls differing in one argument each get their own result."""
+        memo, first, second = self._memo_calls()[name]
+        memo.cache_clear()
+        assert same_value(memo(*first), memo.__wrapped__(*first))
+        assert same_value(memo(*second), memo.__wrapped__(*second))
+        assert not same_value(memo(*first), memo(*second))
+
     def _cached_arrays(self):
         cfg = config_from_dict(linked_config_dict(16))
         b, q = cfg.params.b, cfg.q
         plan = runner._plan(cfg)
         exact = waveform.PulseShape(w1_span=None)
+        nfft = waveform.fft_conv_length(400, plan.template.samples.size)
+        key = sync._reference_key(plan.preamble, cfg.shape, b, q)
+        pos, steps = estimation._band_plan((-1, 0, 1), 16)
+        gather, dest, conj = steps[1]
         return {
             "plan.data_rows": plan.data_rows,
             "plan.template": plan.template.samples,
@@ -449,6 +541,12 @@ class TestMemos:
             "carrier_ramp": channel._carrier_ramp(0.0, q * b, 64, 300.0, 0.1),
             "reference": sync._reference(plan.preamble, cfg.shape, b, q)[0],
             "chip_train": sync._reference(plan.preamble, None, b, q)[0],
+            "kernel_spectrum": waveform._kernel_spectrum(cfg.shape, b, q, True, nfft),
+            "template_spectrum": sync._template_spectrum(*key, nfft),
+            "band_plan.pos": pos,
+            "band_plan.gather": gather,
+            "band_plan.dest": dest,
+            "band_plan.conj": conj,
         }
 
     def test_cached_arrays_are_read_only(self):
@@ -530,6 +628,20 @@ class TestSweep:
             }
         assert outputs[2] == outputs[1]
         assert outputs[3] == outputs[1]
+
+    def test_late_lock_is_counted_not_raised(self, tmp_path):
+        """The late-lock trial of TestRunTrial ends a sweep as a failed frame."""
+        raw = linked_config_dict(16)
+        raw["channel"]["cfo_hz"] = 500.0
+        raw["output"] = {"csv": str(tmp_path / "ber.csv"),
+                         "curve_svg": str(tmp_path / "ber.svg"),
+                         "constellation_prefix": str(tmp_path / "const_")}
+        cfg = config_from_dict(raw)
+        curve, _ = sweep(cfg, emit=True)
+        report = run_trial(cfg, 0)
+        assert report.sync_failed
+        assert curve.points[0].errors == report.bit_errors
+        assert (tmp_path / "ber.csv").exists()
 
     def test_curve_validation(self):
         with pytest.raises(ValueError, match="outside"):

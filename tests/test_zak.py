@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zakotfs.zak import DDGrid, DTSignal, dzt, extend, idzt
 
@@ -94,6 +96,51 @@ class TestRoundTripAndUnitarity:
         lhs = idzt(combo).samples
         rhs = 2.0 * idzt(a).samples - 1j * idzt(b).samples
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+even_sizes = st.integers(1, 16).map(lambda h: 2 * h)
+
+
+def zak_at(samples, m, n, k, l):
+    """Direct DZT sum at any integer (k, l), reading samples MN-periodically."""
+    blk = np.arange(n)
+    picked = samples[(k + blk * m) % (m * n)]
+    return complex(np.sum(picked * np.exp(-2j * np.pi * blk * l / n)) / np.sqrt(n))
+
+
+class TestTransformProperties:
+    """Round trip, unitarity and quasi-periodicity on random even M x N."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=even_sizes, n=even_sizes, seed=st.integers(0, 2 ** 32 - 1))
+    def test_round_trip_both_ways(self, m, n, seed):
+        g = random_grid(m, n, seed)
+        assert np.allclose(dzt(idzt(g)).values, g.values, rtol=0, atol=1e-12)
+        s = idzt(random_grid(m, n, seed + 1)).samples
+        assert np.allclose(idzt(dzt(s, m=m, n=n)).samples, s, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=even_sizes, n=even_sizes, seed=st.integers(0, 2 ** 32 - 1))
+    def test_unitary(self, m, n, seed):
+        """Inner products, not only energies, survive the transform."""
+        a = random_grid(m, n, seed)
+        b = random_grid(m, n, seed + 1)
+        grid_inner = np.vdot(a.values, b.values)
+        time_inner = np.vdot(idzt(a).samples, idzt(b).samples)
+        assert abs(time_inner - grid_inner) <= 1e-12 * m * n
+        assert idzt(a).samples.size == m * n
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=even_sizes, n=even_sizes, seed=st.integers(0, 2 ** 32 - 1),
+           k=st.integers(-100, 100), l=st.integers(-100, 100))
+    def test_quasi_periodic(self, m, n, seed, k, l):
+        """The direct sum off the fundamental cell equals extend() of the fast DZT."""
+        s = idzt(random_grid(m, n, seed)).samples
+        z = dzt(s, m=m, n=n)
+        assert abs(zak_at(s, m, n, k, l) - extend(z, k, l)) < 1e-10
+        wrap = np.exp(2j * np.pi * l / n)
+        assert abs(extend(z, k + m, l) - wrap * extend(z, k, l)) < 1e-10
+        assert abs(extend(z, k, l + n) - extend(z, k, l)) < 1e-10
 
 
 class TestKnownGrids:
