@@ -142,7 +142,7 @@ def apply_paths(sig: AnalogSignal, paths: tuple[PathSpec, ...] | list[PathSpec])
     for p in paths:
         shifted = _delay_samples(sig.samples, p.delay * sig.rate)
         out += p.gain * shifted * _doppler_ramp(sig.t0, sig.rate, n, p.doppler, p.delay)
-    return AnalogSignal(samples=out, rate=sig.rate, t0=sig.t0)
+    return AnalogSignal.adopt(out, rate=sig.rate, t0=sig.t0)
 
 
 def apply_impairments(sig: AnalogSignal, imp: ImpairmentSpec, noise_psd: float = 0.0,
@@ -154,7 +154,7 @@ def apply_impairments(sig: AnalogSignal, imp: ImpairmentSpec, noise_psd: float =
     # the copy keeps the last bit of every sample the same as multiplying
     # by a newly computed ramp.
     x = x * _carrier_ramp(sig.t0, sig.rate, x.size, imp.eps0, imp.phi).copy()
-    return add_noise(AnalogSignal(samples=x, rate=sig.rate, t0=sig.t0), noise_psd, rng)
+    return add_noise(AnalogSignal.adopt(x, rate=sig.rate, t0=sig.t0), noise_psd, rng)
 
 
 def add_noise(sig: AnalogSignal, noise_psd: float,
@@ -175,7 +175,7 @@ def add_noise(sig: AnalogSignal, noise_psd: float,
     z.imag = rng.standard_normal(n)
     z *= np.sqrt(noise_psd / 2)
     z += sig.samples
-    return AnalogSignal(samples=z, rate=sig.rate, t0=sig.t0)
+    return AnalogSignal.adopt(z, rate=sig.rate, t0=sig.t0)
 
 
 def fold_impairments(spec: ChannelSpec) -> tuple[PathSpec, ...]:

@@ -215,7 +215,7 @@ class Constellation:
         k = self.bits_per_symbol
         if bits.size % k:
             raise ValueError(f"bit count {bits.size} is not a multiple of {k}")
-        if bits.size and not np.isin(bits, (0, 1)).all():
+        if bits.size and not ((bits == 0) | (bits == 1)).all():
             raise ValueError("bits must be 0 or 1")
         weights = 1 << np.arange(k)[::-1]
         labels = bits.reshape(-1, k).astype(np.int64).dot(weights)

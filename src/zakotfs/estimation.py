@@ -190,14 +190,9 @@ def _delay_gain_profiles(h: EffectiveChannelEstimate) -> tuple[np.ndarray, np.nd
     mn = m * n
     delays = h.support.delay_taps()
     dopplers = h.support.doppler_taps()
-    profiles = np.zeros((delays.size, mn), dtype=np.complex128)
-    spec = np.zeros(mn, dtype=np.complex128)
-    for i, d in enumerate(delays):
-        row = h.taps.values[d % m, :]
-        spec[:] = 0.0
-        spec[dopplers % mn] = row[dopplers % n]
-        profiles[i] = mn * np.fft.ifft(spec)
-    return delays, profiles
+    spec = np.zeros((delays.size, mn), dtype=np.complex128)
+    spec[:, dopplers % mn] = h.taps.values[(delays % m)[:, None], dopplers % n]
+    return delays, mn * np.fft.ifft(spec, axis=-1)
 
 
 def _ring_fold(mn: int) -> np.ndarray:
@@ -242,6 +237,14 @@ def _band_plan(delays: tuple[int, ...], mn: int) -> tuple[np.ndarray, tuple]:
     return pos, tuple(steps)
 
 
+@lru_cache(maxsize=8)
+def _adjoint_gather(delays: tuple[int, ...], mn: int) -> np.ndarray:
+    """Row i holds (t + delays[i]) mod mn: np.roll(z, -delays[i]) as a gather."""
+    gather = (np.arange(mn) + np.array(delays)[:, None]) % mn
+    gather.setflags(write=False)
+    return gather
+
+
 def _normal_band(profiles: np.ndarray, noise_var: float, steps: tuple) -> np.ndarray:
     """Upper band storage of the folded H H^H + noise_var I.
 
@@ -284,7 +287,8 @@ def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
         raise ValueError("tap support and grid dimensions disagree")
     delays, profiles = _delay_gain_profiles(h)
     y = idzt(y_dd).samples
-    pos, steps = _band_plan(tuple(delays.tolist()), y.size)
+    key = tuple(delays.tolist())
+    pos, steps = _band_plan(key, y.size)
     band = _normal_band(profiles, noise_var, steps)
     y_folded = np.empty_like(y)
     y_folded[pos] = y
@@ -303,9 +307,8 @@ def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
     z_folded = scipy.linalg.cho_solve_banded((factor, False), y_folded,
                                              check_finite=False)
     z = z_folded[pos]
-    x = np.zeros_like(z)
-    for d, g in zip(delays, profiles):
-        x += np.conj(g) * np.roll(z, -d)
+    # H^H z = sum_d conj(g_d) * roll(z, -d), the rows summed in order.
+    x = (np.conj(profiles) * z[_adjoint_gather(key, y.size)]).sum(axis=0)
     return dzt(x, m=y_dd.m, n=y_dd.n, role=y_dd.role)
 
 

@@ -78,4 +78,4 @@ def read_iq(path: str) -> AnalogSignal:
         )
     inter = np.frombuffer(body, dtype="<f4")
     samples = inter[0::2].astype(np.float64) + 1j * inter[1::2].astype(np.float64)
-    return AnalogSignal(samples=samples, rate=header.rate, t0=0.0)
+    return AnalogSignal.adopt(samples, rate=header.rate, t0=0.0)

@@ -134,7 +134,7 @@ def _compose_burst(cfg: ExperimentConfig, frame_sig: AnalogSignal,
     if template is None:
         samples = np.concatenate(
             [frame_sig.samples, np.zeros(tail_pad, dtype=np.complex128)])
-        return AnalogSignal(samples=samples, rate=rate, t0=frame_sig.t0), -1
+        return AnalogSignal.adopt(samples, rate=rate, t0=frame_sig.t0), -1
 
     # The gap separates the template's last sample from the first frame
     # sample, which for a wide transmit window sits well before the
@@ -144,7 +144,7 @@ def _compose_burst(cfg: ExperimentConfig, frame_sig: AnalogSignal,
     buf = np.zeros(end - start, dtype=np.complex128)
     buf[:template.samples.size] += template.samples
     buf[frame_start - start:frame_start - start + frame_sig.samples.size] += frame_sig.samples
-    return AnalogSignal(samples=buf, rate=rate, t0=start / rate), -int(round(template.t0 * rate))
+    return AnalogSignal.adopt(buf, rate=rate, t0=start / rate), -int(round(template.t0 * rate))
 
 
 def _make_tx(cfg: ExperimentConfig, plan: _Plan, rng: np.random.Generator):
@@ -204,7 +204,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
                                    shape=cfg.shape)
             sync_res = replace(sync_res, cfo_hat=cfo_hat)
             trimmed = correct(rx, replace(sync_res, start_index=shift))
-            rx = AnalogSignal(samples=trimmed.samples, rate=rx.rate, t0=rx.t0)
+            rx = AnalogSignal.adopt(trimmed.samples, rate=rx.rate, t0=rx.t0)
 
     y_dd = dzt(sample_and_periodize(matched_filter(rx, cfg.shape, params), params))
     h_est = estimate(y_dd, layout, plan.support, cfg.pilot_amp)

@@ -150,11 +150,14 @@ def scatter_chart(points: np.ndarray, title: str = "",
     if title:
         parts.append(f'<text x="{side // 2}" y="20" text-anchor="middle" '
                      f'font-size="14">{_esc(title)}</text>')
-    for p in pts:
-        if abs(p.real) > limit or abs(p.imag) > limit:
-            continue
-        parts.append(f'<circle cx="{_fmt(sx(p.real))}" cy="{_fmt(sy(p.imag))}" '
-                     'r="1.5" fill="#1b6ca8" fill-opacity="0.5"/>')
+    # sx and sy over all points at once, in the same float64 operations.
+    inside = ~((np.abs(pts.real) > limit) | (np.abs(pts.imag) > limit))
+    kept = pts[inside]
+    xs = margin + (kept.real + limit) / (2 * limit) * plot
+    ys = margin + (limit - kept.imag) / (2 * limit) * plot
+    parts.extend(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" '
+                 'r="1.5" fill="#1b6ca8" fill-opacity="0.5"/>'
+                 for x, y in zip(xs.tolist(), ys.tolist()))
     if reference is not None:
         for rp in np.asarray(reference).ravel():
             cx, cy = sx(rp.real), sy(rp.imag)

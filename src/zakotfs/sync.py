@@ -10,7 +10,7 @@ import numpy as np
 import scipy.fft
 
 from .waveform import (AnalogSignal, PulseShape, fft_conv_length, fft_convolve,
-                       w1_filter)
+                       shape_symbols)
 
 __all__ = [
     "Preamble",
@@ -71,18 +71,15 @@ def make_preamble(length: int = DEFAULT_LENGTH, root: int = DEFAULT_ROOT) -> Pre
 
 
 def shape_preamble(pre: Preamble, shape: PulseShape, b: float, q: int) -> AnalogSignal:
-    """Upsample the chips to rate q*B and run them through the delay filter.
+    """Pulse-shape the chips at rate q*B.
 
     The returned signal places chip j at t = j/B; the leading and
     trailing filter tails are kept, so t0 is negative by the filter
     reach.  This doubles as the transmit burst segment and the matched
     template for detect_timing.
     """
-    pad = shape.reach()
-    train = np.zeros((pre.length + 2 * pad) * q, dtype=np.complex128)
-    train[pad * q:(pad + pre.length) * q:q] = pre.samples
-    shaped = w1_filter(train, shape, b, q)
-    return AnalogSignal(samples=shaped, rate=q * b, t0=-pad / b)
+    return AnalogSignal.adopt(shape_symbols(pre.samples, shape, b, q), rate=q * b,
+                              t0=-shape.reach() / b)
 
 
 def _reference(pre: Preamble, shape: PulseShape | None, b: float,
@@ -239,4 +236,4 @@ def correct(rx: AnalogSignal, sync: SyncResult) -> AnalogSignal:
     t0 = rx.t0 + sync.start_index / rx.rate
     t = t0 + np.arange(trimmed.size) / rx.rate
     out = trimmed * np.exp(-2j * np.pi * sync.cfo_hat * t)
-    return AnalogSignal(samples=out, rate=rx.rate, t0=t0)
+    return AnalogSignal.adopt(out, rate=rx.rate, t0=t0)

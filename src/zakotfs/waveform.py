@@ -7,10 +7,10 @@ convolved with the delay-shaping filter w1,
 
     s(t) = sum_q s[q] V(q/B) w1(t - q/B),
 
-where V is the unit-peak window.  The receiver correlates with w1,
-applies the conjugate window, samples at q/B and folds the result into
-one MN period.  Window pairs are chosen so the folded cascade of the
-clean chain is the identity:
+where V is the unit-peak window.  The receiver correlates with w1 at
+the symbol instants q/B, applies the conjugate window and folds the
+result into one MN period.  Window pairs are chosen so the folded
+cascade of the clean chain is the identity:
 
 * 'rrc': w1 is a root-raised-cosine in time and V a root-raised-cosine
   taper in the other domain; shifted copies of |V|^2 spaced T sum to 1,
@@ -40,6 +40,7 @@ __all__ = [
     "rrc_w2",
     "fft_conv_length",
     "fft_convolve",
+    "shape_symbols",
     "synthesize",
     "matched_filter",
     "sample_and_periodize",
@@ -116,6 +117,24 @@ class AnalogSignal:
         object.__setattr__(self, "samples", s)
         if self.rate <= 0:
             raise ValueError("rate must be positive")
+
+    @classmethod
+    def adopt(cls, samples: np.ndarray, rate: float, t0: float = 0.0) -> "AnalogSignal":
+        """Wrap a 1-D complex128 array the caller just allocated, without a copy.
+
+        The array is made read-only in place, so the caller must not keep
+        writing to it; the constructor copies instead.
+        """
+        if samples.dtype != np.complex128 or samples.ndim != 1:
+            raise ValueError("adopt needs a 1-D complex128 array")
+        if rate <= 0:
+            raise ValueError("rate must be positive")
+        samples.setflags(write=False)
+        sig = object.__new__(cls)
+        object.__setattr__(sig, "samples", samples)
+        object.__setattr__(sig, "rate", rate)
+        object.__setattr__(sig, "t0", t0)
+        return sig
 
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.samples.size) / self.rate
@@ -236,14 +255,24 @@ def _w1_spectrum(shape: PulseShape, n: int, b: float, q: int,
 
 
 @lru_cache(maxsize=16)
-def _kernel_spectrum(shape: PulseShape, b: float, q: int, correlate: bool,
-                     nfft: int) -> np.ndarray:
-    """Spectrum of w1_filter's kernel: the taps, or the matched correlator."""
+def _phase_spectra(shape: PulseShape, b: float, q: int, correlate: bool,
+                   nfft: int) -> np.ndarray:
+    """(q, nfft) spectra of the polyphase branches of the truncated filter.
+
+    Branch r holds every q-th tap from tap r, a filter of ceil(k/q) taps at
+    the symbol rate.  Row r is branch r of the taps, or, for the matched
+    correlator (the reversed conjugate taps over q*B), branch q-1-r, the
+    one that buffer phase r meets in _correlate_decimate.
+    """
     taps = _sampled_taps(shape, b, q)
     kernel = np.conj(taps[::-1]) / (q * b) if correlate else taps
-    spectrum = scipy.fft.fftn(kernel, (nfft,), axes=(0,))
-    spectrum.setflags(write=False)
-    return spectrum
+    width = -(-kernel.size // q)
+    padded = np.zeros(width * q, dtype=np.complex128)
+    padded[:kernel.size] = kernel
+    branches = padded.reshape(width, q).T
+    spectra = scipy.fft.fft(branches[::-1] if correlate else branches, nfft, axis=-1)
+    spectra.setflags(write=False)
+    return spectra
 
 
 # A shaped frame whose truncated filter tails still hold more than this
@@ -253,21 +282,65 @@ def _kernel_spectrum(shape: PulseShape, b: float, q: int, correlate: bool,
 _TAIL_LIMIT = 1e-3
 
 
-def w1_filter(x: np.ndarray, shape: PulseShape, b: float, q: int,
-              correlate: bool = False) -> np.ndarray:
-    """Run the delay filter (or its matched correlator) over a buffer.
+def _exact_filter(x: np.ndarray, shape: PulseShape, b: float, q: int,
+                  correlate: bool = False) -> np.ndarray:
+    """Run the non-truncated delay filter (or its matched correlator) at rate q*B.
 
-    Truncated shapes convolve with the sampled taps; the non-truncated
-    realization multiplies by the closed-form spectrum, which acts
-    circularly, so the buffer needs zero padding well past the frame.
-    The correlator variant folds in the 1/(q*B) matched-filter scale.
+    Multiplying by the closed-form spectrum acts circularly, so the
+    buffer needs zero padding well past the frame.  The correlator
+    variant folds in the 1/(q*B) matched-filter scale.
     """
+    return np.fft.ifft(np.fft.fft(x) * _w1_spectrum(shape, x.size, b, q, correlate))
+
+
+def shape_symbols(symbols: np.ndarray, shape: PulseShape, b: float,
+                  q: int) -> np.ndarray:
+    """Pulse-shape a finite symbol sequence at rate q*B, filter tails included.
+
+    With symbol j at t = j/B, sample i sits at t = i/(q*B) - reach/B, for
+    (len(symbols) + 2*reach)*q samples, reach = shape.reach().  Truncated
+    shapes run the q polyphase branches of the taps at the symbol rate:
+    sample p*q + r is branch r convolved with the symbols, at p.  The
+    non-truncated realization filters the zero-stuffed train circularly.
+    """
+    reach = shape.reach()
     if shape.exact:
-        return np.fft.ifft(np.fft.fft(x) * _w1_spectrum(shape, x.size, b, q, correlate))
-    k = shape.w1_taps(b, q).size
-    nfft = fft_conv_length(x.size, k)
-    return fft_convolve(x, _kernel_spectrum(shape, float(b), int(q), correlate, nfft),
-                        k, mode="same")
+        train = np.zeros((symbols.size + 2 * reach) * q, dtype=np.complex128)
+        train[reach * q:(reach + symbols.size) * q:q] = symbols
+        return _exact_filter(train, shape, b, q)
+    full = symbols.size + 2 * reach
+    nfft = scipy.fft.next_fast_len(full, False)
+    branches = scipy.fft.ifft(scipy.fft.fft(symbols, nfft)
+                              * _phase_spectra(shape, float(b), int(q), False, nfft),
+                              axis=-1)
+    return branches[:, :full].T.reshape(-1)
+
+
+def _correlate_decimate(x: np.ndarray, shape: PulseShape, b: float, q: int,
+                        first: int) -> np.ndarray:
+    """Truncated matched correlator output at samples first, first+q, ... of x.
+
+    Sample i of the full-rate correlation is sum_m x[m] c[i + span*q - m],
+    c the reversed conjugate taps over q*B (a 'same' convolution).  Only
+    the kept samples are computed: x is split into its q phases after a
+    few leading zeros that give every phase the same lag, each phase is
+    convolved with its branch of c at the symbol rate, and the branch
+    outputs are summed in the frequency domain before one inverse FFT.
+    """
+    n = x.size
+    count = -(-(n - first) // q)
+    if count <= 0:
+        return np.zeros(0, dtype=np.complex128)
+    span_q = shape.w1_span * q
+    lead = (q - 1 - first - span_q) % q
+    lag = (first + span_q + lead) // q
+    rows = -(-(lead + n) // q)
+    padded = np.zeros(rows * q, dtype=np.complex128)
+    padded[lead:lead + n] = x
+    nfft = scipy.fft.next_fast_len(rows + 2 * shape.w1_span, False)
+    spectra = _phase_spectra(shape, float(b), int(q), True, nfft)
+    summed = (scipy.fft.fft(padded.reshape(rows, q).T, nfft, axis=-1) * spectra).sum(axis=0)
+    return scipy.fft.ifft(summed)[lag:lag + count]
 
 
 def fft_conv_length(n: int, k: int) -> int:
@@ -346,11 +419,12 @@ def _fold_slots(n: int, start: int, period: int) -> np.ndarray:
     return slots
 
 
-def _sample_grid(sig: AnalogSignal, b: float) -> tuple[int, int]:
-    """Oversampling factor q = rate/B and the index of the sample at t = 0."""
+def _sample_grid(sig: AnalogSignal, b: float, q_min: int) -> tuple[int, int]:
+    """Oversampling factor q = rate/B (at least q_min) and the index of t = 0."""
     q = int(round(sig.rate / b))
-    if abs(sig.rate - q * b) > 1e-6 * b or q < 2:
-        raise ValueError(f"rate {sig.rate} is not an integer multiple >= 2 of B={b}")
+    if abs(sig.rate - q * b) > 1e-6 * b or q < q_min:
+        raise ValueError(f"rate {sig.rate} is not an integer multiple >= {q_min} "
+                         f"of B={b}")
     i_zero = -sig.t0 * sig.rate
     if abs(i_zero - round(i_zero)) > 1e-6:
         raise ValueError("signal time origin is not aligned to the sample grid")
@@ -393,32 +467,32 @@ def synthesize(dt: DTSignal, shape: PulseShape, q: int,
         # of the symbol sequence on the q-grid, then the window cuts it.
         period = np.zeros(mn * q, dtype=np.complex128)
         period[::q] = dt.samples
-        core = w1_filter(period, shape, b, q)
+        core = _exact_filter(period, shape, b, q)
         slots = _fold_slots(n_out, q_lo * q - span_q, mn * q)
         window = _window_at(shape, t0, q * b, n_out, t_period, margin / b)
-        return AnalogSignal(samples=core[slots] * window, rate=q * b, t0=t0)
+        return AnalogSignal.adopt(core[slots] * window, rate=q * b, t0=t0)
 
-    sym_idx = np.arange(q_lo, q_hi)
     window = _symbol_window(shape, q_lo, q_hi, b, t_period, margin / b)
-    vals = dt.samples[np.mod(sym_idx, mn)] * window
-    train = np.zeros(n_out, dtype=np.complex128)
-    train[span_q + (sym_idx - q_lo) * q] = vals
-    shaped = w1_filter(train, shape, b, q)
-    return AnalogSignal(samples=shaped, rate=q * b, t0=t0)
+    vals = dt.samples[_fold_slots(q_hi - q_lo, q_lo, mn)] * window
+    return AnalogSignal.adopt(shape_symbols(vals, shape, b, q)[:n_out],
+                              rate=q * b, t0=t0)
 
 
 def matched_filter(r: AnalogSignal, shape: PulseShape, params: FrameParams) -> AnalogSignal:
-    """Correlate with w1 and apply the conjugate receive window.
+    """Correlate with w1 and apply the conjugate receive window, at the symbol rate.
 
-    The signal's time axis must already place the frame core at [0, T);
-    truncated shapes keep the input's sample times.  The non-truncated
+    The input is sampled at q*B, q >= 2, and its time axis must already
+    place the frame core at [0, T).  The output is at rate B, on the
+    symbol instants j/B: these are the only samples the receiver keeps.
+    Truncated shapes return every symbol instant the buffer covers,
+    computed by a polyphase decimating correlator.  The non-truncated
     realization instead windows first, folds the result into one frame
     period, and correlates circularly there, where the periodic content
     sits exactly on the transform bins; its output is the single period
     starting at t = 0.
     """
     b = params.b
-    q, i_zero = _sample_grid(r, b)
+    q, i_zero = _sample_grid(r, b, 2)
     # A timing trim shortens the buffer, so the length is part of the key.
     window = _window_at(shape, r.t0, r.rate, r.samples.size, params.t, 0.0)
     if shape.exact:
@@ -426,21 +500,25 @@ def matched_filter(r: AnalogSignal, shape: PulseShape, params: FrameParams) -> A
         folded = np.zeros(period, dtype=np.complex128)
         slots = _fold_slots(r.samples.size, -i_zero, period)
         np.add.at(folded, slots, r.samples * np.conj(window))
-        z = w1_filter(folded, shape, b, q, correlate=True)
-        return AnalogSignal(samples=z, rate=r.rate, t0=0.0)
-    z = w1_filter(r.samples, shape, b, q, correlate=True)
-    return AnalogSignal(samples=z * np.conj(window), rate=r.rate, t0=r.t0)
+        z = _exact_filter(folded, shape, b, q, correlate=True)
+        return AnalogSignal.adopt(z[::q], rate=b, t0=0.0)
+    first = i_zero % q
+    z = _correlate_decimate(r.samples, shape, b, q, first)
+    return AnalogSignal.adopt(z * np.conj(window[first::q]), rate=b,
+                              t0=-(i_zero // q) / b)
 
 
 def sample_and_periodize(y: AnalogSignal, params: FrameParams) -> DTSignal:
     """Sample the filtered signal at q/B and fold into one MN period.
 
-    Everything the receive window kept is folded additively modulo MN
-    symbols, so tapered frame edges reassemble and any content beyond
-    one period aliases back onto the core.
+    y may be at any integer multiple q >= 1 of B, such as the rate-B
+    output of matched_filter.  Everything the receive window kept is
+    folded additively modulo MN symbols, so tapered frame edges
+    reassemble and any content beyond one period aliases back onto the
+    core.
     """
     mn = params.m * params.n
-    q, i_zero = _sample_grid(y, params.b)
+    q, i_zero = _sample_grid(y, params.b, 1)
     n = y.samples.size
     # Symbol instants q_t with 0 <= i_zero + q_t*q < n.
     q_min = -(i_zero // q)

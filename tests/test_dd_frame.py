@@ -200,6 +200,17 @@ class TestConstellation:
         with pytest.raises(ValueError, match="0 or 1"):
             Constellation.qam(4).modulate(np.array([0, 2]))
 
+    @pytest.mark.parametrize("bad", [[0.5, 1.0], [-1, 0], [np.nan, 0.0]])
+    def test_modulate_rejects_other_values(self, bad):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Constellation.qam(4).modulate(np.array(bad))
+
+    def test_modulate_accepts_any_zero_one_dtype(self):
+        c = Constellation.qam(4)
+        want = c.modulate(np.array([0, 1, 1, 0]))
+        for bits in ([False, True, True, False], [0.0, 1.0, 1.0, 0.0]):
+            assert np.array_equal(c.modulate(np.array(bits)), want)
+
 
 # =====================================================================
 # Bit mapping onto the frame

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zakotfs import estimation
 from zakotfs.channel import ImpairmentSpec, PathSpec, apply_impairments, apply_paths
 from zakotfs.dd_frame import FrameParams, build_layout, map_bits, Constellation
 from zakotfs.estimation import (
@@ -404,6 +405,26 @@ class TestEqualizeTaps:
                     entries[(int(k), int(l))] = 0.2 * complex(
                         rng.standard_normal(), rng.standard_normal())
         return manual_taps(entries, sup)
+
+    def test_batched_profiles_match_row_loop(self):
+        """One 2-D inverse FFT gives the per-delay-row profiles bit for bit."""
+        _, lay = make_layout(m=16, n=16, c_bins=2.0)
+        sup = SupportRegion.from_layout(lay, "C2")
+        h = self._random_estimate(sup, seed=5, density=0.6)
+        mn = sup.m * sup.n
+        delays, profiles = estimation._delay_gain_profiles(h)
+        dopplers = sup.doppler_taps()
+        for d, got in zip(delays, profiles):
+            spec = np.zeros(mn, dtype=np.complex128)
+            spec[dopplers % mn] = h.taps.values[d % sup.m, dopplers % sup.n]
+            assert np.array_equal(got, mn * np.fft.ifft(spec))
+
+    def test_adjoint_gather_is_the_roll(self):
+        delays, mn = (-2, -1, 0, 1, 2, 3), 64
+        gather = estimation._adjoint_gather(delays, mn)
+        z = np.arange(mn) + 1j
+        for d, row in zip(delays, gather):
+            assert np.array_equal(z[row], np.roll(z, -d))
 
     @pytest.mark.parametrize("m,n,c_bins,kind", [
         (8, 8, 1.5, "C2"),

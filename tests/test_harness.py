@@ -336,6 +336,25 @@ class TestSvg:
         assert a == b
         assert a.startswith("<svg")
 
+    def test_scatter_matches_point_loop(self):
+        """The vectorized coordinates give the bytes of a per-point loop."""
+        rng = np.random.default_rng(2)
+        pts = 0.8 * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
+        pts[:3] = [5 + 0j, 0.1 - 7j, np.nan]
+        limit = 2.0
+        side, margin = 420, 30
+        plot = side - 2 * margin
+        circles = []
+        for p in pts:
+            if abs(p.real) > limit or abs(p.imag) > limit:
+                continue
+            cx = margin + (p.real + limit) / (2 * limit) * plot
+            cy = margin + (limit - p.imag) / (2 * limit) * plot
+            circles.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" '
+                           'r="1.5" fill="#1b6ca8" fill-opacity="0.5"/>')
+        lines = svg.scatter_chart(pts, limit=limit).split("\n")
+        assert [ln for ln in lines if ln.startswith("<circle")] == circles
+
     def test_scatter_caps_point_count(self):
         pts = np.ones(10_000, dtype=complex)
         out = svg.scatter_chart(pts)
@@ -496,22 +515,27 @@ class TestMemos:
         key = sync._reference_key(runner._plan(cfg).preamble, cfg.shape, b, q)
         taps = cfg.shape.w1_taps(b, q).size
         nfft, wider = (waveform.fft_conv_length(n, taps) for n in (400, 700))
-        kernel = (cfg.shape, b, q, False, nfft)
+        phases = (cfg.shape, b, q, False, 128)
         return {
             "fold_slots.start": (waveform._fold_slots, (64, -3, 16), (64, 5, 16)),
-            "kernel_spectrum.correlate": (waveform._kernel_spectrum, kernel,
-                                          kernel[:3] + (True, nfft)),
-            "kernel_spectrum.nfft": (waveform._kernel_spectrum, kernel,
-                                     kernel[:4] + (wider,)),
+            "phase_spectra.correlate": (waveform._phase_spectra, phases,
+                                        phases[:3] + (True, 128)),
+            "phase_spectra.nfft": (waveform._phase_spectra, phases,
+                                   phases[:4] + (160,)),
             "template_spectrum.nfft": (sync._template_spectrum, key + (nfft,),
                                        key + (wider,)),
             "band_plan.delays": (estimation._band_plan, ((-1, 0, 1), 16), ((0, 1, 2), 16)),
             "band_plan.mn": (estimation._band_plan, ((-1, 0, 1), 16), ((-1, 0, 1), 32)),
+            "adjoint_gather.delays": (estimation._adjoint_gather, ((-1, 0, 1), 16),
+                                      ((0, 1, 2), 16)),
+            "adjoint_gather.mn": (estimation._adjoint_gather, ((-1, 0, 1), 16),
+                                  ((-1, 0, 1), 32)),
         }
 
     @pytest.mark.parametrize("name", [
-        "fold_slots.start", "kernel_spectrum.correlate", "kernel_spectrum.nfft",
-        "template_spectrum.nfft", "band_plan.delays", "band_plan.mn"])
+        "fold_slots.start", "phase_spectra.correlate", "phase_spectra.nfft",
+        "template_spectrum.nfft", "band_plan.delays", "band_plan.mn",
+        "adjoint_gather.delays", "adjoint_gather.mn"])
     def test_memo_keys_are_complete(self, name):
         """Two calls differing in one argument each get their own result."""
         memo, first, second = self._memo_calls()[name]
@@ -541,12 +565,14 @@ class TestMemos:
             "carrier_ramp": channel._carrier_ramp(0.0, q * b, 64, 300.0, 0.1),
             "reference": sync._reference(plan.preamble, cfg.shape, b, q)[0],
             "chip_train": sync._reference(plan.preamble, None, b, q)[0],
-            "kernel_spectrum": waveform._kernel_spectrum(cfg.shape, b, q, True, nfft),
+            "phase_spectra": waveform._phase_spectra(cfg.shape, b, q, False, 128),
+            "phase_spectra.correlate": waveform._phase_spectra(cfg.shape, b, q, True, 128),
             "template_spectrum": sync._template_spectrum(*key, nfft),
             "band_plan.pos": pos,
             "band_plan.gather": gather,
             "band_plan.dest": dest,
             "band_plan.conj": conj,
+            "adjoint_gather": estimation._adjoint_gather((-1, 0, 1), 16),
         }
 
     def test_cached_arrays_are_read_only(self):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
+from zakotfs import waveform
 from zakotfs.dd_frame import FrameParams
 from zakotfs.waveform import (
     AnalogSignal,
@@ -17,8 +18,8 @@ from zakotfs.waveform import (
     rrc_w1,
     rrc_w2,
     sample_and_periodize,
+    shape_symbols,
     synthesize,
-    w1_filter,
 )
 from zakotfs.zak import DDGrid, dzt, idzt
 
@@ -34,6 +35,24 @@ def loopback_error(m, n, shape, q=4, seed=0):
     analog = synthesize(idzt(g, rate=params.b), shape, q)
     y = dzt(sample_and_periodize(matched_filter(analog, shape, params), params))
     return np.linalg.norm(y.values - g.values) / np.linalg.norm(g.values)
+
+
+def full_rate_shaping(symbols, shape, q):
+    """Oracle for shape_symbols: the zero-stuffed train convolved at rate q*B."""
+    span_q = shape.w1_span * q
+    train = np.zeros((symbols.size + 2 * shape.w1_span) * q, dtype=np.complex128)
+    train[span_q:span_q + symbols.size * q:q] = symbols
+    return fftconvolve(train, shape.w1_taps(B, q), mode="same")
+
+
+def full_rate_correlation(x, shape, q):
+    """Oracle for the decimating correlator: every sample of the matched correlation."""
+    taps = shape.w1_taps(B, q)
+    return fftconvolve(x, np.conj(taps[::-1]) / (q * B), mode="same")
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
 class TestRrcW1:
@@ -162,18 +181,6 @@ class TestFftConvolve:
         got = fft_convolve(x, spectrum, k, mode=mode)
         assert np.array_equal(got, fftconvolve(x, kernel, mode=mode))
 
-    @pytest.mark.parametrize("family", ["rrc", "sinc"])
-    @pytest.mark.parametrize("correlate", [False, True])
-    def test_w1_filter_matches_fftconvolve(self, family, correlate):
-        shape = PulseShape(family=family, w1_span=16)
-        q = 4
-        taps = shape.w1_taps(B, q)
-        kernel = np.conj(taps[::-1]) / (q * B) if correlate else taps
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
-        got = w1_filter(x, shape, B, q, correlate=correlate)
-        assert np.array_equal(got, fftconvolve(x, kernel, mode="same"))
-
     def test_rejects_mismatched_spectrum_and_mode(self):
         x = np.ones(50, dtype=complex)
         good = np.ones(fft_conv_length(50, 5), dtype=complex)
@@ -183,6 +190,62 @@ class TestFftConvolve:
             fft_convolve(x, good, 5, mode="full")
         with pytest.raises(ValueError, match="valid-convolve"):
             fft_convolve(x[:4], good, 5, mode="valid")
+
+
+class TestPolyphase:
+    """Truncated shaping at the symbol rate against full-rate oracles."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(["rrc", "sinc"]),
+           beta=st.floats(0.1, 1.0), span=st.integers(2, 16), q=st.integers(2, 5),
+           symbols=st.integers(1, 120), n=st.integers(1, 700), first=st.integers(0, 4))
+    def test_matches_full_rate_oracle(self, seed, family, beta, span, q, symbols, n, first):
+        assume(first < q)
+        shape = PulseShape(family=family, beta=beta, w1_span=span)
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal(symbols) + 1j * rng.standard_normal(symbols)
+        up = shape_symbols(s, shape, B, q)
+        assert up.size == (symbols + 2 * span) * q
+        assert relative_error(up, full_rate_shaping(s, shape, q)) <= 1e-12
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        down = waveform._correlate_decimate(x, shape, B, q, first)
+        want = full_rate_correlation(x, shape, q)[first::q]
+        assert down.size == want.size
+        if want.size:
+            assert relative_error(down, want) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["rrc", "sinc"])
+    @pytest.mark.parametrize("correlate", [False, True])
+    def test_readme_filter_matches_fftconvolve(self, family, correlate):
+        """Span 16 at q = 4 over a few thousand samples, as the README link runs it."""
+        shape = PulseShape(family=family, w1_span=16)
+        q = 4
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
+        if correlate:
+            for first in range(q):
+                got = waveform._correlate_decimate(x, shape, B, q, first)
+                want = full_rate_correlation(x, shape, q)[first::q]
+                assert relative_error(got, want) <= 1e-12
+        else:
+            s = x[:1250]
+            assert relative_error(shape_symbols(s, shape, B, q),
+                                  full_rate_shaping(s, shape, q)) <= 1e-12
+
+    def test_matches_manual_convolution(self):
+        sh = PulseShape(family="rrc", beta=0.5, w1_span=4)
+        q = 2
+        taps = sh.w1_taps(B, q)
+        rng = np.random.default_rng(6)
+        s = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        train = np.zeros((32 + 8) * q, dtype=np.complex128)
+        train[8:8 + 32 * q:q] = s
+        manual = np.convolve(train, taps, mode="same")
+        assert np.max(np.abs(shape_symbols(s, sh, B, q) - manual)) < 1e-9
+        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        manual = np.convolve(x, np.conj(taps[::-1]) / (q * B), mode="same")
+        got = waveform._correlate_decimate(x, sh, B, q, 1)
+        assert np.max(np.abs(got - manual[1::q])) < 1e-9 / B
 
 
 class TestLoopback:
@@ -255,6 +318,28 @@ class TestAnalogSignal:
         with pytest.raises(ValueError, match="1-D"):
             AnalogSignal(samples=np.zeros((2, 2)), rate=1.0)
 
+    def test_constructor_copies(self):
+        x = np.zeros(4, dtype=np.complex128)
+        s = AnalogSignal(samples=x, rate=1.0)
+        x[0] = 1.0
+        assert s.samples[0] == 0.0
+        assert not s.samples.flags.writeable
+
+    def test_adopt_shares_and_freezes(self):
+        x = np.arange(4, dtype=np.complex128)
+        s = AnalogSignal.adopt(x, rate=2.0, t0=-1.0)
+        assert s.samples is x
+        assert not x.flags.writeable
+        assert (s.rate, s.t0) == (2.0, -1.0)
+
+    def test_adopt_checks(self):
+        with pytest.raises(ValueError, match="complex128"):
+            AnalogSignal.adopt(np.zeros(4), rate=1.0)
+        with pytest.raises(ValueError, match="complex128"):
+            AnalogSignal.adopt(np.zeros((2, 2), dtype=np.complex128), rate=1.0)
+        with pytest.raises(ValueError, match="rate"):
+            AnalogSignal.adopt(np.zeros(4, dtype=np.complex128), rate=0.0)
+
 
 class TestSamplingAlignment:
     """Rate and time-origin checks on the receive side."""
@@ -282,10 +367,47 @@ class TestSamplingAlignment:
         with pytest.raises(ValueError, match="at least 2"):
             synthesize(idzt(g, rate=B), PulseShape(), 1)
 
-    def test_w1_filter_matches_manual_convolution(self):
-        sh = PulseShape(family="rrc", beta=0.5, w1_span=4)
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        got = w1_filter(x, sh, B, 2)
-        manual = np.convolve(x, sh.w1_taps(B, 2), mode="same")
-        assert np.max(np.abs(got - manual)) < 1e-9
+    def test_symbol_rate_accepted(self):
+        """q = 1: the rate-B output of matched_filter folds as it is."""
+        x = np.arange(80, dtype=np.complex128)
+        sig = AnalogSignal(samples=x, rate=B, t0=-8 / B)
+        folded = sample_and_periodize(sig, self.params).samples
+        want = np.zeros(64, dtype=np.complex128)
+        np.add.at(want, np.arange(-8, 72) % 64, x)
+        assert np.array_equal(folded, want)
+
+    def test_symbol_rate_still_checks_rate_and_origin(self):
+        with pytest.raises(ValueError, match="integer multiple"):
+            sample_and_periodize(AnalogSignal(samples=np.zeros(80), rate=1.5 * B),
+                                 self.params)
+        with pytest.raises(ValueError, match="aligned"):
+            sample_and_periodize(AnalogSignal(samples=np.zeros(80), rate=B,
+                                              t0=0.3 / B), self.params)
+
+    def test_matched_filter_needs_oversampled_input(self):
+        sig = AnalogSignal(samples=np.zeros(80), rate=B, t0=0.0)
+        with pytest.raises(ValueError, match="integer multiple >= 2"):
+            matched_filter(sig, PulseShape(), self.params)
+
+    @pytest.mark.parametrize("span", [16, None])
+    @pytest.mark.parametrize("lead", [0, 3, 37])
+    def test_matched_filter_output_on_symbol_grid(self, span, lead):
+        """Rate B, t0 on the symbol grid, values the full-rate picks."""
+        q = 4
+        shape = PulseShape(family="rrc", beta=0.5, w1_span=span)
+        rng = np.random.default_rng(lead)
+        n = 64 * q + 200
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        sig = AnalogSignal(samples=x, rate=q * B, t0=-lead / (q * B))
+        out = matched_filter(sig, shape, self.params)
+        assert out.rate == B
+        assert out.t0 * B == pytest.approx(round(out.t0 * B), abs=1e-9)
+        if span is None:
+            assert (out.t0, out.samples.size) == (0.0, 64)
+            return
+        first = lead % q
+        window = waveform._window_at(shape, sig.t0, sig.rate, n, self.params.t, 0.0)
+        want = (full_rate_correlation(x, shape, q) * np.conj(window))[first::q]
+        assert out.t0 == pytest.approx((first - lead) / (q * B), abs=1e-15)
+        assert out.samples.size == want.size
+        assert relative_error(out.samples, want) <= 1e-12
