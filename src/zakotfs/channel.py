@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 from .waveform import AnalogSignal
 
@@ -99,11 +100,15 @@ class ChannelSpec:
 
 
 def _delay_samples(x: np.ndarray, shift: float) -> np.ndarray:
-    """Circular delay by `shift` samples, exact for any real shift."""
+    """Circular delay by `shift` samples, exact for any real shift.
+
+    A zero shift returns x itself, so callers must not write to the result.
+    """
     if abs(shift - round(shift)) < 1e-12:
-        return np.roll(x, int(round(shift)))
-    f = np.fft.fftfreq(x.size)
-    return np.fft.ifft(np.fft.fft(x) * np.exp(-2j * np.pi * f * shift))
+        whole = int(round(shift))
+        return np.roll(x, whole) if whole else x
+    f = scipy.fft.fftfreq(x.size)
+    return scipy.fft.ifft(scipy.fft.fft(x) * np.exp(-2j * np.pi * f * shift))
 
 
 # The phase ramps depend only on the signal's time axis and the channel
@@ -141,7 +146,12 @@ def apply_paths(sig: AnalogSignal, paths: tuple[PathSpec, ...] | list[PathSpec])
     out = np.zeros(n, dtype=np.complex128)
     for p in paths:
         shifted = _delay_samples(sig.samples, p.delay * sig.rate)
-        out += p.gain * shifted * _doppler_ramp(sig.t0, sig.rate, n, p.doppler, p.delay)
+        if p.doppler == 0:
+            # The ramp is exactly 1 here, so skipping it changes no bit.
+            out += p.gain * shifted
+        else:
+            out += p.gain * shifted * _doppler_ramp(sig.t0, sig.rate, n,
+                                                    p.doppler, p.delay)
     return AnalogSignal.adopt(out, rate=sig.rate, t0=sig.t0)
 
 

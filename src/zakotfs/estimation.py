@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .dd_frame import FrameLayout
@@ -94,13 +95,15 @@ class EffectiveChannelEstimate:
                 yield k, l, v[k % self.support.m, l % self.support.n]
 
     def peak(self) -> tuple[int, int]:
-        """Signed (k, l) of the largest-magnitude tap."""
-        best, at = -1.0, (0, 0)
-        for k, l, val in self.tap_items():
-            mag = abs(val)
-            if mag > best:
-                best, at = mag, (k, l)
-        return at
+        """Signed (k, l) of the largest-magnitude tap.
+
+        Ties go to the first in tap_items order: signed delay, then
+        signed Doppler, both ascending.
+        """
+        ks, ls = self.support.delay_taps(), self.support.doppler_taps()
+        block = self.taps.values[(ks % self.support.m)[:, None], ls % self.support.n]
+        i, j = np.unravel_index(np.argmax(np.abs(block)), block.shape)
+        return int(ks[i]), int(ls[j])
 
 
 def estimate(y_dd: DDGrid, layout: FrameLayout, support: SupportRegion,
@@ -120,12 +123,11 @@ def estimate(y_dd: DDGrid, layout: FrameLayout, support: SupportRegion,
         raise ValueError("support was built for a different grid size")
 
     taps = np.zeros((m, n), dtype=np.complex128)
+    ks = support.delay_taps()[:, None]
     ls = support.doppler_taps()
     phase = np.exp(-1j * np.pi * ls / n)
-    for k_abs in range(support.k_lo, support.k_hi):
-        k = k_abs - m // 2
-        row = y_dd.values[k_abs, (ls + n // 2) % n] * phase / pilot_amp
-        taps[k % m, ls % n] = row
+    taps[ks % m, ls % n] = (y_dd.values[ks + m // 2, (ls + n // 2) % n]
+                            * phase / pilot_amp)
     grid = DDGrid(values=taps, role=ROLE_CHANNEL)
     return EffectiveChannelEstimate(taps=grid, support=support,
                                     pilot_amp=float(pilot_amp))
@@ -192,7 +194,7 @@ def _delay_gain_profiles(h: EffectiveChannelEstimate) -> tuple[np.ndarray, np.nd
     dopplers = h.support.doppler_taps()
     spec = np.zeros((delays.size, mn), dtype=np.complex128)
     spec[:, dopplers % mn] = h.taps.values[(delays % m)[:, None], dopplers % n]
-    return delays, mn * np.fft.ifft(spec, axis=-1)
+    return delays, mn * scipy.fft.ifft(spec, axis=-1)
 
 
 def _ring_fold(mn: int) -> np.ndarray:
@@ -245,6 +247,12 @@ def _adjoint_gather(delays: tuple[int, ...], mn: int) -> np.ndarray:
     return gather
 
 
+# Relative value of the band's structural zeros: 2**-300 sits about 250
+# binary orders below the diagonal's rounding level, and its square is
+# still a normal float for any diagonal above about 1e-63.
+_ZERO_SEED = 2.0 ** -300
+
+
 def _normal_band(profiles: np.ndarray, noise_var: float, steps: tuple) -> np.ndarray:
     """Upper band storage of the folded H H^H + noise_var I.
 
@@ -254,10 +262,16 @@ def _normal_band(profiles: np.ndarray, noise_var: float, steps: tuple) -> np.nda
     Folding by _ring_fold turns that ring band into a plain band of
     half-width 2*span, returned in the upper layout
     scipy.linalg.cholesky_banded reads; steps are _band_plan's index maps.
+
+    The fold interleaves two chains that couple only at the ring's ends,
+    so the Cholesky fill between them decays geometrically.  Started from
+    exact zeros it decays into the subnormal range, which x86 computes
+    slowly; the band's structural zeros therefore start at _ZERO_SEED
+    times the largest diagonal entry, where the fill levels off as normal
+    numbers too small to move any rounding.
     """
     d_count, mn = profiles.shape
-    band = np.zeros((2 * d_count - 1, mn), dtype=np.complex128)
-    flat = band.reshape(-1)
+    entries = []
     for off, (gather, dest, conj) in enumerate(steps):
         # Kept as one expression: numpy may multiply a large temporary in
         # place with the factors swapped, and complex products round by
@@ -265,6 +279,11 @@ def _normal_band(profiles: np.ndarray, noise_var: float, steps: tuple) -> np.nda
         prod = profiles[:d_count - off] * np.conj(profiles[off:])
         entry = np.take(prod, gather).sum(axis=0)
         np.conjugate(entry, out=entry, where=conj)
+        entries.append(entry)
+    seed = _ZERO_SEED * (np.max(entries[0].real) + noise_var)
+    band = np.full((2 * d_count - 1, mn), seed, dtype=np.complex128)
+    flat = band.reshape(-1)
+    for (_, dest, _), entry in zip(steps, entries):
         flat[dest] = entry
     band[-1] += noise_var
     return band
@@ -325,13 +344,12 @@ def dd_noise_var(noise_psd: float, q: int, b: float) -> float:
 def guard_noise_var(y_dd: DDGrid, layout: FrameLayout,
                     support: SupportRegion) -> float:
     """Estimate noise variance from guard cells outside the support."""
-    cells = [(k, l)
-             for k in range(layout.kappa1, layout.kappa4)
-             for l in range(layout.n)
-             if not (k == layout.k_p and l == layout.l_p)
-             and not support.k_lo <= k < support.k_hi]
-    if not cells:
+    guard = np.zeros((layout.m, layout.n), dtype=bool)
+    guard[layout.kappa1:layout.kappa4] = True
+    guard[support.k_lo:support.k_hi] = False
+    guard[layout.k_p, layout.l_p] = False
+    if not guard.any():
         raise ValueError("support covers every guard cell; no noise-only "
                          "region is left to measure")
-    vals = np.array([y_dd.values[k, l] for k, l in cells])
-    return float(np.mean(np.abs(vals) ** 2))
+    # A boolean mask reads the cells row by row, delay then Doppler.
+    return float(np.mean(np.abs(y_dd.values[guard]) ** 2))

@@ -119,7 +119,7 @@ def _template_spectrum(length: int, root: int, chips: bytes,
                        nfft: int) -> np.ndarray:
     """Spectrum of the time-reversed conjugate reference, for fft_convolve."""
     template, _ = _cached_reference(length, root, chips, shape, b, q)
-    spectrum = scipy.fft.fftn(np.conj(template[::-1]), (nfft,), axes=(0,))
+    spectrum = scipy.fft.fft(np.conj(template[::-1]), nfft)
     spectrum.setflags(write=False)
     return spectrum
 
@@ -149,7 +149,13 @@ def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
     corr = fft_convolve(rx.samples, _template_spectrum(*key, nfft),
                         template.size, mode="valid")
     # Window energies as differences of a running sum, O(n) for any length.
-    energy = np.concatenate(([0.0], np.cumsum(np.abs(rx.samples) ** 2)))
+    # The metric is built in place, in the order of
+    # |corr| / (tnorm * sqrt(max(power, floor))).
+    energy = np.empty(rx.samples.size + 1)
+    energy[0] = 0.0
+    sq = np.abs(rx.samples)
+    np.square(sq, out=sq)
+    np.cumsum(sq, out=energy[1:])
     power = energy[template.size:] - energy[:-template.size]
     tnorm = np.sqrt(np.sum(np.abs(template) ** 2))
     peak_power = float(np.max(power))
@@ -160,7 +166,11 @@ def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
     # Exactly silent stretches leave only FFT rounding noise in corr; a
     # relative power floor keeps that noise from masquerading as a peak.
     floor = 1e-12 * peak_power
-    metric = np.abs(corr) / (tnorm * np.sqrt(np.maximum(power, floor)))
+    np.maximum(power, floor, out=power)
+    np.sqrt(power, out=power)
+    power *= tnorm
+    metric = np.abs(corr)
+    metric /= power
 
     lag = int(np.argmax(metric))
     peak = float(metric[lag])
@@ -221,12 +231,29 @@ def estimate_cfo(rx: AnalogSignal, preamble: Preamble, q: int,
     return kay_cfo(sums, rx.rate / width)
 
 
+def _derotation(freq: float, t0: float, rate: float, n: int) -> np.ndarray:
+    """exp(-2j*pi*freq*(t0 + i/rate)) for i < n, from 2*ceil(sqrt(n)) exponentials.
+
+    Sample i = r*k + c is the product of a coarse phasor at t0 + r*k/rate
+    and a fine one at c/rate, so the outer product of the two short ramps,
+    read row by row, is the whole ramp.  Each factor is within a rounding
+    of its exponential, so the product is within a few ulp of the direct
+    exp; with freq = 0 both factors, and so the ramp, are exactly 1.
+    """
+    k = math.isqrt(max(n - 1, 0)) + 1
+    rows = -(-n // k)
+    coarse = np.exp(-2j * np.pi * freq * (t0 + np.arange(rows) * k / rate))
+    fine = np.exp(-2j * np.pi * freq * (np.arange(k) / rate))
+    return np.multiply.outer(coarse, fine).reshape(-1)[:n]
+
+
 def correct(rx: AnalogSignal, sync: SyncResult) -> AnalogSignal:
     """Trim to the estimated start and undo the estimated carrier ramp.
 
     The derotation references the buffer's own time axis, so running
     correct with the true (offset, CFO) of a synthetic impairment
-    restores the original samples exactly.
+    restores the original samples to a few ulp, and exactly when the
+    offset is 0 Hz.
     """
     if not 0 <= sync.start_index <= rx.samples.size:
         raise ValueError(
@@ -234,6 +261,6 @@ def correct(rx: AnalogSignal, sync: SyncResult) -> AnalogSignal:
         )
     trimmed = rx.samples[sync.start_index:]
     t0 = rx.t0 + sync.start_index / rx.rate
-    t = t0 + np.arange(trimmed.size) / rx.rate
-    out = trimmed * np.exp(-2j * np.pi * sync.cfo_hat * t)
+    ramp = _derotation(sync.cfo_hat, t0, rx.rate, trimmed.size)
+    out = np.multiply(trimmed, ramp, out=ramp)
     return AnalogSignal.adopt(out, rate=rx.rate, t0=t0)

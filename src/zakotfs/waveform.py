@@ -246,7 +246,7 @@ def _sampled_taps(shape: PulseShape, b: float, q: int) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _w1_spectrum(shape: PulseShape, n: int, b: float, q: int,
                  correlate: bool) -> np.ndarray:
-    f = np.fft.fftfreq(n, d=1.0 / (q * b))
+    f = scipy.fft.fftfreq(n, d=1.0 / (q * b))
     gain = shape.w1_gain(f, b)
     if not correlate:
         gain = q * b * gain
@@ -290,7 +290,7 @@ def _exact_filter(x: np.ndarray, shape: PulseShape, b: float, q: int,
     buffer needs zero padding well past the frame.  The correlator
     variant folds in the 1/(q*B) matched-filter scale.
     """
-    return np.fft.ifft(np.fft.fft(x) * _w1_spectrum(shape, x.size, b, q, correlate))
+    return scipy.fft.ifft(scipy.fft.fft(x) * _w1_spectrum(shape, x.size, b, q, correlate))
 
 
 def shape_symbols(symbols: np.ndarray, shape: PulseShape, b: float,
@@ -352,7 +352,7 @@ def fft_convolve(x: np.ndarray, spectrum: np.ndarray, k: int,
                  mode: str) -> np.ndarray:
     """Linearly convolve a complex buffer with a k-tap kernel given by its spectrum.
 
-    spectrum is scipy.fft.fftn of the complex kernel at
+    spectrum is scipy.fft.fft of the complex kernel at
     fft_conv_length(x.size, k), so a constant kernel is transformed once
     and reused.  The arithmetic is scipy.signal.fftconvolve's for complex
     operands, operand order included, so the result equals it bit for
@@ -370,8 +370,8 @@ def fft_convolve(x: np.ndarray, spectrum: np.ndarray, k: int,
     if spectrum.shape != (nfft,):
         raise ValueError(f"kernel spectrum has shape {spectrum.shape}, "
                          f"expected ({nfft},)")
-    data = scipy.fft.fftn(x, (nfft,), axes=(0,))
-    ret = scipy.fft.ifftn(data * spectrum, (nfft,), axes=(0,))
+    data = scipy.fft.fft(x, nfft)
+    ret = scipy.fft.ifft(data * spectrum, nfft)
     size = n if mode == "same" else n - k + 1
     start = (full - size) // 2
     return ret[start:start + size].copy()
@@ -417,6 +417,21 @@ def _fold_slots(n: int, start: int, period: int) -> np.ndarray:
     slots = np.mod(np.arange(n) + start, period)
     slots.setflags(write=False)
     return slots
+
+
+def _fold(x: np.ndarray, start: int, period: int) -> np.ndarray:
+    """Sum x[i] into slot (i + start) mod period, in the order of i.
+
+    x is laid into a zero-led buffer at offset start mod period and its
+    rows of one period are summed top to bottom, so every slot adds its
+    samples in the same order, and to the same bits, as
+    np.add.at(zeros(period), _fold_slots(x.size, start, period), x).
+    """
+    lead = start % period
+    rows = -(-(lead + x.size) // period)
+    buf = np.zeros(rows * period, dtype=np.complex128)
+    buf[lead:lead + x.size] = x
+    return buf.reshape(rows, period).sum(axis=0)
 
 
 def _sample_grid(sig: AnalogSignal, b: float, q_min: int) -> tuple[int, int]:
@@ -496,10 +511,7 @@ def matched_filter(r: AnalogSignal, shape: PulseShape, params: FrameParams) -> A
     # A timing trim shortens the buffer, so the length is part of the key.
     window = _window_at(shape, r.t0, r.rate, r.samples.size, params.t, 0.0)
     if shape.exact:
-        period = params.m * params.n * q
-        folded = np.zeros(period, dtype=np.complex128)
-        slots = _fold_slots(r.samples.size, -i_zero, period)
-        np.add.at(folded, slots, r.samples * np.conj(window))
+        folded = _fold(r.samples * np.conj(window), -i_zero, params.m * params.n * q)
         z = _exact_filter(folded, shape, b, q, correlate=True)
         return AnalogSignal.adopt(z[::q], rate=b, t0=0.0)
     first = i_zero % q
@@ -523,10 +535,8 @@ def sample_and_periodize(y: AnalogSignal, params: FrameParams) -> DTSignal:
     # Symbol instants q_t with 0 <= i_zero + q_t*q < n.
     q_min = -(i_zero // q)
     q_max = (n - 1 - i_zero) // q
-    sym = np.arange(q_min, q_max + 1)
-    if sym.size == 0 or sym[0] > 0 or sym[-1] < mn - 1:
+    if q_min > 0 or q_max < mn - 1:
         raise ValueError("signal does not cover the frame period")
-    picked = y.samples[i_zero + sym * q]
-    folded = np.zeros(mn, dtype=np.complex128)
-    np.add.at(folded, np.mod(sym, mn), picked)
-    return DTSignal(samples=folded, m=params.m, n=params.n, rate=params.b)
+    picked = y.samples[i_zero % q::q]
+    return DTSignal(samples=_fold(picked, q_min, mn), m=params.m, n=params.n,
+                    rate=params.b)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 __all__ = ["DDGrid", "DTSignal", "idzt", "dzt", "extend"]
 
@@ -102,7 +103,7 @@ def idzt(grid: DDGrid | np.ndarray, rate: float | None = None) -> DTSignal:
     values = grid.values if isinstance(grid, DDGrid) else np.asarray(grid, dtype=np.complex128)
     m, n = values.shape
     # For each delay bin k the n-axis is an inverse DFT of the Doppler row.
-    blocks = np.sqrt(n) * np.fft.ifft(values, axis=1)  # [k, n]
+    blocks = np.sqrt(n) * scipy.fft.ifft(values, axis=1)  # [k, n]
     samples = blocks.T.reshape(-1)  # q = k + n*M ordering
     return DTSignal(samples=samples, m=m, n=n, rate=rate)
 
@@ -119,7 +120,7 @@ def dzt(sig: DTSignal | np.ndarray, m: int | None = None, n: int | None = None,
         if samples.size != m * n:
             raise ValueError(f"expected {m * n} samples, got {samples.size}")
     blocks = samples.reshape(n, m)  # [n, k]
-    values = (np.fft.fft(blocks, axis=0) / np.sqrt(n)).T  # [k, l]
+    values = (scipy.fft.fft(blocks, axis=0) / np.sqrt(n)).T  # [k, l]
     return DDGrid(values=values, role=role)
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from zakotfs.channel import (
     ChannelSpec,
@@ -130,6 +131,29 @@ class TestApplyPaths:
         both = apply_paths(sig, [p1, p2])
         summed = apply_paths(sig, [p1]).samples + apply_paths(sig, [p2]).samples
         assert np.max(np.abs(both.samples - summed)) < 1e-12
+
+    @pytest.mark.parametrize("delay, doppler", [
+        (0, 0.0), (0, 2.5e3), (17, 0.0), (0, -1e3), (3.4, 0.0)])
+    def test_identity_parts_match_ramp_and_roll(self, delay, doppler):
+        """A zero shift or a zero Doppler skips its pass without moving a bit."""
+        probe = band_limited_probe(seed=6)
+        sig = AnalogSignal(samples=probe.samples, rate=RATE, t0=-5 / RATE)
+        paths = [PathSpec(gain=0.8 - 0.3j, delay=delay / RATE, doppler=doppler),
+                 PathSpec(gain=0.5, delay=3 / RATE, doppler=1e3)]
+        out = apply_paths(sig, paths)
+        n = sig.samples.size
+        t = sig.t0 + np.arange(n) / RATE
+        want = np.zeros(n, dtype=complex)
+        for p in paths:
+            shift = p.delay * RATE
+            if shift == round(shift):
+                shifted = np.roll(sig.samples, int(round(shift)))
+            else:
+                f = scipy.fft.fftfreq(n)
+                shifted = scipy.fft.ifft(scipy.fft.fft(sig.samples)
+                                         * np.exp(-2j * np.pi * f * shift))
+            want += p.gain * shifted * np.exp(2j * np.pi * p.doppler * (t - p.delay))
+        assert out.samples.tobytes() == want.tobytes()
 
     def test_delay_beyond_extent_rejected(self):
         sig = AnalogSignal(samples=np.zeros(64), rate=RATE, t0=0.0)

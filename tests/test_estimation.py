@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zakotfs import estimation
+from zakotfs import estimation, runner
+from zakotfs.config import config_from_dict
 from zakotfs.channel import ImpairmentSpec, PathSpec, apply_impairments, apply_paths
 from zakotfs.dd_frame import FrameParams, build_layout, map_bits, Constellation
 from zakotfs.estimation import (
@@ -179,6 +181,24 @@ class TestEstimate:
         assert h.peak() == (1, 2)
         assert abs(h.taps.values[1, 2]) == pytest.approx(0.8, rel=1e-6)
 
+    @pytest.mark.parametrize("kind", ["C1", "C2"])
+    @pytest.mark.parametrize("m, n", [(16, 8), (64, 64)])
+    def test_matches_row_loop(self, kind, m, n):
+        """One fancy-indexed read gives the per-row loop's taps bit for bit."""
+        _, lay = make_layout(m=m, n=n, c_bins=2.0, margin_bins=1.0)
+        sup = SupportRegion.from_layout(lay, kind)
+        rng = np.random.default_rng(m + n)
+        y = DDGrid(values=rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)),
+                   role="received")
+        got = estimate(y, lay, sup, 8.0).taps.values
+        want = np.zeros((m, n), dtype=np.complex128)
+        ls = sup.doppler_taps()
+        phase = np.exp(-1j * np.pi * ls / n)
+        for k_abs in range(sup.k_lo, sup.k_hi):
+            want[(k_abs - m // 2) % m, ls % n] = (y.values[k_abs, (ls + n // 2) % n]
+                                                  * phase / 8.0)
+        assert got.tobytes() == want.tobytes()
+
     def test_pilot_amp_positive(self):
         _, lay = make_layout(m=16, n=8, c_bins=2.0)
         sup = SupportRegion.from_layout(lay, "C1")
@@ -208,6 +228,33 @@ class TestManualTapsAndEstimate:
         sup = SupportRegion.from_layout(lay, "C2")
         h = manual_taps({(0, 0): 0.4, (-2, 3): 0.9j}, sup)
         assert h.peak() == (-2, 3)
+
+    @staticmethod
+    def loop_peak(h):
+        """First largest magnitude in tap_items order."""
+        best, at = -1.0, (0, 0)
+        for k, l, val in h.tap_items():
+            if abs(val) > best:
+                best, at = abs(val), (k, l)
+        return at
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_peak_matches_tap_loop(self, seed):
+        _, lay = make_layout(m=16, n=8, c_bins=2.0)
+        sup = SupportRegion.from_layout(lay, "C2" if seed % 2 else "C1")
+        rng = np.random.default_rng(seed)
+        y = DDGrid(values=rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8)),
+                   role="received")
+        h = estimate(y, lay, sup, 1.0)
+        assert h.peak() == self.loop_peak(h)
+
+    def test_peak_tie_takes_first_signed_tap(self):
+        """Equal magnitudes: the lowest signed delay, then signed Doppler, wins."""
+        _, lay = make_layout(m=16, n=8, c_bins=2.0)
+        sup = SupportRegion.from_layout(lay, "C2")
+        h = manual_taps({(1, -4): 0.9, (-2, 3): -0.9, (-2, -1): 0.9j}, sup)
+        assert h.peak() == self.loop_peak(h) == (-2, -1)
+        assert all(type(i) is int for i in h.peak())
 
     def test_out_of_support_tap_rejected(self):
         _, lay = make_layout(m=16, n=8, c_bins=2.0)
@@ -517,6 +564,54 @@ class TestEqualizeTaps:
             equalize_taps(DDGrid(values=np.ones((4, 1))), h, 0.1)
 
 
+# The README quick-start experiment at its lowest SNR point.
+README_10DB = {
+    "config_version": 1,
+    "frame": {"m": 64, "n": 64, "tau_p_s": 1 / NU_P, "nu_p_hz": NU_P,
+              "pilot_amp": 8.0},
+    "layout": {"tau_max_bins": 2.5, "dt_margin_bins": 1.0},
+    "shape": {"family": "rrc", "beta": 0.5, "w1_span": 16, "oversampling": 4},
+    "channel": {"paths": [
+        {"delay_bins": 0, "doppler_bins": 0, "gain_db": 0.0},
+        {"delay_bins": 2, "doppler_bins": 1, "gain_db": -3.0, "phase_deg": 40.0},
+    ], "cfo_hz": 200.0},
+    "run": {"constellation": 4, "snr_db": [10], "trials": 1, "base_seed": 2024,
+            "support": "C1", "sync": True, "cfo_correction": "time_domain"},
+}
+
+
+@pytest.fixture(scope="module")
+def readme_10db_system():
+    """(y_dd, taps, noise_var) that the README link hands the equalizer."""
+    seen = []
+    real = runner.equalize_taps
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "equalize_taps",
+                   lambda y, h, nv: seen.append((y, h, nv)) or real(y, h, nv))
+        runner.run_trial(config_from_dict(README_10DB), 0, 0)
+    return seen[0]
+
+
+class TestBandZeroSeed:
+    """Seeded structural zeros keep the band factor free of subnormals."""
+
+    def test_readme_factor_has_no_subnormal(self, readme_10db_system):
+        y, h, noise_var = readme_10db_system
+        delays, profiles = estimation._delay_gain_profiles(h)
+        _, steps = estimation._band_plan(tuple(delays.tolist()), y.m * y.n)
+        band = estimation._normal_band(profiles, noise_var, steps)
+        factor = scipy.linalg.cholesky_banded(band, check_finite=False)
+        parts = np.abs(np.concatenate([factor.real.ravel(), factor.imag.ravel()]))
+        assert not np.any((parts > 0) & (parts < np.finfo(float).tiny))
+
+    def test_solution_bits_match_unseeded_band(self, readme_10db_system, monkeypatch):
+        y, h, noise_var = readme_10db_system
+        got = equalize_taps(y, h, noise_var)
+        monkeypatch.setattr(estimation, "_ZERO_SEED", 0.0)
+        want = equalize_taps(y, h, noise_var)
+        assert got.values.tobytes() == want.values.tobytes()
+
+
 class TestNoiseCalibration:
     """Noise variance bookkeeping on the DD grid."""
 
@@ -532,6 +627,29 @@ class TestNoiseCalibration:
                                     + 1j * rng.standard_normal((64, 64)))
         got = guard_noise_var(DDGrid(values=noise, role="received"), lay, sup)
         assert got == pytest.approx(var, rel=0.25)
+
+    @pytest.mark.parametrize("pilot_row", [True, False])
+    @pytest.mark.parametrize("m, n, c_bins, margin", [
+        (64, 64, 3.0, 0.0), (16, 8, 2.0, 1.0), (32, 16, 2.5, 1.0)])
+    def test_mask_matches_cell_list(self, m, n, c_bins, margin, pilot_row):
+        """The boolean mask reads the listed guard cells, in the same order.
+
+        A support that stops short of the pilot row leaves the pilot cell
+        itself as the one cell to skip in that row."""
+        _, lay = make_layout(m=m, n=n, c_bins=c_bins, margin_bins=margin)
+        sup = SupportRegion.from_layout(lay, "C1")
+        if not pilot_row:
+            sup = SupportRegion(kind="C1", k_lo=sup.k_lo, k_hi=lay.k_p, m=m, n=n)
+        rng = np.random.default_rng(m * n)
+        y = DDGrid(values=rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)),
+                   role="received")
+        cells = [(k, l)
+                 for k in range(lay.kappa1, lay.kappa4)
+                 for l in range(lay.n)
+                 if not (k == lay.k_p and l == lay.l_p)
+                 and not sup.k_lo <= k < sup.k_hi]
+        vals = np.array([y.values[k, l] for k, l in cells])
+        assert guard_noise_var(y, lay, sup) == float(np.mean(np.abs(vals) ** 2))
 
     def test_c2_support_leaves_no_probe_cells(self):
         _, lay = make_layout(c_bins=3.0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
+from zakotfs import sync
 from zakotfs.sync import (
     SyncResult,
     correct,
@@ -184,6 +185,45 @@ class TestTimingEnergyNormalizer:
         assert not res.detected and res.peak_metric == 0.0
 
 
+def running_sum_timing_oracle(rx, template):
+    """detect_timing's metric built out of place from a running sum."""
+    corr = fftconvolve(rx, np.conj(template[::-1]), mode="valid")
+    energy = np.concatenate(([0.0], np.cumsum(np.abs(rx) ** 2)))
+    power = energy[template.size:] - energy[:-template.size]
+    tnorm = np.sqrt(np.sum(np.abs(template) ** 2))
+    floor = 1e-12 * float(np.max(power))
+    metric = np.abs(corr) / (tnorm * np.sqrt(np.maximum(power, floor)))
+    lag = int(np.argmax(metric))
+    return lag, float(metric[lag])
+
+
+class TestTimingMetricInPlace:
+    """The in-place metric repeats the out-of-place expression bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 600),
+           shaped=st.booleans(), amp=st.floats(0.05, 4.0))
+    def test_matches_out_of_place_metric(self, seed, extra, shaped, amp):
+        pre = make_preamble(length=16, root=1)
+        q = 2
+        shape = PulseShape(family="rrc", beta=0.5, w1_span=4) if shaped else None
+        if shaped:
+            template = shape_preamble(pre, shape, RATE / q, q).samples
+        else:
+            template = np.zeros(pre.length * q, dtype=complex)
+            template[::q] = pre.samples
+        rng = np.random.default_rng(seed)
+        total = template.size + extra
+        buf = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+        at = int(rng.integers(0, extra + 1))
+        buf[at:at + template.size] += amp * template
+        res = detect_timing(AnalogSignal(samples=buf, rate=RATE, t0=0.0), pre, q,
+                            shape=shape)
+        lag, peak = running_sum_timing_oracle(buf, template)
+        core = shape.reach() * q if shaped else 0
+        assert (res.start_index, res.peak_metric) == (lag + core, peak)
+
+
 class TestKayCfo:
     """Weighted phase-increment frequency estimation."""
 
@@ -295,6 +335,27 @@ class TestCorrect:
         sig = AnalogSignal(samples=x, rate=RATE, t0=0.0)
         out = correct(sig, SyncResult(start_index=0, cfo_hat=0.0, peak_metric=1.0))
         assert np.array_equal(out.samples, sig.samples)
+
+    def test_zero_offset_is_identity_on_any_grid(self):
+        """A 0 Hz ramp is exactly 1 for any length, trim and time origin."""
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal(1001) + 1j * rng.standard_normal(1001)
+        sig = AnalogSignal(samples=x, rate=RATE, t0=-37 / RATE)
+        out = correct(sig, SyncResult(start_index=5, cfo_hat=0.0, peak_metric=1.0))
+        assert out.samples.tobytes() == x[5:].tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(cfo=st.floats(-5e4, 5e4), n=st.integers(0, 30_000),
+           lead=st.integers(-40_000, 40_000))
+    def test_separable_ramp_matches_direct_exp(self, cfo, n, lead):
+        """The outer-product ramp is within a few ulp of the largest phase."""
+        t0 = lead / RATE
+        got = sync._derotation(cfo, t0, RATE, n)
+        want = np.exp(-2j * np.pi * cfo * (t0 + np.arange(n) / RATE))
+        assert got.shape == (n,)
+        ulp = np.finfo(float).eps * (
+            1.0 + 2 * np.pi * abs(cfo) * max(abs(t0), abs(t0 + n / RATE)))
+        assert np.max(np.abs(got - want), initial=0.0) <= 4 * ulp
 
     def test_exact_undo_of_synthetic_impairment(self):
         """Correcting with the true offset and CFO restores the signal."""

@@ -411,3 +411,51 @@ class TestSamplingAlignment:
         assert out.t0 == pytest.approx((first - lead) / (q * B), abs=1e-15)
         assert out.samples.size == want.size
         assert relative_error(out.samples, want) <= 1e-12
+
+
+def frame_params(m, n):
+    return FrameParams(m=m, n=n, nu_p=B / m, tau_p=m / B)
+
+
+class TestScatterFreeFolds:
+    """The reshape-and-sum folds against the np.add.at scatter they replace.
+
+    Both add each slot's samples in ascending sample order, so they agree
+    bit for bit, however many periods the signal spans."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), q=st.integers(1, 5),
+           dims=st.sampled_from([(2, 2), (4, 2), (8, 8)]),
+           lead=st.integers(0, 300), extra=st.integers(0, 300))
+    def test_sample_and_periodize_matches_scatter(self, seed, q, dims, lead, extra):
+        params = frame_params(*dims)
+        mn = params.m * params.n
+        n = lead + (mn - 1) * q + 1 + extra
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        sig = AnalogSignal(samples=x, rate=q * B, t0=-lead / (q * B))
+        got = sample_and_periodize(sig, params).samples
+        sym = np.arange(-(lead // q), (n - 1 - lead) // q + 1)
+        want = np.zeros(mn, dtype=np.complex128)
+        np.add.at(want, np.mod(sym, mn), x[lead + sym * q])
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), q=st.integers(2, 4),
+           family=st.sampled_from(["rrc", "sinc"]),
+           lead=st.integers(0, 200), periods=st.integers(1, 4))
+    def test_exact_matched_filter_matches_scatter(self, seed, q, family, lead,
+                                                  periods):
+        params = frame_params(4, 4)
+        shape = PulseShape(family=family, beta=0.5, w1_span=None)
+        period = params.m * params.n * q
+        rng = np.random.default_rng(seed)
+        n = periods * period + int(rng.integers(0, period))
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        sig = AnalogSignal(samples=x, rate=q * B, t0=-lead / (q * B))
+        got = matched_filter(sig, shape, params)
+        window = waveform._window_at(shape, sig.t0, sig.rate, n, params.t, 0.0)
+        folded = np.zeros(period, dtype=np.complex128)
+        np.add.at(folded, waveform._fold_slots(n, -lead, period), x * np.conj(window))
+        want = waveform._exact_filter(folded, shape, B, q, correlate=True)[::q]
+        assert got.samples.tobytes() == want.tobytes()
