@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -221,18 +222,47 @@ class Constellation:
         labels = bits.reshape(-1, k).astype(np.int64).dot(weights)
         return self.points[labels]
 
+    @cached_property
+    def _axis_decisions(self) -> tuple[tuple[float, ...], np.ndarray]:
+        """Cuts on one axis, and the label bits of the level each count selects.
+
+        A coordinate x decides for ascending level sum(x >= cut).  Each cut
+        is the floating-point midpoint of two neighbouring levels, nudged up
+        one ulp where the midpoint belongs to the lower level: nearer to it
+        in exact arithmetic, or equidistant with the smaller label.
+        """
+        half = self.bits_per_symbol // 2
+        by_label = self.points[::1 << half].real
+        grid = (by_label[:, None] + 1j * by_label[None, :]).reshape(-1)
+        if (not np.array_equal(self.points, grid)
+                or np.unique(by_label).size != by_label.size):
+            raise ValueError("per-axis decisions need a square grid of distinct "
+                             "levels shared by both axes")
+        labels = np.argsort(by_label)
+        levels = by_label[labels].tolist()
+        cuts = []
+        for a, b, la, lb in zip(levels, levels[1:], labels, labels[1:]):
+            mid = (a + b) / 2
+            up = b - mid < mid - a or (b - mid == mid - a and lb < la)
+            cuts.append(mid if up else math.nextafter(mid, math.inf))
+        bits = ((labels[:, None] >> np.arange(half)[::-1]) & 1).astype(np.uint8)
+        bits.setflags(write=False)
+        return tuple(cuts), bits
+
     def demodulate(self, symbols: np.ndarray) -> np.ndarray:
         """Hard minimum-distance decisions back to bits.
 
-        Ties break toward the lexicographically smallest bit label
-        because argmin keeps the first of equal distances.
+        On the square grid the nearest point is the nearest level on each
+        axis, so each real and imaginary part is compared with the level
+        midpoints.  Ties break toward the smallest bit label.
         """
-        symbols = np.asarray(symbols, dtype=np.complex128).reshape(-1)
-        d2 = np.abs(symbols[:, None] - self.points[None, :]) ** 2
-        labels = np.argmin(d2, axis=1)
-        k = self.bits_per_symbol
-        shifts = np.arange(k)[::-1]
-        return ((labels[:, None] >> shifts[None, :]) & 1).astype(np.uint8).reshape(-1)
+        cuts, bits = self._axis_decisions
+        x = np.ascontiguousarray(symbols, dtype=np.complex128).reshape(-1)
+        x = x.view(np.float64)  # re, im, re, im, ...: I bits then Q bits
+        level = np.zeros(x.size, dtype=np.uint8)
+        for cut in cuts:
+            level += x >= cut
+        return bits[level].reshape(-1)
 
 
 def map_bits(bits: np.ndarray, constellation: Constellation, layout: FrameLayout,

@@ -182,15 +182,14 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
 
     sync_res = None
     if cfg.sync_enabled:
-        sync_res = detect_timing(rx, preamble, cfg.q, shape=cfg.shape,
-                                 threshold=cfg.sync_threshold)
-        shift = max(sync_res.start_index - chip0_nominal, 0)
+        # The latest chip-0 lock whose trimmed buffer still holds the
+        # frame's last symbol instant; it follows from the burst format.
         last_symbol = core_lo + (params.m * params.n - 1) * cfg.q
-        if (sync_res.detected and cfg.cfo_mode == "time_domain"
-                and last_symbol >= rx.samples.size - shift):
-            # A lock so late that the trimmed buffer ends before the frame's
-            # last symbol instant cannot be decoded: a sync failure.
-            sync_res = replace(sync_res, detected=False)
+        last_start = chip0_nominal + rx.samples.size - 1 - last_symbol
+        sync_res = detect_timing(rx, preamble, cfg.q, shape=cfg.shape,
+                                 threshold=cfg.sync_threshold,
+                                 last_start=last_start)
+        shift = max(sync_res.start_index - chip0_nominal, 0)
         if not sync_res.detected:
             # Counted as a decode of all-zero bits against what was sent.
             return TrialReport(

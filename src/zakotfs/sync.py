@@ -49,8 +49,7 @@ class SyncResult:
 
     start_index points at the first sample of the preamble core (chip 0)
     inside the searched buffer; detected reflects the threshold test at
-    the correlation peak.  run_trial also clears it on a lock too late
-    for the trimmed buffer to hold the frame.
+    the correlation peak.
     """
 
     start_index: int
@@ -126,7 +125,8 @@ def _template_spectrum(length: int, root: int, chips: bytes,
 
 def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
                   shape: PulseShape | None = None,
-                  threshold: float = DEFAULT_THRESHOLD) -> SyncResult:
+                  threshold: float = DEFAULT_THRESHOLD,
+                  last_start: int | None = None) -> SyncResult:
     """Locate the preamble by normalized sliding cross-correlation.
 
     With a shape, the template is the pulse-shaped preamble (matched to
@@ -134,6 +134,11 @@ def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
     chip train.  peak_metric is |<rx_window, template>| normalized by
     both energies, so it lives in [0, 1] and the threshold separates a
     lock from noise.  cfo_hat is left at zero; see estimate_cfo.
+
+    last_start, when given, is the latest chip-0 index the caller will
+    accept: only the head of the buffer that such a lock reads is
+    correlated, and the energy floor is taken over that head alone.  A
+    bound that admits no lag is a miss (detected False), not an error.
     """
     if q < 1:
         raise ValueError("oversampling factor must be >= 1")
@@ -144,16 +149,22 @@ def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
             f"buffer of {rx.samples.size} samples cannot hold a "
             f"{template.size}-sample preamble"
         )
+    samples = rx.samples
+    if last_start is not None:
+        samples = samples[:max(last_start - core_offset + template.size, 0)]
+    if samples.size < template.size:
+        return SyncResult(start_index=core_offset, cfo_hat=0.0,
+                          peak_metric=0.0, detected=False)
 
-    nfft = fft_conv_length(rx.samples.size, template.size)
-    corr = fft_convolve(rx.samples, _template_spectrum(*key, nfft),
+    nfft = fft_conv_length(samples.size, template.size)
+    corr = fft_convolve(samples, _template_spectrum(*key, nfft),
                         template.size, mode="valid")
     # Window energies as differences of a running sum, O(n) for any length.
     # The metric is built in place, in the order of
     # |corr| / (tnorm * sqrt(max(power, floor))).
-    energy = np.empty(rx.samples.size + 1)
+    energy = np.empty(samples.size + 1)
     energy[0] = 0.0
-    sq = np.abs(rx.samples)
+    sq = np.abs(samples)
     np.square(sq, out=sq)
     np.cumsum(sq, out=energy[1:])
     power = energy[template.size:] - energy[:-template.size]

@@ -135,6 +135,14 @@ class TestFrameLayout:
 # QAM constellations
 # =====================================================================
 
+def distance_oracle(c, symbols):
+    """Minimum-distance decisions over every point; argmin keeps the first tie."""
+    symbols = np.asarray(symbols, dtype=np.complex128).reshape(-1)
+    labels = np.argmin(np.abs(symbols[:, None] - c.points[None, :]) ** 2, axis=1)
+    shifts = np.arange(c.bits_per_symbol)[::-1]
+    return ((labels[:, None] >> shifts[None, :]) & 1).astype(np.uint8).reshape(-1)
+
+
 class TestConstellation:
     """Gray-labelled square QAM properties."""
 
@@ -183,6 +191,28 @@ class TestConstellation:
         # Perturb by less than half the minimum distance: decisions hold.
         noisy = sym + 0.15 * (rng.standard_normal(100) * (1 + 1j)) / np.sqrt(10)
         assert np.array_equal(c.demodulate(noisy), bits)
+
+    @pytest.mark.parametrize("order", [4, 16])
+    def test_axis_decisions_match_distance_oracle(self, order):
+        """Random symbols, every level, every midpoint and both zeros, per axis."""
+        c = Constellation.qam(order)
+        rng = np.random.default_rng(order)
+        noisy = 0.8 * (rng.standard_normal(4000) + 1j * rng.standard_normal(4000))
+        levels = np.unique(c.points.real)
+        coords = np.concatenate([levels, (levels[:-1] + levels[1:]) / 2,
+                                 [0.0, -0.0, 2.0, -2.0]])
+        re, im = np.meshgrid(coords, coords)
+        edges = np.empty(re.size, dtype=complex)
+        edges.real, edges.imag = re.ravel(), im.ravel()
+        assert np.signbit(edges.real).sum() > levels.size * coords.size
+        for symbols in (noisy, edges):
+            assert np.array_equal(c.demodulate(symbols), distance_oracle(c, symbols))
+
+    def test_points_off_a_square_grid_are_not_demodulated(self):
+        tilted = Constellation(order=4, points=Constellation.qam(4).points
+                               * np.exp(0.25j * np.pi))
+        with pytest.raises(ValueError, match="square grid"):
+            tilted.demodulate(tilted.points)
 
     def test_bits_per_symbol(self):
         assert Constellation.qam(4).bits_per_symbol == 2

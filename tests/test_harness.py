@@ -423,22 +423,51 @@ class TestRunTrial:
         assert not report.sync_failed
         assert report.bit_errors == 0
 
-    def test_late_lock_counts_as_sync_failure(self):
-        """A lock too late for the trimmed buffer to hold the frame is a miss.
-
-        At 500 Hz this frame locks on a preamble sidelobe 164 samples late;
-        the peak still clears the threshold.
+    def test_offset_locks_where_the_frame_fits(self):
+        """At 500 Hz the whole-buffer correlation peaks on a preamble sidelobe
+        164 samples late, past the last start that leaves room for the frame;
+        the bounded search locks on time and decodes the frame.
         """
         raw = linked_config_dict(16)
         raw["channel"]["cfo_hz"] = 500.0
-        cfg = config_from_dict(raw)
-        report = run_trial(cfg, 0)
-        assert report.sync.peak_metric >= cfg.sync_threshold
-        assert report.sync_failed and report.taps is None
-        assert not np.any(report.symbols)
-        assert 0 < report.bit_errors < report.bits_sent
+        report = run_trial(config_from_dict(raw), 0)
         on_time = run_trial(config_from_dict(linked_config_dict(16)), 0)
-        assert report.sync.start_index - on_time.sync.start_index == 164
+        assert not report.sync_failed
+        assert report.sync.start_index == on_time.sync.start_index
+        assert report.bit_errors == 0
+
+    @pytest.mark.parametrize("span", [None, 16])
+    def test_search_bound_is_the_last_start_that_holds_the_frame(self, span,
+                                                                 monkeypatch):
+        """Trimming at the bound keeps the last symbol instant; one more does not."""
+        cfg = config_from_dict(linked_config_dict(span))
+        seen = {}
+
+        def spy(rx, *args, last_start=None, **kwargs):
+            seen.update(rx=rx, last_start=last_start)
+            return sync.detect_timing(rx, *args, last_start=last_start, **kwargs)
+        monkeypatch.setattr(runner, "detect_timing", spy)
+        run_trial(cfg, 0)
+        rx = seen["rx"]
+        chip0_nominal = -round(runner._plan(cfg).template.t0 * rx.rate)
+        shift = seen["last_start"] - chip0_nominal
+        mn, b = cfg.params.m * cfg.params.n, cfg.params.b
+        # The trimmed buffer keeps rx's time axis, as run_trial's does.
+        last_symbol = round(((mn - 1) / b - rx.t0) * rx.rate)
+        assert last_symbol < rx.samples.size - shift
+        assert not last_symbol < rx.samples.size - (shift + 1)
+        if cfg.shape.exact:
+            return
+
+        def decode_window(trim):
+            trimmed = sync.correct(rx, sync.SyncResult(trim, 0.0, 1.0))
+            kept = AnalogSignal(samples=trimmed.samples, rate=rx.rate, t0=rx.t0)
+            return waveform.sample_and_periodize(
+                waveform.matched_filter(kept, cfg.shape, cfg.params), cfg.params)
+
+        assert decode_window(shift).samples.size == mn
+        with pytest.raises(ValueError, match="does not cover the frame period"):
+            decode_window(shift + 1)
 
     def test_report_validates_error_count(self):
         with pytest.raises(ValueError, match="more bit errors"):
@@ -655,18 +684,25 @@ class TestSweep:
         assert outputs[2] == outputs[1]
         assert outputs[3] == outputs[1]
 
-    def test_late_lock_is_counted_not_raised(self, tmp_path):
-        """The late-lock trial of TestRunTrial ends a sweep as a failed frame."""
+    def test_offset_sweep_counts_no_sync_failure(self, tmp_path, monkeypatch):
+        """Every frame of the 500 Hz sweep of TestRunTrial locks and is decoded."""
         raw = linked_config_dict(16)
         raw["channel"]["cfo_hz"] = 500.0
+        raw["run"]["trials"] = 8
         raw["output"] = {"csv": str(tmp_path / "ber.csv"),
                          "curve_svg": str(tmp_path / "ber.svg"),
                          "constellation_prefix": str(tmp_path / "const_")}
         cfg = config_from_dict(raw)
+        reports = []
+
+        def recording(*args):
+            reports.append(run_trial(*args))
+            return reports[-1]
+        monkeypatch.setattr(runner, "run_trial", recording)
         curve, _ = sweep(cfg, emit=True)
-        report = run_trial(cfg, 0)
-        assert report.sync_failed
-        assert curve.points[0].errors == report.bit_errors
+        assert len(reports) == 8
+        assert not any(r.sync_failed for r in reports)
+        assert curve.points[0].errors == sum(r.bit_errors for r in reports)
         assert (tmp_path / "ber.csv").exists()
 
     def test_curve_validation(self):

@@ -185,14 +185,19 @@ class TestTimingEnergyNormalizer:
         assert not res.detected and res.peak_metric == 0.0
 
 
-def running_sum_timing_oracle(rx, template):
-    """detect_timing's metric built out of place from a running sum."""
+def running_sum_metric(rx, template):
+    """detect_timing's metric over every lag, built out of place from a running sum."""
     corr = fftconvolve(rx, np.conj(template[::-1]), mode="valid")
     energy = np.concatenate(([0.0], np.cumsum(np.abs(rx) ** 2)))
     power = energy[template.size:] - energy[:-template.size]
     tnorm = np.sqrt(np.sum(np.abs(template) ** 2))
     floor = 1e-12 * float(np.max(power))
-    metric = np.abs(corr) / (tnorm * np.sqrt(np.maximum(power, floor)))
+    return np.abs(corr) / (tnorm * np.sqrt(np.maximum(power, floor)))
+
+
+def running_sum_timing_oracle(rx, template):
+    """detect_timing's lag and peak from the out-of-place metric."""
+    metric = running_sum_metric(rx, template)
     lag = int(np.argmax(metric))
     return lag, float(metric[lag])
 
@@ -222,6 +227,69 @@ class TestTimingMetricInPlace:
         lag, peak = running_sum_timing_oracle(buf, template)
         core = shape.reach() * q if shaped else 0
         assert (res.start_index, res.peak_metric) == (lag + core, peak)
+
+
+def short_template(shaped):
+    """A 16-chip preamble at q = 2, its reference and the reference's chip 0."""
+    pre = make_preamble(length=16, root=1)
+    if not shaped:
+        chips = np.zeros(pre.length * 2, dtype=complex)
+        chips[::2] = pre.samples
+        return pre, None, chips, 0
+    shape = PulseShape(family="rrc", beta=0.5, w1_span=4)
+    return pre, shape, shape_preamble(pre, shape, RATE / 2, 2).samples, shape.reach() * 2
+
+
+class TestSearchBound:
+    """With last_start, only chip-0 indices up to it are searched."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 300),
+           shaped=st.booleans(), at=st.floats(0.0, 1.0),
+           noise=st.sampled_from([0.01, 1.0, 10.0]), near=st.booleans(),
+           delta=st.integers(-3, 3), anywhere=st.integers(-8, 400))
+    def test_lock_is_the_best_start_within_the_bound(self, seed, extra, shaped, at,
+                                                     noise, near, delta, anywhere):
+        pre, shape, template, core = short_template(shaped)
+        offset = int(at * extra)
+        rx = embed(template, offset, template.size + extra, seed=seed, noise=noise)
+        # Half the bounds sit next to the embedded chip 0, where an
+        # off-by-one shows; the rest fall anywhere, past the buffer too.
+        last_start = offset + core + delta if near else anywhere
+        res = detect_timing(rx, pre, 2, shape=shape, last_start=last_start)
+        if last_start < core:
+            assert not res.detected and res.peak_metric == 0.0
+            return
+        assert res.start_index <= last_start
+        metric = running_sum_metric(rx.samples, template)[:last_start - core + 1]
+        lag = int(np.argmax(metric))
+        assert res.start_index == lag + core
+        assert res.peak_metric == pytest.approx(metric[lag], rel=1e-12)
+        # Nothing past the last window the bound admits, however loud,
+        # reaches the lock or its energy floor.
+        head = last_start - core + template.size
+        loud = rx.samples.copy()
+        loud[head:] = 1e9 * np.random.default_rng(seed).standard_normal(loud[head:].size)
+        again = detect_timing(AnalogSignal(samples=loud, rate=RATE, t0=0.0), pre, 2,
+                              shape=shape, last_start=last_start)
+        assert again == res
+
+    @pytest.mark.parametrize("shaped", [False, True])
+    def test_bound_is_inclusive(self, shaped):
+        pre, shape, template, core = short_template(shaped)
+        rx = embed(template, 40, 200, seed=5, noise=1e-4)
+        chip0 = 40 + core
+        at = detect_timing(rx, pre, 2, shape=shape, last_start=chip0)
+        assert at.start_index == chip0 and at.detected
+        before = detect_timing(rx, pre, 2, shape=shape, last_start=chip0 - 1)
+        assert before.start_index < chip0 and before.peak_metric < at.peak_metric
+
+    def test_bound_before_chip_zero_of_any_lag_is_a_miss(self):
+        pre, shape, template, core = short_template(True)
+        rx = embed(template, 0, 200)
+        assert detect_timing(rx, pre, 2, shape=shape, last_start=core).detected
+        res = detect_timing(rx, pre, 2, shape=shape, last_start=core - 1)
+        assert not res.detected and res.peak_metric == 0.0
 
 
 class TestKayCfo:
