@@ -11,7 +11,7 @@ import numpy as np
 import scipy.fft
 
 from . import svg
-from .config import ConfigError, load_config
+from .config import ConfigError, config_from_dict, load_config
 from .dd_frame import FrameParams, build_layout
 from .estimation import SupportRegion, equalize_taps, manual_taps, predict_io
 from .iqfile import IqFormatError, read_iq_header, write_iq
@@ -90,11 +90,18 @@ def _selftest_checks():
         side = np.max(np.abs(corr[1:])) / np.abs(corr[0])
         assert side <= 0.05, f"sidelobe ratio {side:.3f}"
 
-    def equalizer_inverts():
+    def operator():
         params = FrameParams(m=8, n=8, nu_p=30e3, tau_p=1 / 30e3)
         layout = build_layout(params, 1.5 / params.b, 0.0)
         support = SupportRegion.from_layout(layout, "C2")
         h = manual_taps({(0, 0): 1.0, (1, -2): 0.4j}, support)
+        # Tap (k', l') moves the pilot by (k', l') and twists it by exp(j2pi k_p l'/MN).
+        k_p, l_p = layout.k_p, layout.l_p
+        pilot, want = np.zeros((2, 8, 8), dtype=complex)
+        pilot[k_p, l_p] = want[k_p, l_p] = 1.0
+        want[k_p + 1, l_p - 2] = 0.4j * np.exp(2j * np.pi * k_p * -2 / 64)
+        err = np.max(np.abs(predict_io(DDGrid(values=pilot), h).values - want))
+        assert err < 1e-12, f"closed-form error {err:.2e}"
         vals = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         y = predict_io(DDGrid(values=vals, role="symbols"), h)
         x = equalize_taps(DDGrid(values=y.values, role="received"), h, 0.0)
@@ -102,7 +109,6 @@ def _selftest_checks():
         assert err < 1e-9, f"inversion error {err:.2e}"
 
     def loopback():
-        from .config import config_from_dict
         raw = {
             "config_version": 1,
             "frame": {"m": 16, "n": 16, "tau_p_s": 1 / 30e3,
@@ -119,7 +125,7 @@ def _selftest_checks():
 
     return [("zak round-trip", transforms),
             ("preamble sidelobes", preamble),
-            ("equalizer inverts predict_io", equalizer_inverts),
+            ("predict_io closed form, equalizer inverts it", operator),
             ("noiseless loopback", loopback)]
 
 

@@ -49,12 +49,9 @@ class SupportRegion:
 
     @classmethod
     def from_layout(cls, layout: FrameLayout, kind: str) -> "SupportRegion":
-        if kind == "C1":
-            lo, hi = layout.kappa2, layout.kappa3
-        elif kind == "C2":
-            lo, hi = layout.kappa1, layout.kappa4
-        else:
-            raise ValueError(f"unknown support kind {kind!r}")
+        # An unknown kind is rejected by __post_init__.
+        lo, hi = ((layout.kappa2, layout.kappa3) if kind == "C1"
+                  else (layout.kappa1, layout.kappa4))
         return cls(kind=kind, k_lo=lo, k_hi=hi, m=layout.m, n=layout.n)
 
     @property
@@ -87,12 +84,15 @@ class EffectiveChannelEstimate:
         if self.taps.m != self.support.m or self.taps.n != self.support.n:
             raise ValueError("tap grid and support dimensions disagree")
 
+    def _block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Signed delay taps, signed Doppler taps, and the (delay, Doppler) tap block."""
+        ks, ls = self.support.delay_taps(), self.support.doppler_taps()
+        return ks, ls, self.taps.values[(ks % self.support.m)[:, None], ls % self.support.n]
+
     def tap_items(self):
         """Yield (k, l, value) over the support with signed indices."""
-        v = self.taps.values
-        for k in self.support.delay_taps():
-            for l in self.support.doppler_taps():
-                yield k, l, v[k % self.support.m, l % self.support.n]
+        ks, ls, block = self._block()
+        yield from zip(ks.repeat(ls.size), np.tile(ls, ks.size), block.ravel())
 
     def peak(self) -> tuple[int, int]:
         """Signed (k, l) of the largest-magnitude tap.
@@ -100,8 +100,7 @@ class EffectiveChannelEstimate:
         Ties go to the first in tap_items order: signed delay, then
         signed Doppler, both ascending.
         """
-        ks, ls = self.support.delay_taps(), self.support.doppler_taps()
-        block = self.taps.values[(ks % self.support.m)[:, None], ls % self.support.n]
+        ks, ls, block = self._block()
         i, j = np.unravel_index(np.argmax(np.abs(block)), block.shape)
         return int(ks[i]), int(ls[j])
 
@@ -128,9 +127,8 @@ def estimate(y_dd: DDGrid, layout: FrameLayout, support: SupportRegion,
     phase = np.exp(-1j * np.pi * ls / n)
     taps[ks % m, ls % n] = (y_dd.values[ks + m // 2, (ls + n // 2) % n]
                             * phase / pilot_amp)
-    grid = DDGrid(values=taps, role=ROLE_CHANNEL)
-    return EffectiveChannelEstimate(taps=grid, support=support,
-                                    pilot_amp=float(pilot_amp))
+    return EffectiveChannelEstimate(taps=DDGrid(values=taps, role=ROLE_CHANNEL),
+                                    support=support, pilot_amp=float(pilot_amp))
 
 
 def manual_taps(entries: dict[tuple[int, int], complex],
@@ -142,9 +140,8 @@ def manual_taps(entries: dict[tuple[int, int], complex],
         if not support.contains(k, l):
             raise ValueError(f"tap ({k}, {l}) falls outside the support")
         taps[k % support.m, l % support.n] = g
-    grid = DDGrid(values=taps, role=ROLE_CHANNEL)
-    return EffectiveChannelEstimate(taps=grid, support=support,
-                                    pilot_amp=float(pilot_amp))
+    return EffectiveChannelEstimate(taps=DDGrid(values=taps, role=ROLE_CHANNEL),
+                                    support=support, pilot_amp=float(pilot_amp))
 
 
 def predict_io(s_dd: DDGrid, h: EffectiveChannelEstimate) -> DDGrid:
@@ -153,22 +150,16 @@ def predict_io(s_dd: DDGrid, h: EffectiveChannelEstimate) -> DDGrid:
     y[k, l] = sum over taps (k', l') of
         h[k', l'] * s_ext[k - k', l - l'] * exp(j*2*pi*(k - k')*l'/(M*N))
     with s_ext the quasi-periodic extension, so the output is itself
-    quasi-periodic.
+    quasi-periodic.  It is applied in time as the H that equalize_taps
+    inverts: dzt(sum_d roll(g_d * idzt(s), d)) over the gain profiles.
     """
-    m, n = s_dd.m, s_dd.n
-    kk = np.arange(m)[:, None]
-    ll = np.arange(n)[None, :]
-    out = np.zeros((m, n), dtype=np.complex128)
-    for k, l, val in h.tap_items():
-        if val == 0:
-            continue
-        dk = kk - k
-        dl = ll - l
-        wrap = np.exp(2j * np.pi * (dk // m) * dl / n)
-        twist = np.exp(2j * np.pi * dk * l / (m * n))
-        shifted = s_dd.values[dk % m, dl % n]
-        out += val * shifted * wrap * twist
-    return DDGrid(values=out, role=s_dd.role)
+    if (s_dd.m, s_dd.n) != (h.support.m, h.support.n):
+        raise ValueError("tap support and grid dimensions disagree")
+    delays, profiles = _delay_gain_profiles(h)
+    x = idzt(s_dd).samples
+    gather = _roll_gather(tuple(delays.tolist()), x.size)
+    y = np.take_along_axis(profiles * x, gather, axis=-1).sum(axis=0)
+    return dzt(y, m=s_dd.m, n=s_dd.n, role=s_dd.role)
 
 
 class SolverDivergence(RuntimeError):
@@ -188,12 +179,10 @@ def _delay_gain_profiles(h: EffectiveChannelEstimate) -> tuple[np.ndarray, np.nd
     Doppler column therefore yields a diagonal gain profile for that
     shift, sampled exactly by a zero-padded inverse DFT.
     """
-    m, n = h.support.m, h.support.n
-    mn = m * n
-    delays = h.support.delay_taps()
-    dopplers = h.support.doppler_taps()
+    mn = h.support.m * h.support.n
+    delays, dopplers, block = h._block()
     spec = np.zeros((delays.size, mn), dtype=np.complex128)
-    spec[:, dopplers % mn] = h.taps.values[(delays % m)[:, None], dopplers % n]
+    spec[:, dopplers % mn] = block
     return delays, mn * scipy.fft.ifft(spec, axis=-1)
 
 
@@ -239,10 +228,10 @@ def _band_plan(delays: tuple[int, ...], mn: int) -> tuple[np.ndarray, tuple]:
     return pos, tuple(steps)
 
 
-@lru_cache(maxsize=8)
-def _adjoint_gather(delays: tuple[int, ...], mn: int) -> np.ndarray:
-    """Row i holds (t + delays[i]) mod mn: np.roll(z, -delays[i]) as a gather."""
-    gather = (np.arange(mn) + np.array(delays)[:, None]) % mn
+@lru_cache(maxsize=16)
+def _roll_gather(shifts: tuple[int, ...], mn: int) -> np.ndarray:
+    """Row i holds (t - shifts[i]) mod mn: np.roll(z, shifts[i]) as a gather."""
+    gather = (np.arange(mn) - np.array(shifts)[:, None]) % mn
     gather.setflags(write=False)
     return gather
 
@@ -327,7 +316,7 @@ def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
                                              check_finite=False)
     z = z_folded[pos]
     # H^H z = sum_d conj(g_d) * roll(z, -d), the rows summed in order.
-    x = (np.conj(profiles) * z[_adjoint_gather(key, y.size)]).sum(axis=0)
+    x = (np.conj(profiles) * z[_roll_gather(tuple((-delays).tolist()), y.size)]).sum(axis=0)
     return dzt(x, m=y_dd.m, n=y_dd.n, role=y_dd.role)
 
 

@@ -446,6 +446,13 @@ def _sample_grid(sig: AnalogSignal, b: float, q_min: int) -> tuple[int, int]:
     return q, int(round(i_zero))
 
 
+def _first_instant(i_zero: int, q: int, n: int, mn: int) -> int:
+    """Least j with 0 <= i_zero + j*q < n; raises unless j = 0 .. mn-1 all qualify."""
+    if i_zero < 0 or n - 1 - i_zero < (mn - 1) * q:
+        raise ValueError("signal does not cover the frame period")
+    return -(i_zero // q)
+
+
 def synthesize(dt: DTSignal, shape: PulseShape, q: int,
                margin: int | None = None) -> AnalogSignal:
     """Shape one frame into the analog domain at rate q*B.
@@ -504,13 +511,15 @@ def matched_filter(r: AnalogSignal, shape: PulseShape, params: FrameParams) -> A
     realization instead windows first, folds the result into one frame
     period, and correlates circularly there, where the periodic content
     sits exactly on the transform bins; its output is the single period
-    starting at t = 0.
+    starting at t = 0.  Like sample_and_periodize, it needs every symbol
+    instant 0 .. MN-1 in the buffer.
     """
     b = params.b
     q, i_zero = _sample_grid(r, b, 2)
     # A timing trim shortens the buffer, so the length is part of the key.
     window = _window_at(shape, r.t0, r.rate, r.samples.size, params.t, 0.0)
     if shape.exact:
+        _first_instant(i_zero, q, r.samples.size, params.m * params.n)
         folded = _fold(r.samples * np.conj(window), -i_zero, params.m * params.n * q)
         z = _exact_filter(folded, shape, b, q, correlate=True)
         return AnalogSignal.adopt(z[::q], rate=b, t0=0.0)
@@ -531,12 +540,7 @@ def sample_and_periodize(y: AnalogSignal, params: FrameParams) -> DTSignal:
     """
     mn = params.m * params.n
     q, i_zero = _sample_grid(y, params.b, 1)
-    n = y.samples.size
-    # Symbol instants q_t with 0 <= i_zero + q_t*q < n.
-    q_min = -(i_zero // q)
-    q_max = (n - 1 - i_zero) // q
-    if q_min > 0 or q_max < mn - 1:
-        raise ValueError("signal does not cover the frame period")
+    q_min = _first_instant(i_zero, q, y.samples.size, mn)
     picked = y.samples[i_zero % q::q]
     return DTSignal(samples=_fold(picked, q_min, mn), m=params.m, n=params.n,
                     rate=params.b)

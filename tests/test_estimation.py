@@ -39,11 +39,36 @@ def pilot_frame(layout, pilot_amp=8.0):
     return DDGrid(values=v)
 
 
+def twisted_convolution(s_dd, h):
+    """Oracle for predict_io: the twisted convolution taken tap by tap on
+    the grid, reading each support cell of h.taps directly.
+
+    y[k, l] = sum over taps (k', l') of
+        h[k', l'] * s_ext[k - k', l - l'] * exp(j*2*pi*(k - k')*l'/(M*N))
+    where s_ext[k + M, l] = s[k, l] * exp(j*2*pi*l/N) is the
+    quasi-periodic extension."""
+    m, n = s_dd.m, s_dd.n
+    kk = np.arange(m)[:, None]
+    ll = np.arange(n)[None, :]
+    out = np.zeros((m, n), dtype=np.complex128)
+    for k in h.support.delay_taps():
+        for l in h.support.doppler_taps():
+            val = h.taps.values[k % m, l % n]
+            if val == 0:
+                continue
+            dk = kk - k
+            dl = ll - l
+            wrap = np.exp(2j * np.pi * (dk // m) * dl / n)
+            twist = np.exp(2j * np.pi * dk * l / (m * n))
+            out += val * s_dd.values[dk % m, dl % n] * wrap * twist
+    return out
+
+
 def dense_io_matrix(h):
-    """Oracle matrix H with vec(predict_io(s, h)) = H @ vec(s), one
-    column per unit grid, row-major over (delay, Doppler)."""
+    """Oracle matrix H with vec(twisted_convolution(s, h)) = H @ vec(s),
+    one column per unit grid, row-major over (delay, Doppler)."""
     m, n = h.support.m, h.support.n
-    return np.stack([predict_io(DDGrid(values=e.reshape(m, n)), h).values.ravel()
+    return np.stack([twisted_convolution(DDGrid(values=e.reshape(m, n)), h).ravel()
                      for e in np.eye(m * n)], axis=1)
 
 
@@ -326,6 +351,32 @@ class TestPredictIo:
         slow = self.naive_predict(s, h)
         assert np.max(np.abs(fast - slow)) < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(sup=supports(), seed=st.integers(0, 2 ** 32 - 1),
+           density=st.floats(0.05, 0.6))
+    @example(sup=SupportRegion("C2", 0, 16, 16, 8), seed=3, density=0.3)
+    @example(sup=SupportRegion("C1", 1, 2, 2, 2), seed=4, density=0.6)
+    def test_matches_oracle_on_random_supports(self, sup, seed, density):
+        """The time-domain operator is the tap-by-tap twisted convolution."""
+        m, n = sup.m, sup.n
+        rng = np.random.default_rng(seed)
+        entries = {(int(k), int(l)): complex(rng.standard_normal(), rng.standard_normal())
+                   for k in sup.delay_taps() for l in sup.doppler_taps()
+                   if rng.random() < density}
+        h = manual_taps(entries, sup)
+        s = DDGrid(values=rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        want = twisted_convolution(s, h)
+        got = predict_io(s, h).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+
+    def test_grid_mismatch_rejected(self):
+        """Taps on a 16x8 support cannot act on an 8x8 frame."""
+        sup = SupportRegion(kind="C1", k_lo=7, k_hi=10, m=16, n=8)
+        h = manual_taps({(0, 0): 1.0, (1, 2): 0.5j}, sup)
+        s = DDGrid(values=np.ones((8, 8), dtype=complex))
+        with pytest.raises(ValueError, match="tap support and grid dimensions disagree"):
+            predict_io(s, h)
+
     def _calibrated_error(self, path):
         """Taps read from a pilot frame, then used to predict a data frame."""
         p, lay = make_layout(m=8, n=8, c_bins=1.5)
@@ -466,12 +517,14 @@ class TestEqualizeTaps:
             spec[dopplers % mn] = h.taps.values[d % sup.m, dopplers % sup.n]
             assert np.array_equal(got, mn * np.fft.ifft(spec))
 
-    def test_adjoint_gather_is_the_roll(self):
-        delays, mn = (-2, -1, 0, 1, 2, 3), 64
-        gather = estimation._adjoint_gather(delays, mn)
+    def test_roll_gather_is_the_roll(self):
+        """One memo serves H (shifts d) and H^H (shifts -d)."""
+        shifts, mn = (-2, -1, 0, 1, 2, 3), 64
+        gather = estimation._roll_gather(shifts, mn)
+        assert not gather.flags.writeable
         z = np.arange(mn) + 1j
-        for d, row in zip(delays, gather):
-            assert np.array_equal(z[row], np.roll(z, -d))
+        for d, row in zip(shifts, gather):
+            assert np.array_equal(z[row], np.roll(z, d))
 
     @pytest.mark.parametrize("m,n,c_bins,kind", [
         (8, 8, 1.5, "C2"),

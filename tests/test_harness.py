@@ -456,8 +456,6 @@ class TestRunTrial:
         last_symbol = round(((mn - 1) / b - rx.t0) * rx.rate)
         assert last_symbol < rx.samples.size - shift
         assert not last_symbol < rx.samples.size - (shift + 1)
-        if cfg.shape.exact:
-            return
 
         def decode_window(trim):
             trimmed = sync.correct(rx, sync.SyncResult(trim, 0.0, 1.0))
@@ -555,16 +553,16 @@ class TestMemos:
                                        key + (wider,)),
             "band_plan.delays": (estimation._band_plan, ((-1, 0, 1), 16), ((0, 1, 2), 16)),
             "band_plan.mn": (estimation._band_plan, ((-1, 0, 1), 16), ((-1, 0, 1), 32)),
-            "adjoint_gather.delays": (estimation._adjoint_gather, ((-1, 0, 1), 16),
-                                      ((0, 1, 2), 16)),
-            "adjoint_gather.mn": (estimation._adjoint_gather, ((-1, 0, 1), 16),
-                                  ((-1, 0, 1), 32)),
+            "roll_gather.shifts": (estimation._roll_gather, ((-1, 0, 1), 16),
+                                   ((1, 0, -1), 16)),
+            "roll_gather.mn": (estimation._roll_gather, ((-1, 0, 1), 16),
+                               ((-1, 0, 1), 32)),
         }
 
     @pytest.mark.parametrize("name", [
         "fold_slots.start", "phase_spectra.correlate", "phase_spectra.nfft",
         "template_spectrum.nfft", "band_plan.delays", "band_plan.mn",
-        "adjoint_gather.delays", "adjoint_gather.mn"])
+        "roll_gather.shifts", "roll_gather.mn"])
     def test_memo_keys_are_complete(self, name):
         """Two calls differing in one argument each get their own result."""
         memo, first, second = self._memo_calls()[name]
@@ -601,7 +599,7 @@ class TestMemos:
             "band_plan.gather": gather,
             "band_plan.dest": dest,
             "band_plan.conj": conj,
-            "adjoint_gather": estimation._adjoint_gather((-1, 0, 1), 16),
+            "roll_gather": estimation._roll_gather((-1, 0, 1), 16),
         }
 
     def test_cached_arrays_are_read_only(self):
@@ -770,10 +768,20 @@ class TestCli:
         iq = dump / "tx_trial0.iq"
         assert iq.exists()
         sig = read_iq(str(iq))
-        sent = run_trial(load_config(cfg_path), 0).tx.samples
-        assert np.array_equal(sig.samples, sent.astype(np.complex64))
-        taps = (dump / "taps_trial0.csv").read_text()
-        assert taps.splitlines()[0] == "delay_bin,doppler_bin,re,im"
+        report = run_trial(load_config(cfg_path), 0)
+        assert np.array_equal(sig.samples, report.tx.samples.astype(np.complex64))
+        rows = (dump / "taps_trial0.csv").read_text().splitlines()
+        assert rows[0] == "delay_bin,doppler_bin,re,im"
+        # One row per support cell: signed delay, then signed Doppler.
+        h = report.taps
+        m, n = h.support.m, h.support.n
+        want = []
+        for k in range(h.support.k_lo - m // 2, h.support.k_hi - m // 2):
+            for l in range(-(n // 2), n - n // 2):
+                v = h.taps.values[k % m, l % n]
+                want.append(f"{k},{l},{v.real:.9e},{v.imag:.9e}")
+        assert len(want) == h.support.size
+        assert rows[1:] == want
         assert (dump / "constellation_trial0.svg").exists()
 
     def test_iq_info_round_trip(self, tmp_path, capsys):

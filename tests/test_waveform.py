@@ -412,6 +412,28 @@ class TestSamplingAlignment:
         assert out.samples.size == want.size
         assert relative_error(out.samples, want) <= 1e-12
 
+    @pytest.mark.parametrize("span", [16, None])
+    def test_buffer_cut_before_the_last_symbol_instant_rejected(self, span):
+        """Both shaping branches need symbol instants 0 .. MN-1 in the buffer.
+
+        The same cut, 100 samples short of instant MN-1, raises on both; a
+        buffer that ends at that instant decodes on both."""
+        q = 4
+        shape = PulseShape(family="rrc", beta=0.5, w1_span=span)
+        rng = np.random.default_rng(9)
+        g = DDGrid(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        tx = synthesize(idzt(g, rate=B), shape, q)
+        last = round((63 / B - tx.t0) * tx.rate)
+
+        def decode(stop):
+            sig = AnalogSignal(samples=tx.samples[:stop], rate=tx.rate, t0=tx.t0)
+            return sample_and_periodize(matched_filter(sig, shape, self.params),
+                                        self.params)
+
+        assert decode(last + 1).samples.size == 64
+        with pytest.raises(ValueError, match="does not cover the frame period"):
+            decode(last - 100)
+
 
 def frame_params(m, n):
     return FrameParams(m=m, n=n, nu_p=B / m, tau_p=m / B)
@@ -450,7 +472,9 @@ class TestScatterFreeFolds:
         shape = PulseShape(family=family, beta=0.5, w1_span=None)
         period = params.m * params.n * q
         rng = np.random.default_rng(seed)
-        n = periods * period + int(rng.integers(0, period))
+        # The buffer holds symbol instants 0 .. MN-1, as matched_filter
+        # requires, and runs on for up to `periods` more frame periods.
+        n = lead + period - q + 1 + int(rng.integers(0, periods * period))
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         sig = AnalogSignal(samples=x, rate=q * B, t0=-lead / (q * B))
         got = matched_filter(sig, shape, params)
