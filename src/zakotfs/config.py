@@ -10,6 +10,7 @@ import yaml
 
 from .channel import ImpairmentSpec, PathSpec
 from .dd_frame import Constellation, FrameLayout, FrameParams, build_layout
+from .sync import CFO_BLOCK_CHIPS, Preamble
 from .waveform import PulseShape, ShapeError
 
 __all__ = ["ConfigError", "ExperimentConfig", "config_from_dict", "load_config"]
@@ -45,7 +46,7 @@ def _check_unknown(d: dict, allowed: set[str], section: str) -> None:
         raise ConfigError(section, f"unknown keys: {', '.join(extra)}")
 
 
-def _get_number(d: dict, section: str, key: str, default=None, minimum=None):
+def _get_number(d: dict, section: str, key: str, default=None, minimum=None, maximum=None):
     if key not in d:
         if default is None:
             raise ConfigError(f"{section}.{key}", "value is missing")
@@ -55,6 +56,8 @@ def _get_number(d: dict, section: str, key: str, default=None, minimum=None):
         raise ConfigError(f"{section}.{key}", f"expected a number, got {v!r}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{section}.{key}", f"must be >= {minimum}, got {v}")
+    if maximum is not None and v > maximum:
+        raise ConfigError(f"{section}.{key}", f"must be <= {maximum}, got {v}")
     return float(v)
 
 
@@ -257,13 +260,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     sy = _section(raw, "sync", required=False)
     _check_unknown(sy, {"preamble_length", "preamble_root", "gap_symbols",
                         "threshold"}, "sync")
-    pre_len = _get_int(sy, "sync", "preamble_length", default=256, minimum=2)
+    pre_len = _get_int(sy, "sync", "preamble_length", default=256)
     pre_root = _get_int(sy, "sync", "preamble_root", default=25, minimum=1)
     gap = _get_int(sy, "sync", "gap_symbols", default=64, minimum=0)
-    threshold = _get_number(sy, "sync", "threshold", default=0.3, minimum=0.0)
-    if math.gcd(pre_root, pre_len) != 1:
-        raise ConfigError("sync.preamble_root",
-                          f"root {pre_root} shares a factor with length {pre_len}")
+    # The peak metric lies in [0, 1]; a threshold above 1 rejects every frame.
+    threshold = _get_number(sy, "sync", "threshold", default=0.3, minimum=0.0, maximum=1.0)
+    # Root 1 is coprime to every length, so the first build tests the length alone.
+    for key, root in (("preamble_length", 1), ("preamble_root", pre_root)):
+        try:
+            Preamble(pre_len, root)
+        except ValueError as e:
+            raise ConfigError(f"sync.{key}", str(e)) from e
+    if cfo_mode == "time_domain" and pre_len < 2 * CFO_BLOCK_CHIPS:
+        raise ConfigError("sync.preamble_length", f"time_domain CFO correction needs at least "
+                          f"{2 * CFO_BLOCK_CHIPS} chips (two CFO blocks), got {pre_len}")
 
     out = _section(raw, "output", required=False)
     _check_unknown(out, {"csv", "curve_svg", "constellation_prefix"}, "output")

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
 
-from .waveform import (AnalogSignal, PulseShape, fft_conv_length, fft_convolve,
-                       shape_symbols)
+from .waveform import AnalogSignal, PulseShape, shape_symbols
 
 __all__ = [
     "Preamble",
@@ -27,20 +26,29 @@ DEFAULT_LENGTH = 256
 DEFAULT_ROOT = 25
 DEFAULT_THRESHOLD = 0.3
 DEFAULT_GAP = 64
+CFO_BLOCK_CHIPS = 16
 
 
 @dataclass(frozen=True)
 class Preamble:
-    """Constant-modulus polyphase sequence at the symbol rate."""
+    """Zadoff-Chu chips at the symbol rate; the acquisition memos key on (length, root)."""
 
     length: int
     root: int
-    samples: np.ndarray
 
     def __post_init__(self) -> None:
-        s = np.array(np.asarray(self.samples), dtype=np.complex128, copy=True)
+        if self.length < 2 or self.length % 2 != 0:
+            raise ValueError(f"preamble length must be even and >= 2, got {self.length}")
+        if math.gcd(self.root, self.length) != 1:
+            raise ValueError(f"root {self.root} shares a factor with length {self.length}")
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """The chips, read-only."""
+        n = np.arange(self.length)
+        s = np.exp(-1j * np.pi * self.root * n ** 2 / self.length)
         s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
+        return s
 
 
 @dataclass(frozen=True)
@@ -60,13 +68,7 @@ class SyncResult:
 
 def make_preamble(length: int = DEFAULT_LENGTH, root: int = DEFAULT_ROOT) -> Preamble:
     """Even-length Zadoff-Chu sequence x[n] = exp(-j pi u n^2 / N)."""
-    if length < 2 or length % 2 != 0:
-        raise ValueError(f"preamble length must be even and >= 2, got {length}")
-    if math.gcd(root, length) != 1:
-        raise ValueError(f"root {root} shares a factor with length {length}")
-    n = np.arange(length)
-    samples = np.exp(-1j * np.pi * root * n ** 2 / length)
-    return Preamble(length=length, root=root, samples=samples)
+    return Preamble(length=length, root=root)
 
 
 def shape_preamble(pre: Preamble, shape: PulseShape, b: float, q: int) -> AnalogSignal:
@@ -81,6 +83,7 @@ def shape_preamble(pre: Preamble, shape: PulseShape, b: float, q: int) -> Analog
                               t0=-shape.reach() / b)
 
 
+@lru_cache(maxsize=8)
 def _reference(pre: Preamble, shape: PulseShape | None, b: float,
                q: int) -> tuple[np.ndarray, int]:
     """Matched reference samples at rate q*B and the index of chip 0 in them.
@@ -89,21 +92,6 @@ def _reference(pre: Preamble, shape: PulseShape | None, b: float,
     transmits, filter tails included; without one, the raw zero-stuffed
     chip train, which starts at chip 0.  The samples are read-only.
     """
-    return _cached_reference(*_reference_key(pre, shape, b, q))
-
-
-def _reference_key(pre: Preamble, shape: PulseShape | None, b: float,
-                   q: int) -> tuple:
-    return pre.length, pre.root, pre.samples.tobytes(), shape, b, q
-
-
-@lru_cache(maxsize=8)
-def _cached_reference(length: int, root: int, chips: bytes,
-                      shape: PulseShape | None, b: float,
-                      q: int) -> tuple[np.ndarray, int]:
-    """_reference keyed on the chip bytes, built once per process."""
-    pre = Preamble(length=length, root=root,
-                   samples=np.frombuffer(chips, dtype=np.complex128))
     if shape is None:
         train = np.zeros(pre.length * q, dtype=np.complex128)
         train[::q] = pre.samples
@@ -113,11 +101,10 @@ def _cached_reference(length: int, root: int, chips: bytes,
 
 
 @lru_cache(maxsize=8)
-def _template_spectrum(length: int, root: int, chips: bytes,
-                       shape: PulseShape | None, b: float, q: int,
+def _template_spectrum(pre: Preamble, shape: PulseShape | None, b: float, q: int,
                        nfft: int) -> np.ndarray:
-    """Spectrum of the time-reversed conjugate reference, for fft_convolve."""
-    template, _ = _cached_reference(length, root, chips, shape, b, q)
+    """nfft-point spectrum of the time-reversed conjugate reference."""
+    template, _ = _reference(pre, shape, b, q)
     spectrum = scipy.fft.fft(np.conj(template[::-1]), nfft)
     spectrum.setflags(write=False)
     return spectrum
@@ -142,8 +129,8 @@ def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
     """
     if q < 1:
         raise ValueError("oversampling factor must be >= 1")
-    key = _reference_key(preamble, shape, rx.rate / q, q)
-    template, core_offset = _cached_reference(*key)
+    b = rx.rate / q
+    template, core_offset = _reference(preamble, shape, b, q)
     if rx.samples.size < template.size:
         raise ValueError(
             f"buffer of {rx.samples.size} samples cannot hold a "
@@ -156,9 +143,12 @@ def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
         return SyncResult(start_index=core_offset, cfo_hat=0.0,
                           peak_metric=0.0, detected=False)
 
-    nfft = fft_conv_length(samples.size, template.size)
-    corr = fft_convolve(samples, _template_spectrum(*key, nfft),
-                        template.size, mode="valid")
+    # scipy.signal.fftconvolve(samples, conj(template[::-1]), 'valid'), bit
+    # for bit: the same transform length, arithmetic and operand order.
+    n, k = samples.size, template.size
+    nfft = scipy.fft.next_fast_len(n + k - 1, False)
+    spectrum = scipy.fft.fft(samples, nfft) * _template_spectrum(preamble, shape, b, q, nfft)
+    corr = scipy.fft.ifft(spectrum, nfft)[k - 1:n]
     # Window energies as differences of a running sum, O(n) for any length.
     # The metric is built in place, in the order of
     # |corr| / (tnorm * sqrt(max(power, floor))).
@@ -215,20 +205,20 @@ def kay_cfo(rx_preamble: np.ndarray, rate: float) -> float:
 
 
 def estimate_cfo(rx: AnalogSignal, preamble: Preamble, q: int,
-                 start_index: int, shape: PulseShape | None = None,
-                 block_chips: int = 16) -> float:
+                 start_index: int, shape: PulseShape | None = None) -> float:
     """CFO from the located preamble, by Kay's estimator on block sums.
 
-    The received core is correlated against the template one block at a
-    time; each partial correlation collapses to one phasor rotating at
-    the carrier offset.  Echo paths barely register in these sums (a
-    delayed copy of the sequence beats against the template as a fast
-    chirp that a block integrates away), where a sample-by-sample
-    product would hand Kay's estimator a strong interfering ramp.
+    The received core is correlated against the template one block of
+    CFO_BLOCK_CHIPS chips at a time; each partial correlation collapses
+    to one phasor rotating at the carrier offset.  Echo paths barely
+    register in these sums (a delayed copy of the sequence beats against
+    the template as a fast chirp that a block integrates away), where a
+    sample-by-sample product would hand Kay's estimator a strong
+    interfering ramp.  The preamble must hold two blocks.
     start_index must point at chip 0, as detect_timing reports it.
     """
-    if not 1 <= block_chips <= preamble.length:
-        raise ValueError("block size must be between 1 chip and the preamble")
+    if preamble.length < 2 * CFO_BLOCK_CHIPS:
+        raise ValueError(f"a {preamble.length}-chip preamble holds fewer than two CFO blocks")
     reference, chip0 = _reference(preamble, shape, rx.rate / q, q)
     template = reference[chip0:chip0 + preamble.length * q]
     lo = start_index
@@ -236,7 +226,7 @@ def estimate_cfo(rx: AnalogSignal, preamble: Preamble, q: int,
     if lo < 0 or hi > rx.samples.size:
         raise ValueError("preamble window falls outside the buffer")
     derotated = rx.samples[lo:hi] * np.conj(template)
-    width = block_chips * q
+    width = CFO_BLOCK_CHIPS * q
     blocks = derotated.size // width
     sums = derotated[:blocks * width].reshape(blocks, width).sum(axis=1)
     return kay_cfo(sums, rx.rate / width)

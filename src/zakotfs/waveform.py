@@ -38,8 +38,6 @@ __all__ = [
     "AnalogSignal",
     "rrc_w1",
     "rrc_w2",
-    "fft_conv_length",
-    "fft_convolve",
     "shape_symbols",
     "synthesize",
     "matched_filter",
@@ -341,40 +339,6 @@ def _correlate_decimate(x: np.ndarray, shape: PulseShape, b: float, q: int,
     spectra = _phase_spectra(shape, float(b), int(q), True, nfft)
     summed = (scipy.fft.fft(padded.reshape(rows, q).T, nfft, axis=-1) * spectra).sum(axis=0)
     return scipy.fft.ifft(summed)[lag:lag + count]
-
-
-def fft_conv_length(n: int, k: int) -> int:
-    """FFT length fft_convolve uses for an n-sample buffer and a k-tap kernel."""
-    return scipy.fft.next_fast_len(n + k - 1, False)
-
-
-def fft_convolve(x: np.ndarray, spectrum: np.ndarray, k: int,
-                 mode: str) -> np.ndarray:
-    """Linearly convolve a complex buffer with a k-tap kernel given by its spectrum.
-
-    spectrum is scipy.fft.fft of the complex kernel at
-    fft_conv_length(x.size, k), so a constant kernel is transformed once
-    and reused.  The arithmetic is scipy.signal.fftconvolve's for complex
-    operands, operand order included, so the result equals it bit for
-    bit.  mode is 'same' (x.size samples, centred on the full output) or
-    'valid' (x.size - k + 1 samples); both lengths must be at least 2,
-    since fftconvolve skips the transform on a unit axis.
-    """
-    n = x.size
-    if mode not in ("same", "valid"):
-        raise ValueError(f"mode must be 'same' or 'valid', got {mode!r}")
-    if n < 2 or k < 2 or (mode == "valid" and n < k):
-        raise ValueError(f"cannot {mode}-convolve {n} samples with {k} taps")
-    full = n + k - 1
-    nfft = fft_conv_length(n, k)
-    if spectrum.shape != (nfft,):
-        raise ValueError(f"kernel spectrum has shape {spectrum.shape}, "
-                         f"expected ({nfft},)")
-    data = scipy.fft.fft(x, nfft)
-    ret = scipy.fft.ifft(data * spectrum, nfft)
-    size = n if mode == "same" else n - k + 1
-    start = (full - size) // 2
-    return ret[start:start + size].copy()
 
 
 # Brick-window edges sit exactly on sample instants; comparisons are

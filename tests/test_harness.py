@@ -1,11 +1,13 @@
 """Configuration, IQ files, SVG output, the trial runner, and the CLI."""
 
 import copy
+import dataclasses
 import os
 import tempfile
 
 import numpy as np
 import pytest
+import scipy.fft
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +176,12 @@ class TestConfigFromDict:
         raw["sync"] = {"preamble_length": 256, "preamble_root": 32}
         with pytest.raises(ConfigError, match="preamble_root"):
             config_from_dict(raw)
+
+    def test_short_preamble_allowed_without_time_domain_cfo(self):
+        """Only time_domain correction runs Kay's estimator on CFO blocks."""
+        raw = tiny_config_dict(sync=True, cfo_correction="channel_folded")
+        raw["sync"] = {"preamble_length": 16, "preamble_root": 1}
+        assert config_from_dict(raw).preamble_length == 16
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError, match="mapping"):
@@ -401,18 +409,16 @@ class TestRunTrial:
         assert a.seed_key == b.seed_key
 
     def test_failed_sync_counts_all_bits(self):
-        """An impossible threshold forces the no-lock fallback path."""
-        raw = tiny_config_dict(sync=True)
-        raw["sync"] = {"threshold": 1.01}
-        report = run_trial(config_from_dict(raw), 0)
+        """An impossible threshold, set past config validation, forces the no-lock path."""
+        cfg = config_from_dict(tiny_config_dict(sync=True))
+        report = run_trial(dataclasses.replace(cfg, sync_threshold=1.01), 0)
         assert report.sync_failed
         assert report.bit_errors > 0.3 * report.bits_sent
 
     def test_failed_sync_report_keeps_its_burst(self):
-        raw = tiny_config_dict(sync=True)
-        locked = run_trial(config_from_dict(raw), 0)
-        raw["sync"] = {"threshold": 1.01}
-        failed = run_trial(config_from_dict(raw), 0)
+        cfg = config_from_dict(tiny_config_dict(sync=True))
+        locked = run_trial(cfg, 0)
+        failed = run_trial(dataclasses.replace(cfg, sync_threshold=1.01), 0)
         assert failed.sync_failed and not locked.sync_failed
         assert np.array_equal(failed.tx.samples, locked.tx.samples)
         assert failed.tx.t0 == locked.tx.t0
@@ -539,9 +545,11 @@ class TestMemos:
         """Memo name -> (memo, args, args differing in one named argument)."""
         cfg = config_from_dict(linked_config_dict(16))
         b, q = cfg.params.b, cfg.q
-        key = sync._reference_key(runner._plan(cfg).preamble, cfg.shape, b, q)
-        taps = cfg.shape.w1_taps(b, q).size
-        nfft, wider = (waveform.fft_conv_length(n, taps) for n in (400, 700))
+        plan = runner._plan(cfg)
+        ref = (plan.preamble, cfg.shape, b, q)
+        other_root = (sync.Preamble(plan.preamble.length, plan.preamble.root + 2),) + ref[1:]
+        k = plan.template.samples.size
+        nfft, wider = (scipy.fft.next_fast_len(n + k - 1, False) for n in (400, 700))
         phases = (cfg.shape, b, q, False, 128)
         return {
             "fold_slots.start": (waveform._fold_slots, (64, -3, 16), (64, 5, 16)),
@@ -549,8 +557,9 @@ class TestMemos:
                                         phases[:3] + (True, 128)),
             "phase_spectra.nfft": (waveform._phase_spectra, phases,
                                    phases[:4] + (160,)),
-            "template_spectrum.nfft": (sync._template_spectrum, key + (nfft,),
-                                       key + (wider,)),
+            "reference.root": (sync._reference, ref, other_root),
+            "template_spectrum.nfft": (sync._template_spectrum, ref + (nfft,),
+                                       ref + (wider,)),
             "band_plan.delays": (estimation._band_plan, ((-1, 0, 1), 16), ((0, 1, 2), 16)),
             "band_plan.mn": (estimation._band_plan, ((-1, 0, 1), 16), ((-1, 0, 1), 32)),
             "roll_gather.shifts": (estimation._roll_gather, ((-1, 0, 1), 16),
@@ -561,7 +570,7 @@ class TestMemos:
 
     @pytest.mark.parametrize("name", [
         "fold_slots.start", "phase_spectra.correlate", "phase_spectra.nfft",
-        "template_spectrum.nfft", "band_plan.delays", "band_plan.mn",
+        "reference.root", "template_spectrum.nfft", "band_plan.delays", "band_plan.mn",
         "roll_gather.shifts", "roll_gather.mn"])
     def test_memo_keys_are_complete(self, name):
         """Two calls differing in one argument each get their own result."""
@@ -576,13 +585,13 @@ class TestMemos:
         b, q = cfg.params.b, cfg.q
         plan = runner._plan(cfg)
         exact = waveform.PulseShape(w1_span=None)
-        nfft = waveform.fft_conv_length(400, plan.template.samples.size)
-        key = sync._reference_key(plan.preamble, cfg.shape, b, q)
+        nfft = scipy.fft.next_fast_len(400 + plan.template.samples.size - 1, False)
         pos, steps = estimation._band_plan((-1, 0, 1), 16)
         gather, dest, conj = steps[1]
         return {
             "plan.data_rows": plan.data_rows,
             "plan.template": plan.template.samples,
+            "preamble.samples": plan.preamble.samples,
             "w1_taps": cfg.shape.w1_taps(b, q),
             "w1_spectrum": waveform._w1_spectrum(exact, 64, b, q, False),
             "window_at": waveform._window_at(cfg.shape, -1e-5, q * b, 64, cfg.params.t, 0.0),
@@ -594,7 +603,8 @@ class TestMemos:
             "chip_train": sync._reference(plan.preamble, None, b, q)[0],
             "phase_spectra": waveform._phase_spectra(cfg.shape, b, q, False, 128),
             "phase_spectra.correlate": waveform._phase_spectra(cfg.shape, b, q, True, 128),
-            "template_spectrum": sync._template_spectrum(*key, nfft),
+            "template_spectrum": sync._template_spectrum(plan.preamble, cfg.shape, b, q,
+                                                         nfft),
             "band_plan.pos": pos,
             "band_plan.gather": gather,
             "band_plan.dest": dest,
@@ -756,6 +766,23 @@ class TestCli:
             path = self._write_config(tmp_path, raw)
             assert main(["sweep", "--config", path]) == 1
             assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, field", [
+        ({"preamble_length": 255, "preamble_root": 1}, "sync.preamble_length"),
+        ({"preamble_length": 16}, "sync.preamble_length"),
+        ({"preamble_length": 2}, "sync.preamble_length"),
+        ({"threshold": 5.0}, "sync.threshold"),
+    ])
+    def test_sync_problem_exits_one_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                     section, field):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(runner, "run_trial", no_trial)
+        raw = tiny_config_dict(sync=True)
+        raw["sync"] = section
+        path = self._write_config(tmp_path, raw)
+        assert main(["sweep", "--config", path]) == 1
+        assert f"config error: {field}" in capsys.readouterr().err
 
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "no.yaml")]) == 1

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
@@ -12,8 +11,6 @@ from zakotfs.dd_frame import FrameParams
 from zakotfs.waveform import (
     AnalogSignal,
     PulseShape,
-    fft_conv_length,
-    fft_convolve,
     matched_filter,
     rrc_w1,
     rrc_w2,
@@ -161,35 +158,6 @@ class TestPulseShape:
         edges = sh.w1_gain(np.array([-B / 2, B / 2]), B)
         assert edges[0] == 0.0
         assert edges[1] > 0.0
-
-
-class TestFftConvolve:
-    """The cached-spectrum convolution against scipy's fftconvolve, bit for bit."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 3000),
-           k=st.integers(2, 300), mode=st.sampled_from(["same", "valid"]),
-           complex_kernel=st.booleans())
-    def test_matches_fftconvolve(self, seed, n, k, mode, complex_kernel):
-        assume(mode == "same" or n >= k)
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        kernel = rng.standard_normal(k).astype(np.complex128)
-        if complex_kernel:
-            kernel += 1j * rng.standard_normal(k)
-        spectrum = scipy.fft.fftn(kernel, (fft_conv_length(n, k),), axes=(0,))
-        got = fft_convolve(x, spectrum, k, mode=mode)
-        assert np.array_equal(got, fftconvolve(x, kernel, mode=mode))
-
-    def test_rejects_mismatched_spectrum_and_mode(self):
-        x = np.ones(50, dtype=complex)
-        good = np.ones(fft_conv_length(50, 5), dtype=complex)
-        with pytest.raises(ValueError, match="expected"):
-            fft_convolve(x, good[:-1], 5, mode="same")
-        with pytest.raises(ValueError, match="mode"):
-            fft_convolve(x, good, 5, mode="full")
-        with pytest.raises(ValueError, match="valid-convolve"):
-            fft_convolve(x[:4], good, 5, mode="valid")
 
 
 class TestPolyphase:
