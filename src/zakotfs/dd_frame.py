@@ -108,7 +108,7 @@ class FrameLayout:
     def guard_delay_bins(self) -> range:
         return range(self.kappa1, self.kappa4)
 
-    @property
+    @cached_property
     def data_delay_bins(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.m) if not (self.kappa1 <= k < self.kappa4))
 

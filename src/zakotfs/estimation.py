@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
-import scipy.linalg
+from scipy.linalg.lapack import zpbsv
 
 from .dd_frame import FrameLayout
-from .zak import ROLE_CHANNEL, DDGrid, dzt, idzt
+from .zak import ROLE_CHANNEL, DDGrid, dzt_values, idzt_samples
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,32 @@ class SupportRegion:
                 and -(self.n // 2) <= l < self.n - self.n // 2)
 
 
+class _ReadOff(NamedTuple):
+    """Index maps of a support's pilot read-off; the arrays are read-only."""
+
+    delays: np.ndarray      # signed delay taps
+    dopplers: np.ndarray    # signed Doppler taps
+    rows: np.ndarray        # tap grid rows, delays % M, as a column
+    cols: np.ndarray        # tap grid columns, dopplers % N
+    pilot_rows: np.ndarray  # received rows, delays + M/2, as a column
+    pilot_cols: np.ndarray  # received columns, (dopplers + N/2) % N
+    phase: np.ndarray       # exp(-j*pi*l/N) over the signed Doppler taps
+    spectrum_cols: np.ndarray  # dopplers % MN, the gain profiles' DFT bins
+
+
+@lru_cache(maxsize=8)
+def _readoff(support: SupportRegion) -> _ReadOff:
+    """The support's read-off index maps, built once per process."""
+    m, n = support.m, support.n
+    ks, ls = support.delay_taps(), support.doppler_taps()
+    maps = _ReadOff(delays=ks, dopplers=ls, rows=(ks % m)[:, None], cols=ls % n,
+                    pilot_rows=(ks + m // 2)[:, None], pilot_cols=(ls + n // 2) % n,
+                    phase=np.exp(-1j * np.pi * ls / n), spectrum_cols=ls % (m * n))
+    for arr in maps:
+        arr.setflags(write=False)
+    return maps
+
+
 @dataclass(frozen=True)
 class EffectiveChannelEstimate:
     """Sparse DD channel taps plus the support they were read on."""
@@ -86,8 +113,8 @@ class EffectiveChannelEstimate:
 
     def _block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Signed delay taps, signed Doppler taps, and the (delay, Doppler) tap block."""
-        ks, ls = self.support.delay_taps(), self.support.doppler_taps()
-        return ks, ls, self.taps.values[(ks % self.support.m)[:, None], ls % self.support.n]
+        maps = _readoff(self.support)
+        return maps.delays, maps.dopplers, self.taps.values[maps.rows, maps.cols]
 
     def tap_items(self):
         """Yield (k, l, value) over the support with signed indices."""
@@ -121,12 +148,10 @@ def estimate(y_dd: DDGrid, layout: FrameLayout, support: SupportRegion,
     if support.m != m or support.n != n:
         raise ValueError("support was built for a different grid size")
 
+    maps = _readoff(support)
     taps = np.zeros((m, n), dtype=np.complex128)
-    ks = support.delay_taps()[:, None]
-    ls = support.doppler_taps()
-    phase = np.exp(-1j * np.pi * ls / n)
-    taps[ks % m, ls % n] = (y_dd.values[ks + m // 2, (ls + n // 2) % n]
-                            * phase / pilot_amp)
+    taps[maps.rows, maps.cols] = (y_dd.values[maps.pilot_rows, maps.pilot_cols]
+                                  * maps.phase / pilot_amp)
     return EffectiveChannelEstimate(taps=DDGrid(values=taps, role=ROLE_CHANNEL),
                                     support=support, pilot_amp=float(pilot_amp))
 
@@ -156,10 +181,10 @@ def predict_io(s_dd: DDGrid, h: EffectiveChannelEstimate) -> DDGrid:
     if (s_dd.m, s_dd.n) != (h.support.m, h.support.n):
         raise ValueError("tap support and grid dimensions disagree")
     delays, profiles = _delay_gain_profiles(h)
-    x = idzt(s_dd).samples
+    x = idzt_samples(s_dd.values)
     gather = _roll_gather(tuple(delays.tolist()), x.size)
     y = np.take_along_axis(profiles * x, gather, axis=-1).sum(axis=0)
-    return dzt(y, m=s_dd.m, n=s_dd.n, role=s_dd.role)
+    return DDGrid(values=dzt_values(y, s_dd.m, s_dd.n), role=s_dd.role)
 
 
 class SolverDivergence(RuntimeError):
@@ -180,10 +205,10 @@ def _delay_gain_profiles(h: EffectiveChannelEstimate) -> tuple[np.ndarray, np.nd
     shift, sampled exactly by a zero-padded inverse DFT.
     """
     mn = h.support.m * h.support.n
-    delays, dopplers, block = h._block()
-    spec = np.zeros((delays.size, mn), dtype=np.complex128)
-    spec[:, dopplers % mn] = block
-    return delays, mn * scipy.fft.ifft(spec, axis=-1)
+    maps = _readoff(h.support)
+    spec = np.zeros((maps.delays.size, mn), dtype=np.complex128)
+    spec[:, maps.spectrum_cols] = h.taps.values[maps.rows, maps.cols]
+    return maps.delays, mn * scipy.fft.ifft(spec, axis=-1)
 
 
 def _ring_fold(mn: int) -> np.ndarray:
@@ -250,7 +275,7 @@ def _normal_band(profiles: np.ndarray, noise_var: float, steps: tuple) -> np.nda
     only ring offsets up to span = max(delays) - min(delays) are nonzero.
     Folding by _ring_fold turns that ring band into a plain band of
     half-width 2*span, returned in the upper layout
-    scipy.linalg.cholesky_banded reads; steps are _band_plan's index maps.
+    LAPACK's zpbsv reads; steps are _band_plan's index maps.
 
     The fold interleaves two chains that couple only at the ring's ends,
     so the Cholesky fill between them decays geometrically.  Started from
@@ -294,30 +319,25 @@ def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
     if (y_dd.m, y_dd.n) != (h.support.m, h.support.n):
         raise ValueError("tap support and grid dimensions disagree")
     delays, profiles = _delay_gain_profiles(h)
-    y = idzt(y_dd).samples
-    key = tuple(delays.tolist())
-    pos, steps = _band_plan(key, y.size)
+    y = idzt_samples(y_dd.values)
+    pos, steps = _band_plan(tuple(delays.tolist()), y.size)
     band = _normal_band(profiles, noise_var, steps)
     y_folded = np.empty_like(y)
     y_folded[pos] = y
     # Rounding leaves a null direction a pivot near eps rather than zero, so
     # pivots are judged against the largest diagonal entry, not against 0.
     floor = y.size * np.finfo(float).eps * np.max(band[-1].real)
-    try:
-        factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True,
-                                              check_finite=False)
-    except np.linalg.LinAlgError:
-        factor = None
-    if factor is None or np.min(factor[-1].real) ** 2 <= floor:
+    # One LAPACK call: zpbtrf factors the band, zpbtrs solves with the factor.
+    factor, z_folded, info = zpbsv(band, y_folded, lower=0, overwrite_ab=1,
+                                   overwrite_b=1)
+    if info != 0 or np.min(factor[-1].real) ** 2 <= floor:
         raise SolverDivergence(
             "regularized normal matrix H H^H + noise_var I is singular "
             f"(noise_var={noise_var:g}); the taps do not determine the frame")
-    z_folded = scipy.linalg.cho_solve_banded((factor, False), y_folded,
-                                             check_finite=False)
     z = z_folded[pos]
     # H^H z = sum_d conj(g_d) * roll(z, -d), the rows summed in order.
     x = (np.conj(profiles) * z[_roll_gather(tuple((-delays).tolist()), y.size)]).sum(axis=0)
-    return dzt(x, m=y_dd.m, n=y_dd.n, role=y_dd.role)
+    return DDGrid(values=dzt_values(x, y_dd.m, y_dd.n), role=y_dd.role)
 
 
 def dd_noise_var(noise_psd: float, q: int, b: float) -> float:

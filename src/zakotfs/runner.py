@@ -241,9 +241,12 @@ def sweep(cfg: ExperimentConfig, emit: bool = True
     if cfg.workers == 1:
         stats = list(map(_trial_stats, repeat(cfg), trial_idx, snr_idx))
     else:
-        # About four chunks per worker: few round trips, still balanced.
-        chunk = max(1, len(trial_idx) // (4 * cfg.workers))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # Never more workers than jobs: a forked pool starts all of them.
+        workers = min(cfg.workers, len(trial_idx))
+        # About sixteen chunks per worker: few round trips, and the last
+        # chunks are short enough that no worker idles long at the end.
+        chunk = max(1, len(trial_idx) // (16 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             stats = list(pool.map(_trial_stats, repeat(cfg), trial_idx, snr_idx,
                                   chunksize=chunk))
 

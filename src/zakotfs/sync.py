@@ -110,6 +110,13 @@ def _template_spectrum(pre: Preamble, shape: PulseShape | None, b: float, q: int
     return spectrum
 
 
+@lru_cache(maxsize=8)
+def _template_norm(pre: Preamble, shape: PulseShape | None, b: float, q: int) -> float:
+    """Root energy of the reference, keyed as _reference is."""
+    template, _ = _reference(pre, shape, b, q)
+    return np.sqrt(np.sum(np.abs(template) ** 2))
+
+
 def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
                   shape: PulseShape | None = None,
                   threshold: float = DEFAULT_THRESHOLD,
@@ -158,7 +165,7 @@ def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
     np.square(sq, out=sq)
     np.cumsum(sq, out=energy[1:])
     power = energy[template.size:] - energy[:-template.size]
-    tnorm = np.sqrt(np.sum(np.abs(template) ** 2))
+    tnorm = _template_norm(preamble, shape, b, q)
     peak_power = float(np.max(power))
     if peak_power <= 0.0:
         # Dead buffer: nothing to lock onto.
@@ -195,13 +202,19 @@ def kay_cfo(rx_preamble: np.ndarray, rate: float) -> float:
         raise ValueError("Kay's estimator needs at least two samples")
     if rate <= 0:
         raise ValueError("rate must be positive")
-    length = x.size
+    dphi = np.angle(x[1:] * np.conj(x[:-1]))
+    return float(rate / (2 * np.pi) * np.sum(_kay_window(x.size) * dphi))
+
+
+@lru_cache(maxsize=8)
+def _kay_window(length: int) -> np.ndarray:
+    """Kay's normalized parabolic window over length - 1 phase differences, read-only."""
     n = np.arange(1, length)
     w = 1.0 - ((n - length / 2) / (length / 2)) ** 2
     w = np.maximum(w, 0.0)
     w /= np.sum(w)
-    dphi = np.angle(x[1:] * np.conj(x[:-1]))
-    return float(rate / (2 * np.pi) * np.sum(w * dphi))
+    w.setflags(write=False)
+    return w
 
 
 def estimate_cfo(rx: AnalogSignal, preamble: Preamble, q: int,

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-__all__ = ["DDGrid", "DTSignal", "idzt", "dzt", "extend"]
+__all__ = ["DDGrid", "DTSignal", "idzt", "dzt", "idzt_samples", "dzt_values",
+           "extend"]
 
 # Role tags for DDGrid; purely informational but kept on the type so a
 # received grid is never silently fed where transmit symbols are expected.
@@ -94,6 +95,23 @@ class DTSignal:
         object.__setattr__(self, "samples", _frozen_complex(s))
 
 
+def idzt_samples(values: np.ndarray) -> np.ndarray:
+    """The IDZT of an M x N array as a bare length-MN array, unvalidated.
+
+    Sample q = k + n*M carries delay bin k in Doppler block n.
+    """
+    n = values.shape[1]
+    # For each delay bin k the n-axis is an inverse DFT of the Doppler row.
+    blocks = np.sqrt(n) * scipy.fft.ifft(values, axis=1)  # [k, n]
+    return blocks.T.reshape(-1)  # q = k + n*M ordering
+
+
+def dzt_values(samples: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The DZT of a length-MN array as a bare M x N array, unvalidated."""
+    blocks = samples.reshape(n, m)  # [n, k]
+    return (scipy.fft.fft(blocks, axis=0) / np.sqrt(n)).T  # [k, l]
+
+
 def idzt(grid: DDGrid | np.ndarray, rate: float | None = None) -> DTSignal:
     """Inverse discrete Zak transform: delay-Doppler grid to time samples.
 
@@ -102,10 +120,7 @@ def idzt(grid: DDGrid | np.ndarray, rate: float | None = None) -> DTSignal:
     """
     values = grid.values if isinstance(grid, DDGrid) else np.asarray(grid, dtype=np.complex128)
     m, n = values.shape
-    # For each delay bin k the n-axis is an inverse DFT of the Doppler row.
-    blocks = np.sqrt(n) * scipy.fft.ifft(values, axis=1)  # [k, n]
-    samples = blocks.T.reshape(-1)  # q = k + n*M ordering
-    return DTSignal(samples=samples, m=m, n=n, rate=rate)
+    return DTSignal(samples=idzt_samples(values), m=m, n=n, rate=rate)
 
 
 def dzt(sig: DTSignal | np.ndarray, m: int | None = None, n: int | None = None,
@@ -119,9 +134,7 @@ def dzt(sig: DTSignal | np.ndarray, m: int | None = None, n: int | None = None,
         samples = np.asarray(sig, dtype=np.complex128)
         if samples.size != m * n:
             raise ValueError(f"expected {m * n} samples, got {samples.size}")
-    blocks = samples.reshape(n, m)  # [n, k]
-    values = (scipy.fft.fft(blocks, axis=0) / np.sqrt(n)).T  # [k, l]
-    return DDGrid(values=values, role=role)
+    return DDGrid(values=dzt_values(samples, m, n), role=role)
 
 
 def extend(grid: DDGrid | np.ndarray, k: int, l: int) -> complex:

@@ -566,6 +566,70 @@ class TestEqualizeTaps:
         got = equalize_taps(y, h, noise_var).values
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
+    @staticmethod
+    def _two_call_solve(y, h, noise_var):
+        """equalize_taps with the band solved by cholesky_banded, then
+        cho_solve_banded: the zpbtrf and zpbtrs calls zpbsv makes in one."""
+        delays, profiles = estimation._delay_gain_profiles(h)
+        s = idzt(y).samples
+        pos, steps = estimation._band_plan(tuple(delays.tolist()), s.size)
+        band = estimation._normal_band(profiles, noise_var, steps)
+        folded = np.empty_like(s)
+        folded[pos] = s
+        factor = scipy.linalg.cholesky_banded(band, check_finite=False)
+        z = scipy.linalg.cho_solve_banded((factor, False), folded, check_finite=False)[pos]
+        gather = estimation._roll_gather(tuple((-delays).tolist()), s.size)
+        return dzt((np.conj(profiles) * z[gather]).sum(axis=0), m=y.m, n=y.n, role=y.role)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sup=supports(), seed=st.integers(0, 2 ** 32 - 1),
+           noise_var=st.floats(1e-3, 10.0))
+    @example(sup=SupportRegion("C2", 0, 16, 16, 2), seed=1, noise_var=1e-3)
+    def test_one_call_solve_matches_two_calls(self, sup, seed, noise_var):
+        """One zpbsv call returns the two-call solution bit for bit."""
+        rng = np.random.default_rng(seed)
+        entries = {(int(k), int(l)): complex(rng.standard_normal(), rng.standard_normal())
+                   for k in sup.delay_taps() for l in sup.doppler_taps()
+                   if rng.random() < 0.5}
+        h = manual_taps(entries, sup)
+        y = DDGrid(values=rng.standard_normal((sup.m, sup.n))
+                   + 1j * rng.standard_normal((sup.m, sup.n)), role="received")
+        got = equalize_taps(y, h, noise_var)
+        want = self._two_call_solve(y, h, noise_var)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.role == want.role
+
+    def test_failed_factorization_raises_divergence(self):
+        """Zero taps without noise give an all-zero band: zpbtrf itself
+        stops at the first pivot, before any pivot floor is read, and the
+        caller sees SolverDivergence rather than a LAPACK error."""
+        _, lay = make_layout(m=8, n=4, c_bins=1.0)
+        sup = SupportRegion.from_layout(lay, "C1")
+        h = manual_taps({}, sup)
+        delays, profiles = estimation._delay_gain_profiles(h)
+        _, steps = estimation._band_plan(tuple(delays.tolist()), 32)
+        band = estimation._normal_band(profiles, 0.0, steps)
+        *_, info = scipy.linalg.lapack.zpbsv(band, np.ones(32, dtype=complex))
+        assert info == 1
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.cholesky_banded(band)
+        y = DDGrid(values=np.ones((8, 4)), role="received")
+        with pytest.raises(SolverDivergence, match="singular"):
+            equalize_taps(y, h, 0.0)
+
+    def test_lapack_failure_code_is_divergence(self, monkeypatch):
+        """A nonzero info fails the solve even when the factor's pivots look sound."""
+        real = estimation.zpbsv
+
+        def failing(*args, **kwargs):
+            factor, x, _ = real(*args, **kwargs)
+            return factor, x, 3
+        monkeypatch.setattr(estimation, "zpbsv", failing)
+        _, lay = make_layout(m=8, n=8, c_bins=1.0)
+        h = manual_taps({(0, 0): 1.0}, SupportRegion.from_layout(lay, "C1"))
+        with pytest.raises(SolverDivergence, match="singular"):
+            equalize_taps(DDGrid(values=np.ones((8, 8)), role="received"), h, 0.1)
+
     def test_noiseless_two_tap_channel_inverts(self):
         _, lay = make_layout(m=8, n=8, c_bins=2.0)
         sup = SupportRegion.from_layout(lay, "C1")

@@ -551,6 +551,8 @@ class TestMemos:
         k = plan.template.samples.size
         nfft, wider = (scipy.fft.next_fast_len(n + k - 1, False) for n in (400, 700))
         phases = (cfg.shape, b, q, False, 128)
+        c1, c2 = (estimation.SupportRegion.from_layout(plan.layout, kind)
+                  for kind in ("C1", "C2"))
         return {
             "fold_slots.start": (waveform._fold_slots, (64, -3, 16), (64, 5, 16)),
             "phase_spectra.correlate": (waveform._phase_spectra, phases,
@@ -566,12 +568,18 @@ class TestMemos:
                                    ((1, 0, -1), 16)),
             "roll_gather.mn": (estimation._roll_gather, ((-1, 0, 1), 16),
                                ((-1, 0, 1), 32)),
+            "readoff.kind": (estimation._readoff, (c1,), (c2,)),
+            "readoff.grid": (estimation._readoff, (c1,),
+                             (dataclasses.replace(c1, n=c1.n // 2),)),
+            "kay_window.length": (sync._kay_window, (16,), (17,)),
+            "template_norm.root": (sync._template_norm, ref, other_root),
         }
 
     @pytest.mark.parametrize("name", [
         "fold_slots.start", "phase_spectra.correlate", "phase_spectra.nfft",
         "reference.root", "template_spectrum.nfft", "band_plan.delays", "band_plan.mn",
-        "roll_gather.shifts", "roll_gather.mn"])
+        "roll_gather.shifts", "roll_gather.mn", "readoff.kind", "readoff.grid",
+        "kay_window.length", "template_norm.root"])
     def test_memo_keys_are_complete(self, name):
         """Two calls differing in one argument each get their own result."""
         memo, first, second = self._memo_calls()[name]
@@ -610,6 +618,9 @@ class TestMemos:
             "band_plan.dest": dest,
             "band_plan.conj": conj,
             "roll_gather": estimation._roll_gather((-1, 0, 1), 16),
+            "kay_window": sync._kay_window(16),
+            **{f"readoff.{field}": arr for field, arr in
+               estimation._readoff(plan.support)._asdict().items()},
         }
 
     def test_cached_arrays_are_read_only(self):
@@ -679,7 +690,7 @@ class TestSweep:
         assert fields[3] == "1"
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
-        """21 jobs go out in chunks of 2 to two workers and of 1 to three."""
+        """21 jobs go out one at a time to two and to three workers."""
         outputs = {}
         for workers in (1, 2, 3):
             sub = tmp_path / f"w{workers}"
@@ -691,6 +702,40 @@ class TestSweep:
             }
         assert outputs[2] == outputs[1]
         assert outputs[3] == outputs[1]
+
+    @pytest.mark.parametrize("snr_db, trials, workers, pool_size, chunk", [
+        # A forked pool starts every worker at once, so never more than jobs.
+        ([20], 2, 8, 2, 1),
+        # About sixteen chunks per worker: 66 // 32 and 100 // 48 jobs.
+        ([None, 20], 33, 2, 2, 2),
+        ([None, 20], 50, 3, 3, 2),
+    ])
+    def test_pool_is_sized_to_the_jobs(self, tmp_path, monkeypatch, snr_db, trials,
+                                       workers, pool_size, chunk):
+        """The pool stand-in runs the jobs in this process and starts none."""
+        seen = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize):
+                seen.append(chunksize)
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+        cfg = self._cfg(tmp_path, snr_db=snr_db, trials=trials, workers=workers)
+        curve, scatters = sweep(cfg, emit=False)
+        assert seen == [pool_size, chunk]
+        serial, serial_scatters = sweep(dataclasses.replace(cfg, workers=1), emit=False)
+        assert curve == serial
+        assert all(np.array_equal(scatters[s], serial_scatters[s]) for s in serial_scatters)
 
     def test_offset_sweep_counts_no_sync_failure(self, tmp_path, monkeypatch):
         """Every frame of the 500 Hz sweep of TestRunTrial locks and is decoded."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zakotfs.zak import DDGrid, DTSignal, dzt, extend, idzt
+from zakotfs.zak import DDGrid, DTSignal, dzt, dzt_values, extend, idzt, idzt_samples
 
 
 def naive_idzt(values):
@@ -58,6 +58,14 @@ class TestAgainstDirectSum:
         fast = dzt(s, m=m, n=n).values
         slow = naive_dzt(s, m, n)
         assert np.max(np.abs(fast - slow)) < 1e-12
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (8, 4), (4, 8)])
+    def test_array_level_transforms_are_the_wrapped_ones(self, m, n):
+        """idzt and dzt hold exactly what the bare-array functions return."""
+        g = random_grid(m, n, seed=m * 31 + n)
+        samples = idzt_samples(g.values)
+        assert samples.tobytes() == idzt(g).samples.tobytes()
+        assert dzt_values(samples, m, n).tobytes() == dzt(samples, m=m, n=n).values.tobytes()
 
     def test_sample_ordering_is_delay_major(self):
         """Sample q = k + n*M carries delay bin k of Doppler block n."""
