@@ -24,12 +24,12 @@ tails lands in silence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.fft
 
 from .waveform import AnalogSignal
+from .zak import memo
 
 __all__ = [
     "PathSpec",
@@ -111,26 +111,18 @@ def _delay_samples(x: np.ndarray, shift: float) -> np.ndarray:
     return scipy.fft.ifft(scipy.fft.fft(x) * np.exp(-2j * np.pi * f * shift))
 
 
-# The phase ramps depend only on the signal's time axis and the channel
-# parameters, so each is built once per process; the cached arrays are
-# shared and therefore read-only.
-
-@lru_cache(maxsize=16)
+@memo(maxsize=16)
 def _doppler_ramp(t0: float, rate: float, n: int, doppler: float,
                   delay: float) -> np.ndarray:
     t = t0 + np.arange(n) / rate
-    ramp = np.exp(2j * np.pi * doppler * (t - delay))
-    ramp.setflags(write=False)
-    return ramp
+    return np.exp(2j * np.pi * doppler * (t - delay))
 
 
-@lru_cache(maxsize=16)
+@memo(maxsize=16)
 def _carrier_ramp(t0: float, rate: float, n: int, eps0: float,
                   phi: float) -> np.ndarray:
     t = t0 + np.arange(n) / rate
-    ramp = np.exp(1j * (2 * np.pi * eps0 * t + phi))
-    ramp.setflags(write=False)
-    return ramp
+    return np.exp(1j * (2 * np.pi * eps0 * t + phi))
 
 
 def apply_paths(sig: AnalogSignal, paths: tuple[PathSpec, ...] | list[PathSpec]) -> AnalogSignal:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -11,7 +12,7 @@ import numpy as np
 import scipy.fft
 
 from . import svg
-from .config import ConfigError, config_from_dict, load_config
+from .config import MAX_TRIALS, ConfigError, config_from_dict, load_config
 from .dd_frame import FrameParams, build_layout
 from .estimation import SupportRegion, equalize_taps, manual_taps, predict_io
 from .iqfile import IqFormatError, read_iq_header, write_iq
@@ -26,9 +27,16 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
+def _check_flag(flag: str, value: int, lo: int, hi: float = math.inf) -> None:
+    """Reject a flag value outside [lo, hi) as a config error (exit 1)."""
+    if not lo <= value < hi:
+        raise ConfigError(flag, f"must lie in [{lo}, {hi}), got {value}")
+
+
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.workers is not None:
+        _check_flag("--workers", args.workers, 1)
         cfg = dataclasses.replace(cfg, workers=args.workers)
     curve, _ = sweep(cfg, emit=True)
     sys.stdout.write(curve.to_csv())
@@ -37,6 +45,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_trial(args) -> int:
     cfg = load_config(args.config)
+    _check_flag("--index", args.index, 0, MAX_TRIALS)
+    _check_flag("--snr-index", args.snr_index, 0, len(cfg.snr_db))
     report = run_trial(cfg, args.index, snr_index=args.snr_index)
     print(f"trial {args.index} at {report.snr_db:g} dB: "
           f"{report.bit_errors}/{report.bits_sent} bit errors"

@@ -10,12 +10,15 @@ import yaml
 
 from .channel import ImpairmentSpec, PathSpec
 from .dd_frame import Constellation, FrameLayout, FrameParams, build_layout
-from .sync import CFO_BLOCK_CHIPS, Preamble
+from .sync import (CFO_BLOCK_CHIPS, DEFAULT_GAP, DEFAULT_LENGTH, DEFAULT_ROOT,
+                   DEFAULT_THRESHOLD, Preamble)
 from .waveform import PulseShape, ShapeError
 
 __all__ = ["ConfigError", "ExperimentConfig", "config_from_dict", "load_config"]
 
 CONFIG_VERSION = 1
+# A trial's stream key is two 64-bit words: base_seed and (snr_index << 32) | trial.
+MAX_TRIALS = 2 ** 32
 
 SUPPORT_KINDS = ("C1", "C2")
 CFO_MODES = ("time_domain", "channel_folded")
@@ -61,7 +64,8 @@ def _get_number(d: dict, section: str, key: str, default=None, minimum=None, max
     return float(v)
 
 
-def _get_int(d: dict, section: str, key: str, default=None, minimum=None) -> int:
+def _get_int(d: dict, section: str, key: str, default=None, minimum=None,
+             maximum=None) -> int:
     if key not in d:
         if default is None:
             raise ConfigError(f"{section}.{key}", "value is missing")
@@ -71,6 +75,8 @@ def _get_int(d: dict, section: str, key: str, default=None, minimum=None) -> int
         raise ConfigError(f"{section}.{key}", f"expected an integer, got {v!r}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{section}.{key}", f"must be >= {minimum}, got {v}")
+    if maximum is not None and v > maximum:
+        raise ConfigError(f"{section}.{key}", f"must be <= {maximum}, got {v}")
     return v
 
 
@@ -109,13 +115,13 @@ class ExperimentConfig:
     sync_enabled: bool
     cfo_mode: str
     workers: int
-    preamble_length: int = 256
-    preamble_root: int = 25
-    gap_symbols: int = 64
-    sync_threshold: float = 0.3
-    out_csv: str = "ber.csv"
-    out_curve_svg: str = "ber.svg"
-    out_constellation_prefix: str = "constellation_"
+    preamble_length: int
+    preamble_root: int
+    gap_symbols: int
+    sync_threshold: float
+    out_csv: str
+    out_curve_svg: str
+    out_constellation_prefix: str
 
     def layout(self) -> FrameLayout:
         return build_layout(self.params, self.tau_max, self.dt_margin)
@@ -249,8 +255,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"run.snr_db[{i}]", f"expected a number, got {s!r}")
         else:
             snr_db.append(float(s))
-    trials = _get_int(run, "run", "trials", default=1, minimum=1)
-    base_seed = _get_int(run, "run", "base_seed", default=0, minimum=0)
+    trials = _get_int(run, "run", "trials", default=1, minimum=1, maximum=MAX_TRIALS)
+    base_seed = _get_int(run, "run", "base_seed", default=0, minimum=0, maximum=2 ** 64 - 1)
     support = _get_choice(run, "run", "support", SUPPORT_KINDS, default="C1")
     sync_on = _get_bool(run, "run", "sync", default=False)
     cfo_mode = _get_choice(run, "run", "cfo_correction", CFO_MODES,
@@ -260,11 +266,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     sy = _section(raw, "sync", required=False)
     _check_unknown(sy, {"preamble_length", "preamble_root", "gap_symbols",
                         "threshold"}, "sync")
-    pre_len = _get_int(sy, "sync", "preamble_length", default=256)
-    pre_root = _get_int(sy, "sync", "preamble_root", default=25, minimum=1)
-    gap = _get_int(sy, "sync", "gap_symbols", default=64, minimum=0)
+    pre_len = _get_int(sy, "sync", "preamble_length", default=DEFAULT_LENGTH)
+    pre_root = _get_int(sy, "sync", "preamble_root", default=DEFAULT_ROOT, minimum=1)
+    gap = _get_int(sy, "sync", "gap_symbols", default=DEFAULT_GAP, minimum=0)
     # The peak metric lies in [0, 1]; a threshold above 1 rejects every frame.
-    threshold = _get_number(sy, "sync", "threshold", default=0.3, minimum=0.0, maximum=1.0)
+    threshold = _get_number(sy, "sync", "threshold", default=DEFAULT_THRESHOLD,
+                            minimum=0.0, maximum=1.0)
     # Root 1 is coprime to every length, so the first build tests the length alone.
     for key, root in (("preamble_length", 1), ("preamble_root", pre_root)):
         try:

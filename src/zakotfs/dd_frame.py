@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .zak import DDGrid, ROLE_SYMBOLS
+from .zak import DDGrid, ROLE_SYMBOLS, frozen_complex
 
 __all__ = [
     "FrameParams",
@@ -112,6 +112,13 @@ class FrameLayout:
     def data_delay_bins(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.m) if not (self.kappa1 <= k < self.kappa4))
 
+    @cached_property
+    def data_rows(self) -> np.ndarray:
+        """data_delay_bins as a read-only index array."""
+        rows = np.array(self.data_delay_bins)
+        rows.setflags(write=False)
+        return rows
+
     @property
     def n_data_cells(self) -> int:
         return len(self.data_delay_bins) * self.n
@@ -186,11 +193,9 @@ class Constellation:
     def __post_init__(self) -> None:
         if self.order not in (4, 16):
             raise ValueError(f"unsupported constellation order {self.order}")
-        pts = np.asarray(self.points, dtype=np.complex128)
+        pts = frozen_complex(self.points)
         if pts.shape != (self.order,):
             raise ValueError("points array does not match the constellation order")
-        pts = np.array(pts, copy=True)
-        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     @classmethod
@@ -276,8 +281,8 @@ def map_bits(bits: np.ndarray, constellation: Constellation, layout: FrameLayout
         raise ValueError(f"layout carries {need} bits per frame, got {bits.size}")
     symbols = constellation.modulate(bits)
     values = np.zeros((layout.m, layout.n), dtype=np.complex128)
-    rows = np.array(layout.data_delay_bins)
-    values[rows, :] = symbols.reshape(len(rows), layout.n)
+    rows = layout.data_rows
+    values[rows, :] = symbols.reshape(rows.size, layout.n)
     values[layout.k_p, layout.l_p] = pilot_amp
     return DDGrid(values=values, role=ROLE_SYMBOLS)
 
@@ -286,6 +291,4 @@ def demap_symbols(grid: DDGrid | np.ndarray, layout: FrameLayout,
                   constellation: Constellation) -> np.ndarray:
     """Hard-decision bits from the data cells of an equalized grid."""
     values = grid.values if isinstance(grid, DDGrid) else np.asarray(grid)
-    rows = np.array(layout.data_delay_bins)
-    symbols = values[rows, :].reshape(-1)
-    return constellation.demodulate(symbols)
+    return constellation.demodulate(values[layout.data_rows, :].reshape(-1))

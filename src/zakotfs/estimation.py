@@ -12,7 +12,6 @@ M/2, stored at row k mod M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +19,7 @@ import scipy.fft
 from scipy.linalg.lapack import zpbsv
 
 from .dd_frame import FrameLayout
-from .zak import ROLE_CHANNEL, DDGrid, dzt_values, idzt_samples
+from .zak import ROLE_CHANNEL, DDGrid, dzt_values, idzt_samples, memo
 
 
 @dataclass(frozen=True)
@@ -86,17 +85,14 @@ class _ReadOff(NamedTuple):
     spectrum_cols: np.ndarray  # dopplers % MN, the gain profiles' DFT bins
 
 
-@lru_cache(maxsize=8)
+@memo(maxsize=8)
 def _readoff(support: SupportRegion) -> _ReadOff:
     """The support's read-off index maps, built once per process."""
     m, n = support.m, support.n
     ks, ls = support.delay_taps(), support.doppler_taps()
-    maps = _ReadOff(delays=ks, dopplers=ls, rows=(ks % m)[:, None], cols=ls % n,
+    return _ReadOff(delays=ks, dopplers=ls, rows=(ks % m)[:, None], cols=ls % n,
                     pilot_rows=(ks + m // 2)[:, None], pilot_cols=(ls + n // 2) % n,
                     phase=np.exp(-1j * np.pi * ls / n), spectrum_cols=ls % (m * n))
-    for arr in maps:
-        arr.setflags(write=False)
-    return maps
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,6 @@ class EffectiveChannelEstimate:
 
     taps: DDGrid
     support: SupportRegion
-    pilot_amp: float
 
     def __post_init__(self):
         if self.taps.m != self.support.m or self.taps.n != self.support.n:
@@ -153,12 +148,11 @@ def estimate(y_dd: DDGrid, layout: FrameLayout, support: SupportRegion,
     taps[maps.rows, maps.cols] = (y_dd.values[maps.pilot_rows, maps.pilot_cols]
                                   * maps.phase / pilot_amp)
     return EffectiveChannelEstimate(taps=DDGrid(values=taps, role=ROLE_CHANNEL),
-                                    support=support, pilot_amp=float(pilot_amp))
+                                    support=support)
 
 
 def manual_taps(entries: dict[tuple[int, int], complex],
-                support: SupportRegion,
-                pilot_amp: float = 1.0) -> EffectiveChannelEstimate:
+                support: SupportRegion) -> EffectiveChannelEstimate:
     """Build an estimate directly from {(k, l): gain} signed tap entries."""
     taps = np.zeros((support.m, support.n), dtype=np.complex128)
     for (k, l), g in entries.items():
@@ -166,7 +160,7 @@ def manual_taps(entries: dict[tuple[int, int], complex],
             raise ValueError(f"tap ({k}, {l}) falls outside the support")
         taps[k % support.m, l % support.n] = g
     return EffectiveChannelEstimate(taps=DDGrid(values=taps, role=ROLE_CHANNEL),
-                                    support=support, pilot_amp=float(pilot_amp))
+                                    support=support)
 
 
 def predict_io(s_dd: DDGrid, h: EffectiveChannelEstimate) -> DDGrid:
@@ -222,15 +216,14 @@ def _ring_fold(mn: int) -> np.ndarray:
     return np.where(2 * i < mn, 2 * i, 2 * (mn - 1 - i) + 1)
 
 
-@lru_cache(maxsize=8)
+@memo(maxsize=8)
 def _band_plan(delays: tuple[int, ...], mn: int) -> tuple[np.ndarray, tuple]:
     """Index maps of _normal_band for contiguous delays on a length-mn ring.
 
     Returns the ring fold positions and, for each offset off = 0..span,
     the flat gather indices into the (len(delays) - off, mn) profile
     products, the flat destinations in the (2*span + 1, mn) band, and
-    the mask of entries stored conjugated.  Built once per process; the
-    arrays are read-only.
+    the mask of entries stored conjugated.
     """
     span = len(delays) - 1
     if 2 * span >= mn:
@@ -248,17 +241,13 @@ def _band_plan(delays: tuple[int, ...], mn: int) -> tuple[np.ndarray, tuple]:
         row, col = np.minimum(p, q), np.maximum(p, q)
         dest = (u + row - col) * mn + col
         steps.append((gather, dest, p > q))
-    for arr in (pos, *(a for step in steps for a in step)):
-        arr.setflags(write=False)
     return pos, tuple(steps)
 
 
-@lru_cache(maxsize=16)
+@memo(maxsize=16)
 def _roll_gather(shifts: tuple[int, ...], mn: int) -> np.ndarray:
     """Row i holds (t - shifts[i]) mod mn: np.roll(z, shifts[i]) as a gather."""
-    gather = (np.arange(mn) - np.array(shifts)[:, None]) % mn
-    gather.setflags(write=False)
-    return gather
+    return (np.arange(mn) - np.array(shifts)[:, None]) % mn
 
 
 # Relative value of the band's structural zeros: 2**-300 sits about 250

@@ -6,20 +6,19 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
 
 from . import svg
 from .channel import add_noise, apply_impairments, apply_paths
-from .config import ExperimentConfig
+from .config import MAX_TRIALS, ExperimentConfig
 from .dd_frame import Constellation, FrameLayout, demap_symbols, map_bits
 from .estimation import (SupportRegion, dd_noise_var, equalize_taps, estimate)
 from .sync import (Preamble, SyncResult, correct, detect_timing, estimate_cfo,
                    make_preamble, shape_preamble)
 from .waveform import AnalogSignal, matched_filter, sample_and_periodize, synthesize
-from .zak import dzt, idzt
+from .zak import dzt, idzt, memo
 
 __all__ = ["TrialReport", "BerPoint", "BerCurve", "run_trial", "sweep",
            "write_outputs"]
@@ -82,6 +81,9 @@ class BerCurve:
 def _trial_rng(cfg: ExperimentConfig, snr_index: int,
                trial_index: int) -> tuple[np.random.Generator, tuple[int, int]]:
     """Counter-based per-trial stream so worker layout cannot matter."""
+    if not (0 <= snr_index < MAX_TRIALS and 0 <= trial_index < MAX_TRIALS):
+        raise ValueError(f"SNR index {snr_index} or trial index {trial_index} "
+                         f"outside [0, {MAX_TRIALS}) would alias another trial")
     word = (snr_index << 32) | trial_index
     key = np.array([cfg.base_seed, word], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)), (cfg.base_seed, word)
@@ -89,17 +91,16 @@ def _trial_rng(cfg: ExperimentConfig, snr_index: int,
 
 @dataclass(frozen=True)
 class _Plan:
-    """What every trial of one config shares; the arrays are read-only."""
+    """What every trial of one config shares."""
 
     layout: FrameLayout
     constellation: Constellation
     support: SupportRegion
-    data_rows: np.ndarray
     preamble: Preamble | None
     template: AnalogSignal | None
 
 
-@lru_cache(maxsize=8)
+@memo(maxsize=8)
 def _plan(cfg: ExperimentConfig) -> _Plan:
     """Build a config's constant link state once per process.
 
@@ -107,15 +108,13 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     on its first trial of a config.
     """
     layout = cfg.layout()
-    data_rows = np.array(layout.data_delay_bins)
-    data_rows.setflags(write=False)
     preamble = template = None
     if cfg.sync_enabled:
         preamble = make_preamble(cfg.preamble_length, cfg.preamble_root)
         template = shape_preamble(preamble, cfg.shape, cfg.params.b, cfg.q)
     return _Plan(layout=layout, constellation=cfg.constellation(),
                  support=SupportRegion.from_layout(layout, cfg.support_kind),
-                 data_rows=data_rows, preamble=preamble, template=template)
+                 preamble=preamble, template=template)
 
 
 def _compose_burst(cfg: ExperimentConfig, frame_sig: AnalogSignal,
@@ -164,7 +163,6 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     plan = _plan(cfg)
     layout = plan.layout
     preamble = plan.preamble
-    b = params.b
     snr_db = cfg.snr_db[snr_index]
     rng, seed_key = _trial_rng(cfg, snr_index, trial_index)
 
@@ -207,11 +205,11 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
 
     y_dd = dzt(sample_and_periodize(matched_filter(rx, cfg.shape, params), params))
     h_est = estimate(y_dd, layout, plan.support, cfg.pilot_amp)
-    x_hat = equalize_taps(y_dd, h_est, dd_noise_var(noise_psd, cfg.q, b))
+    x_hat = equalize_taps(y_dd, h_est, dd_noise_var(noise_psd, cfg.q, params.b))
 
     rx_bits = demap_symbols(x_hat, layout, plan.constellation)
     errors = int(np.sum(rx_bits != bits))
-    symbols = x_hat.values[plan.data_rows, :].reshape(-1).copy()
+    symbols = x_hat.values[layout.data_rows, :].reshape(-1).copy()
     return TrialReport(
         snr_db=snr_db, trial_index=trial_index, seed_key=seed_key,
         bit_errors=errors, bits_sent=nbits, symbols=symbols,

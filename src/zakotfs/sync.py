@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
 
 from .waveform import AnalogSignal, PulseShape, shape_symbols
+from .zak import memo
 
 __all__ = [
     "Preamble",
@@ -71,8 +72,9 @@ def make_preamble(length: int = DEFAULT_LENGTH, root: int = DEFAULT_ROOT) -> Pre
     return Preamble(length=length, root=root)
 
 
+@memo(maxsize=8)
 def shape_preamble(pre: Preamble, shape: PulseShape, b: float, q: int) -> AnalogSignal:
-    """Pulse-shape the chips at rate q*B.
+    """Pulse-shape the chips at rate q*B, once per process and key.
 
     The returned signal places chip j at t = j/B; the leading and
     trailing filter tails are kept, so t0 is negative by the filter
@@ -83,38 +85,30 @@ def shape_preamble(pre: Preamble, shape: PulseShape, b: float, q: int) -> Analog
                               t0=-shape.reach() / b)
 
 
-@lru_cache(maxsize=8)
+@memo(maxsize=8)
 def _reference(pre: Preamble, shape: PulseShape | None, b: float,
-               q: int) -> tuple[np.ndarray, int]:
-    """Matched reference samples at rate q*B and the index of chip 0 in them.
+               q: int) -> tuple[np.ndarray, int, float]:
+    """Matched reference at rate q*B: its samples, chip 0's index, its root energy.
 
     With a shape this is the pulse-shaped preamble that shape_preamble
     transmits, filter tails included; without one, the raw zero-stuffed
-    chip train, which starts at chip 0.  The samples are read-only.
+    chip train, which starts at chip 0.
     """
     if shape is None:
-        train = np.zeros(pre.length * q, dtype=np.complex128)
-        train[::q] = pre.samples
-        train.setflags(write=False)
-        return train, 0
-    return shape_preamble(pre, shape, b, q).samples, shape.reach() * q
+        samples = np.zeros(pre.length * q, dtype=np.complex128)
+        samples[::q] = pre.samples
+        chip0 = 0
+    else:
+        samples, chip0 = shape_preamble(pre, shape, b, q).samples, shape.reach() * q
+    return samples, chip0, np.sqrt(np.sum(np.abs(samples) ** 2))
 
 
-@lru_cache(maxsize=8)
+@memo(maxsize=8)
 def _template_spectrum(pre: Preamble, shape: PulseShape | None, b: float, q: int,
                        nfft: int) -> np.ndarray:
     """nfft-point spectrum of the time-reversed conjugate reference."""
-    template, _ = _reference(pre, shape, b, q)
-    spectrum = scipy.fft.fft(np.conj(template[::-1]), nfft)
-    spectrum.setflags(write=False)
-    return spectrum
-
-
-@lru_cache(maxsize=8)
-def _template_norm(pre: Preamble, shape: PulseShape | None, b: float, q: int) -> float:
-    """Root energy of the reference, keyed as _reference is."""
-    template, _ = _reference(pre, shape, b, q)
-    return np.sqrt(np.sum(np.abs(template) ** 2))
+    template = _reference(pre, shape, b, q)[0]
+    return scipy.fft.fft(np.conj(template[::-1]), nfft)
 
 
 def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
@@ -137,7 +131,7 @@ def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
     if q < 1:
         raise ValueError("oversampling factor must be >= 1")
     b = rx.rate / q
-    template, core_offset = _reference(preamble, shape, b, q)
+    template, core_offset, tnorm = _reference(preamble, shape, b, q)
     if rx.samples.size < template.size:
         raise ValueError(
             f"buffer of {rx.samples.size} samples cannot hold a "
@@ -165,7 +159,6 @@ def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
     np.square(sq, out=sq)
     np.cumsum(sq, out=energy[1:])
     power = energy[template.size:] - energy[:-template.size]
-    tnorm = _template_norm(preamble, shape, b, q)
     peak_power = float(np.max(power))
     if peak_power <= 0.0:
         # Dead buffer: nothing to lock onto.
@@ -206,14 +199,13 @@ def kay_cfo(rx_preamble: np.ndarray, rate: float) -> float:
     return float(rate / (2 * np.pi) * np.sum(_kay_window(x.size) * dphi))
 
 
-@lru_cache(maxsize=8)
+@memo(maxsize=8)
 def _kay_window(length: int) -> np.ndarray:
-    """Kay's normalized parabolic window over length - 1 phase differences, read-only."""
+    """Kay's normalized parabolic window over length - 1 phase differences."""
     n = np.arange(1, length)
     w = 1.0 - ((n - length / 2) / (length / 2)) ** 2
     w = np.maximum(w, 0.0)
     w /= np.sum(w)
-    w.setflags(write=False)
     return w
 
 
@@ -232,7 +224,7 @@ def estimate_cfo(rx: AnalogSignal, preamble: Preamble, q: int,
     """
     if preamble.length < 2 * CFO_BLOCK_CHIPS:
         raise ValueError(f"a {preamble.length}-chip preamble holds fewer than two CFO blocks")
-    reference, chip0 = _reference(preamble, shape, rx.rate / q, q)
+    reference, chip0, _ = _reference(preamble, shape, rx.rate / q, q)
     template = reference[chip0:chip0 + preamble.length * q]
     lo = start_index
     hi = start_index + template.size

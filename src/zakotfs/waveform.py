@@ -24,13 +24,12 @@ cascade of the clean chain is the identity:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.fft
 
 from .dd_frame import FrameParams
-from .zak import DTSignal
+from .zak import DTSignal, frozen_complex, memo
 
 __all__ = [
     "PulseShape",
@@ -108,10 +107,9 @@ class AnalogSignal:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        s = np.array(np.asarray(self.samples), dtype=np.complex128, copy=True)
+        s = frozen_complex(self.samples)
         if s.ndim != 1:
             raise ValueError("AnalogSignal samples must be 1-D")
-        s.setflags(write=False)
         object.__setattr__(self, "samples", s)
         if self.rate <= 0:
             raise ValueError("rate must be positive")
@@ -224,11 +222,7 @@ class PulseShape:
                              "the tap energy in the outer period; increase the span")
 
 
-# Constants of a shape and a sample grid are built once per process by
-# lru_cache'd helpers keyed on hashable scalars; every caller shares the
-# returned array, so it is made read-only.
-
-@lru_cache(maxsize=16)
+@memo(maxsize=16)
 def _sampled_taps(shape: PulseShape, b: float, q: int) -> np.ndarray:
     m = np.arange(-shape.w1_span * q, shape.w1_span * q + 1)
     t = m / (q * b)
@@ -237,22 +231,18 @@ def _sampled_taps(shape: PulseShape, b: float, q: int) -> np.ndarray:
     else:
         taps = np.sinc(b * t).astype(np.complex128)
     taps /= np.sqrt(np.sum(np.abs(taps) ** 2) / (q * b))
-    taps.setflags(write=False)
     return taps
 
 
-@lru_cache(maxsize=16)
+@memo(maxsize=16)
 def _w1_spectrum(shape: PulseShape, n: int, b: float, q: int,
                  correlate: bool) -> np.ndarray:
     f = scipy.fft.fftfreq(n, d=1.0 / (q * b))
     gain = shape.w1_gain(f, b)
-    if not correlate:
-        gain = q * b * gain
-    gain.setflags(write=False)
-    return gain
+    return gain if correlate else q * b * gain
 
 
-@lru_cache(maxsize=16)
+@memo(maxsize=16)
 def _phase_spectra(shape: PulseShape, b: float, q: int, correlate: bool,
                    nfft: int) -> np.ndarray:
     """(q, nfft) spectra of the polyphase branches of the truncated filter.
@@ -268,9 +258,7 @@ def _phase_spectra(shape: PulseShape, b: float, q: int, correlate: bool,
     padded = np.zeros(width * q, dtype=np.complex128)
     padded[:kernel.size] = kernel
     branches = padded.reshape(width, q).T
-    spectra = scipy.fft.fft(branches[::-1] if correlate else branches, nfft, axis=-1)
-    spectra.setflags(write=False)
-    return spectra
+    return scipy.fft.fft(branches[::-1] if correlate else branches, nfft, axis=-1)
 
 
 # A shaped frame whose truncated filter tails still hold more than this
@@ -357,30 +345,24 @@ def _tx_window(shape: PulseShape, t: np.ndarray, t_period: float,
     return ((t >= lo) & (t < hi)).astype(float)
 
 
-@lru_cache(maxsize=16)
+@memo(maxsize=16)
 def _window_at(shape: PulseShape, t0: float, rate: float, n: int,
                t_period: float, margin_s: float) -> np.ndarray:
     """_tx_window on the n sample instants t0 + i/rate."""
-    window = _tx_window(shape, t0 + np.arange(n) / rate, t_period, margin_s)
-    window.setflags(write=False)
-    return window
+    return _tx_window(shape, t0 + np.arange(n) / rate, t_period, margin_s)
 
 
-@lru_cache(maxsize=16)
+@memo(maxsize=16)
 def _symbol_window(shape: PulseShape, q_lo: int, q_hi: int, b: float,
                    t_period: float, margin_s: float) -> np.ndarray:
     """_tx_window on the symbol instants q/B for q in [q_lo, q_hi)."""
-    window = _tx_window(shape, np.arange(q_lo, q_hi) / b, t_period, margin_s)
-    window.setflags(write=False)
-    return window
+    return _tx_window(shape, np.arange(q_lo, q_hi) / b, t_period, margin_s)
 
 
-@lru_cache(maxsize=16)
+@memo(maxsize=16)
 def _fold_slots(n: int, start: int, period: int) -> np.ndarray:
     """Slot (i + start) mod period of each of n samples."""
-    slots = np.mod(np.arange(n) + start, period)
-    slots.setflags(write=False)
-    return slots
+    return np.mod(np.arange(n) + start, period)
 
 
 def _fold(x: np.ndarray, start: int, period: int) -> np.ndarray:

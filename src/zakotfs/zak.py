@@ -19,12 +19,13 @@ M x N window the grid continues quasi-periodically:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 
 import numpy as np
 import scipy.fft
 
 __all__ = ["DDGrid", "DTSignal", "idzt", "dzt", "idzt_samples", "dzt_values",
-           "extend"]
+           "extend", "frozen_complex", "memo"]
 
 # Role tags for DDGrid; purely informational but kept on the type so a
 # received grid is never silently fed where transmit symbols are expected.
@@ -34,10 +35,35 @@ ROLE_CHANNEL = "channel"
 _ROLES = (ROLE_SYMBOLS, ROLE_RECEIVED, ROLE_CHANNEL)
 
 
-def _frozen_complex(values: np.ndarray) -> np.ndarray:
+def frozen_complex(values: np.ndarray) -> np.ndarray:
+    """A read-only complex128 copy of values."""
     out = np.array(values, dtype=np.complex128, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _freeze(value):
+    """Make every ndarray in value, or nested in its tuples, read-only in place."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
+    return value
+
+
+def memo(maxsize: int):
+    """lru_cache for builders of per-process constants that every caller shares.
+
+    Every ndarray in a result, or in its (named) tuples, is made read-only
+    before it is cached.  Hits are plain lru_cache lookups.
+    """
+    def decorate(build):
+        @wraps(build)
+        def frozen(*args, **kwargs):
+            return _freeze(build(*args, **kwargs))
+        return lru_cache(maxsize=maxsize)(frozen)
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -59,7 +85,7 @@ class DDGrid:
             raise ValueError("DDGrid entries must be finite")
         if self.role not in _ROLES:
             raise ValueError(f"unknown DDGrid role {self.role!r}")
-        object.__setattr__(self, "values", _frozen_complex(v))
+        object.__setattr__(self, "values", frozen_complex(v))
 
     @property
     def m(self) -> int:
@@ -92,7 +118,7 @@ class DTSignal:
             )
         if not np.all(np.isfinite(s)):
             raise ValueError("DTSignal samples must be finite")
-        object.__setattr__(self, "samples", _frozen_complex(s))
+        object.__setattr__(self, "samples", frozen_complex(s))
 
 
 def idzt_samples(values: np.ndarray) -> np.ndarray:

@@ -291,7 +291,7 @@ class TestManualTapsAndEstimate:
         sup = SupportRegion(kind="C1", k_lo=3, k_hi=5, m=8, n=8)
         taps = DDGrid(values=np.zeros((4, 4)), role="channel")
         with pytest.raises(ValueError, match="disagree"):
-            EffectiveChannelEstimate(taps=taps, support=sup, pilot_amp=1.0)
+            EffectiveChannelEstimate(taps=taps, support=sup)
 
 
 class TestPredictIo:

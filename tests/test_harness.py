@@ -144,6 +144,16 @@ class TestConfigFromDict:
         with pytest.raises(ConfigError, match="run.cfo_correction"):
             config_from_dict(raw)
 
+    def test_stream_key_fields_fit_their_words(self):
+        """A trial's stream key is base_seed and a word holding 32 bits of the index."""
+        assert config_from_dict(tiny_config_dict(trials=2 ** 32)).trials == 2 ** 32
+        with pytest.raises(ConfigError, match="run.trials"):
+            config_from_dict(tiny_config_dict(trials=2 ** 32 + 1))
+        cfg = config_from_dict(tiny_config_dict(base_seed=2 ** 64 - 1))
+        assert run_trial(cfg, 0).seed_key == (2 ** 64 - 1, 0)
+        with pytest.raises(ConfigError, match="run.base_seed"):
+            config_from_dict(tiny_config_dict(base_seed=2 ** 64))
+
     def test_layout_too_wide_for_grid(self):
         raw = tiny_config_dict()
         raw["layout"]["tau_max_bins"] = 4.0
@@ -400,6 +410,20 @@ class TestRunTrial:
         b = run_trial(cfg, 1)
         assert not np.array_equal(a.symbols, b.symbols)
 
+    @pytest.mark.parametrize("snr_index, trial_index", [
+        (0, 2 ** 32), (0, -1), (-1, 0), (2 ** 32, 0)])
+    def test_stream_indices_must_fit_32_bits(self, snr_index, trial_index):
+        """An index past 32 bits would alias another trial's Philox stream."""
+        cfg = config_from_dict(tiny_config_dict())
+        with pytest.raises(ValueError, match="outside"):
+            runner._trial_rng(cfg, snr_index, trial_index)
+
+    def test_stream_keys_are_distinct_at_the_edges(self):
+        cfg = config_from_dict(tiny_config_dict())
+        keys = {runner._trial_rng(cfg, si, ti)[1]
+                for si, ti in ((0, 0), (0, 1), (0, 2 ** 32 - 1), (1, 0))}
+        assert len(keys) == 4
+
     def test_same_bits_across_shapes(self):
         """Seeding depends only on indices, so pulse families are paired."""
         raw = tiny_config_dict(snr_db=[15])
@@ -507,6 +531,19 @@ def same_value(a, b):
     return np.array_equal(a, b)
 
 
+class _RootEnergy:
+    """The template's root energy, read off the memoized sync._reference."""
+
+    def __call__(self, *args):
+        return sync._reference(*args)[2]
+
+    def __wrapped__(self, *args):
+        return sync._reference.__wrapped__(*args)[2]
+
+    def cache_clear(self):
+        sync._reference.cache_clear()
+
+
 def same_report(a, b):
     return (a.bit_errors == b.bit_errors and a.bits_sent == b.bits_sent
             and np.array_equal(a.symbols, b.symbols)
@@ -572,7 +609,7 @@ class TestMemos:
             "readoff.grid": (estimation._readoff, (c1,),
                              (dataclasses.replace(c1, n=c1.n // 2),)),
             "kay_window.length": (sync._kay_window, (16,), (17,)),
-            "template_norm.root": (sync._template_norm, ref, other_root),
+            "template_norm.root": (_RootEnergy(), ref, other_root),
         }
 
     @pytest.mark.parametrize("name", [
@@ -597,7 +634,7 @@ class TestMemos:
         pos, steps = estimation._band_plan((-1, 0, 1), 16)
         gather, dest, conj = steps[1]
         return {
-            "plan.data_rows": plan.data_rows,
+            "layout.data_rows": plan.layout.data_rows,
             "plan.template": plan.template.samples,
             "preamble.samples": plan.preamble.samples,
             "w1_taps": cfg.shape.w1_taps(b, q),
@@ -628,6 +665,15 @@ class TestMemos:
             assert not arr.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
+
+    def test_preamble_is_shaped_once(self):
+        """The plan's burst template and the sync reference are one array."""
+        cfg = config_from_dict(linked_config_dict(None))
+        clear_memos()
+        plan = runner._plan(cfg)
+        reference = sync._reference(plan.preamble, cfg.shape, cfg.params.b, cfg.q)
+        assert reference[0] is plan.template.samples
+        assert reference[2] == np.sqrt(np.sum(np.abs(reference[0]) ** 2))
 
     def test_plan_is_built_once(self, monkeypatch):
         cfg = config_from_dict(linked_config_dict(None))
@@ -828,6 +874,24 @@ class TestCli:
         path = self._write_config(tmp_path, raw)
         assert main(["sweep", "--config", path]) == 1
         assert f"config error: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--workers", "0"], "--workers"),
+        (["sweep", "--workers", "-2"], "--workers"),
+        (["trial", "--index", "0", "--snr-index", "5"], "--snr-index"),
+        (["trial", "--index", "0", "--snr-index", "-1"], "--snr-index"),
+        (["trial", "--index", "-1"], "--index"),
+        (["trial", "--index", str(2 ** 32)], "--index"),
+    ])
+    def test_bad_flag_exits_one_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                 argv, flag):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(runner, "run_trial", no_trial)
+        monkeypatch.setattr("zakotfs.cli.run_trial", no_trial)
+        path = self._write_config(tmp_path)
+        assert main(argv[:1] + ["--config", path] + argv[1:]) == 1
+        assert f"config error: {flag}: must lie in" in capsys.readouterr().err
 
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "no.yaml")]) == 1

@@ -58,3 +58,37 @@ def test_checker_allows_public_and_dunder_names():
     source = ("from .runner import run_trial\nfrom . import svg\n"
               "svg.line_chart\nsvg.__name__\nself._x = 1\n")
     assert private_uses(source) == []
+
+
+# Per-process memos go through zak.memo, which freezes what it caches.
+_MEMO_FACTORIES = {"lru_cache", "cache"}
+
+
+def memo_factory_uses(source: str, allowed_in: str | None = None) -> list[str]:
+    """Uses of functools' memo factories outside the function allowed_in."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == allowed_in
+              for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in _MEMO_FACTORIES and id(node) not in inside:
+            found.append(f"line {node.lineno}: uses {name}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_lru_cache_only_inside_zak_memo(path):
+    allowed_in = "memo" if path.name == "zak.py" else None
+    assert memo_factory_uses(path.read_text(encoding="utf-8"), allowed_in) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from functools import lru_cache\n@lru_cache(maxsize=8)\ndef f(): pass\n",
+    "import functools\n@functools.cache\ndef f(): pass\n",
+    "from functools import lru_cache\ndef memo(): pass\nlru_cache(1)(print)\n",
+])
+def test_memo_checker_flags_direct_caches(source):
+    assert memo_factory_uses(source, "memo")

@@ -1,11 +1,15 @@
 """Unit tests for the discrete Zak transform pair and the grid types."""
 
+from functools import lru_cache
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zakotfs.zak import DDGrid, DTSignal, dzt, dzt_values, extend, idzt, idzt_samples
+from zakotfs.zak import (DDGrid, DTSignal, dzt, dzt_values, extend, frozen_complex, idzt,
+                         idzt_samples, memo)
 
 
 def naive_idzt(values):
@@ -257,3 +261,62 @@ class TestTypesAndValidation:
     def test_dzt_bare_array_size_mismatch(self):
         with pytest.raises(ValueError, match="expected 16 samples"):
             dzt(np.ones(12), m=4, n=4)
+
+
+class _Pair(NamedTuple):
+    values: np.ndarray
+    scale: float
+
+
+class TestMemo:
+    """zak.memo: an lru_cache whose cached results are read-only."""
+
+    def test_freezes_arrays_nested_in_tuples_and_named_tuples(self):
+        @memo(maxsize=2)
+        def build(n):
+            return np.arange(n), (np.ones(n), _Pair(np.zeros(n), 0.5)), n, "label"
+
+        flat, (inner, pair), count, label = build(3)
+        for arr in (flat, inner, pair.values):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        assert type(pair) is _Pair and pair.scale == 0.5
+        assert (count, label) == (3, "label")
+
+    def test_bare_array_and_scalar_results(self):
+        arr = memo(maxsize=1)(np.eye)(2)
+        assert not arr.flags.writeable
+        assert memo(maxsize=1)(abs)(-2) == 2
+
+    def test_hits_share_one_result_until_cleared(self):
+        calls = []
+
+        @memo(maxsize=2)
+        def build(n):
+            """Doc of the builder."""
+            calls.append(n)
+            return np.arange(n)
+
+        first = build(4)
+        assert build(4) is first and calls == [4]
+        assert build.cache_info().maxsize == 2
+        build.cache_clear()
+        assert build(4) is not first and calls == [4, 4]
+        fresh = build.__wrapped__(4)
+        assert np.array_equal(fresh, first) and not fresh.flags.writeable
+        assert (build.__name__, build.__doc__) == ("build", "Doc of the builder.")
+
+    def test_hit_path_is_lru_cache_itself(self):
+        """No Python wrapper sits in front of the cache lookup."""
+        assert type(memo(maxsize=1)(abs)) is type(lru_cache(maxsize=1)(abs))
+
+
+class TestFrozenComplex:
+    def test_read_only_complex_copy(self):
+        source = np.arange(3)
+        out = frozen_complex(source)
+        assert out.dtype == np.complex128 and not out.flags.writeable
+        assert np.array_equal(out, source)
+        source[0] = 7
+        assert out[0] == 0 and source.flags.writeable
