@@ -15,7 +15,7 @@ from .sync import (Preamble, SyncResult, correct, detect_timing, estimate_cfo,
                    kay_cfo, make_preamble, shape_preamble)
 from .waveform import (AnalogSignal, PulseShape, matched_filter, rrc_w1, rrc_w2,
                        sample_and_periodize, synthesize)
-from .zak import DDGrid, DTSignal, dzt, extend, idzt
+from .zak import DDGrid, DTSignal, dzt, idzt
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,7 @@ __all__ = [
     "SupportRegion", "SyncResult", "TrialReport", "apply_impairments",
     "apply_paths", "build_layout", "config_from_dict",
     "correct", "dd_noise_var", "demap_symbols", "detect_timing", "dzt",
-    "equalize_taps", "estimate", "estimate_cfo", "extend", "fold_impairments",
+    "equalize_taps", "estimate", "estimate_cfo", "fold_impairments",
     "guard_noise_var",
     "idzt", "kay_cfo", "load_config", "make_preamble", "manual_taps",
     "map_bits", "matched_filter", "predict_io", "read_iq",

@@ -69,10 +69,6 @@ class FrameParams:
     def doppler_bin_hz(self) -> float:
         return self.nu_p / self.n
 
-    @property
-    def delay_bin_s(self) -> float:
-        return 1.0 / self.b
-
 
 @dataclass(frozen=True)
 class FrameLayout:
@@ -100,14 +96,6 @@ class FrameLayout:
         if not (self.kappa1 <= self.k_p < self.kappa4):
             raise ValueError("pilot delay bin must sit inside the guard span")
 
-    @property
-    def pilot_cell(self) -> tuple[int, int]:
-        return (self.k_p, self.l_p)
-
-    @property
-    def guard_delay_bins(self) -> range:
-        return range(self.kappa1, self.kappa4)
-
     @cached_property
     def data_delay_bins(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.m) if not (self.kappa1 <= k < self.kappa4))
@@ -122,17 +110,6 @@ class FrameLayout:
     @property
     def n_data_cells(self) -> int:
         return len(self.data_delay_bins) * self.n
-
-    def data_cells(self) -> list[tuple[int, int]]:
-        """Data cells in the deterministic (row-major) mapping order."""
-        return [(k, l) for k in self.data_delay_bins for l in range(self.n)]
-
-    def cell_kind(self, k: int, l: int) -> str:
-        if (k, l) == (self.k_p, self.l_p):
-            return "pilot"
-        if self.kappa1 <= k < self.kappa4:
-            return "guard"
-        return "data"
 
 
 def build_layout(params: FrameParams, tau_max: float, dt_margin: float) -> FrameLayout:

@@ -100,18 +100,47 @@ class _Plan:
     template: AnalogSignal | None
 
 
+# glibc mallopt parameters; see mallopt(3).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap() -> bool:
+    """Keep freed trial temporaries on the heap instead of returning them.
+
+    A README trial's temporaries peak a few MB above the live set.  By
+    default glibc hands that heap top back to the kernel after each trial
+    and the next trial faults it in again, page by page.  Fixed trim and
+    mmap thresholds (which also stop glibc from adapting the mmap one)
+    keep those pages resident.  Returns whether the policy took effect;
+    without glibc's mallopt it does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+                and mallopt(_M_TRIM_THRESHOLD, 64 << 20))
+
+
 @memo(maxsize=8)
 def _plan(cfg: ExperimentConfig) -> _Plan:
     """Build a config's constant link state once per process.
 
-    Pool workers need no initializer: each builds (or inherits) the plan
-    on its first trial of a config.
+    Pool workers need no initializer: each builds (or inherits) the plan,
+    and with it the heap policy, on its first trial of a config.
     """
+    _keep_heap()
     layout = cfg.layout()
     preamble = template = None
     if cfg.sync_enabled:
         preamble = make_preamble(cfg.preamble_length, cfg.preamble_root)
-        template = shape_preamble(preamble, cfg.shape, cfg.params.b, cfg.q)
+        # At the b the receiver reads off the sample rate, so the sync
+        # memos find this very template.
+        b = cfg.q * cfg.params.b / cfg.q
+        template = shape_preamble(preamble, cfg.shape, b, cfg.q)
     return _Plan(layout=layout, constellation=cfg.constellation(),
                  support=SupportRegion.from_layout(layout, cfg.support_kind),
                  preamble=preamble, template=template)

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.fft
 
 __all__ = ["DDGrid", "DTSignal", "idzt", "dzt", "idzt_samples", "dzt_values",
-           "extend", "frozen_complex", "memo"]
+           "frozen_complex", "memo"]
 
 # Role tags for DDGrid; purely informational but kept on the type so a
 # received grid is never silently fed where transmit symbols are expected.
@@ -161,16 +161,3 @@ def dzt(sig: DTSignal | np.ndarray, m: int | None = None, n: int | None = None,
         if samples.size != m * n:
             raise ValueError(f"expected {m * n} samples, got {samples.size}")
     return DDGrid(values=dzt_values(samples, m, n), role=role)
-
-
-def extend(grid: DDGrid | np.ndarray, k: int, l: int) -> complex:
-    """Quasi-periodic extension of a grid to arbitrary integer (k, l).
-
-    extend(g, k + n*M, l) == exp(j 2 pi n l / N) * extend(g, k, l) and the
-    grid is plain-periodic along Doppler.
-    """
-    values = grid.values if isinstance(grid, DDGrid) else np.asarray(grid)
-    m, n = values.shape
-    wraps = k // m
-    phase = np.exp(2j * np.pi * wraps * l / n)
-    return complex(phase * values[k % m, l % n])

