@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .waveform import AnalogSignal
 from .zak import memo
@@ -107,8 +106,8 @@ def _delay_samples(x: np.ndarray, shift: float) -> np.ndarray:
     if abs(shift - round(shift)) < 1e-12:
         whole = int(round(shift))
         return np.roll(x, whole) if whole else x
-    f = scipy.fft.fftfreq(x.size)
-    return scipy.fft.ifft(scipy.fft.fft(x) * np.exp(-2j * np.pi * f * shift))
+    f = np.fft.fftfreq(x.size)
+    return np.fft.ifft(np.fft.fft(x) * np.exp(-2j * np.pi * f * shift))
 
 
 @memo(maxsize=16)

@@ -9,7 +9,6 @@ import os
 import sys
 
 import numpy as np
-import scipy.fft
 
 from . import svg
 from .config import MAX_TRIALS, ConfigError, config_from_dict, load_config
@@ -96,7 +95,7 @@ def _selftest_checks():
     def preamble():
         pre = make_preamble()
         x = pre.samples
-        corr = scipy.fft.ifft(scipy.fft.fft(x) * np.conj(scipy.fft.fft(x)))
+        corr = np.fft.ifft(np.fft.fft(x) * np.conj(np.fft.fft(x)))
         side = np.max(np.abs(corr[1:])) / np.abs(corr[0])
         assert side <= 0.05, f"sidelobe ratio {side:.3f}"
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 from scipy.linalg.lapack import zpbsv
 
 from .dd_frame import FrameLayout
@@ -202,7 +201,7 @@ def _delay_gain_profiles(h: EffectiveChannelEstimate) -> tuple[np.ndarray, np.nd
     maps = _readoff(h.support)
     spec = np.zeros((maps.delays.size, mn), dtype=np.complex128)
     spec[:, maps.spectrum_cols] = h.taps.values[maps.rows, maps.cols]
-    return maps.delays, mn * scipy.fft.ifft(spec, axis=-1)
+    return maps.delays, mn * np.fft.ifft(spec, axis=-1)
 
 
 def _ring_fold(mn: int) -> np.ndarray:

@@ -7,10 +7,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .waveform import AnalogSignal, PulseShape, shape_symbols
-from .zak import memo
+from .zak import fast_len, memo
 
 __all__ = [
     "Preamble",
@@ -108,7 +107,7 @@ def _template_spectrum(pre: Preamble, shape: PulseShape | None, b: float, q: int
                        nfft: int) -> np.ndarray:
     """nfft-point spectrum of the time-reversed conjugate reference."""
     template = _reference(pre, shape, b, q)[0]
-    return scipy.fft.fft(np.conj(template[::-1]), nfft)
+    return np.fft.fft(np.conj(template[::-1]), nfft)
 
 
 def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
@@ -147,9 +146,9 @@ def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
     # scipy.signal.fftconvolve(samples, conj(template[::-1]), 'valid'), bit
     # for bit: the same transform length, arithmetic and operand order.
     n, k = samples.size, template.size
-    nfft = scipy.fft.next_fast_len(n + k - 1, False)
-    spectrum = scipy.fft.fft(samples, nfft) * _template_spectrum(preamble, shape, b, q, nfft)
-    corr = scipy.fft.ifft(spectrum, nfft)[k - 1:n]
+    nfft = fast_len(n + k - 1)
+    spectrum = np.fft.fft(samples, nfft) * _template_spectrum(preamble, shape, b, q, nfft)
+    corr = np.fft.ifft(spectrum, nfft)[k - 1:n]
     # Window energies as differences of a running sum, O(n) for any length.
     # The metric is built in place, in the order of
     # |corr| / (tnorm * sqrt(max(power, floor))).

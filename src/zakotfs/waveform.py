@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .dd_frame import FrameParams
-from .zak import DTSignal, frozen_complex, memo
+from .zak import DTSignal, fast_len, frozen_complex, memo
 
 __all__ = [
     "PulseShape",
@@ -131,9 +130,6 @@ class AnalogSignal:
         object.__setattr__(sig, "rate", rate)
         object.__setattr__(sig, "t0", t0)
         return sig
-
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.samples.size) / self.rate
 
 
 class ShapeError(ValueError):
@@ -237,7 +233,7 @@ def _sampled_taps(shape: PulseShape, b: float, q: int) -> np.ndarray:
 @memo(maxsize=16)
 def _w1_spectrum(shape: PulseShape, n: int, b: float, q: int,
                  correlate: bool) -> np.ndarray:
-    f = scipy.fft.fftfreq(n, d=1.0 / (q * b))
+    f = np.fft.fftfreq(n, d=1.0 / (q * b))
     gain = shape.w1_gain(f, b)
     return gain if correlate else q * b * gain
 
@@ -250,7 +246,8 @@ def _phase_spectra(shape: PulseShape, b: float, q: int, correlate: bool,
     Branch r holds every q-th tap from tap r, a filter of ceil(k/q) taps at
     the symbol rate.  Row r is branch r of the taps, or, for the matched
     correlator (the reversed conjugate taps over q*B), branch q-1-r, the
-    one that buffer phase r meets in _correlate_decimate.
+    one that buffer phase r meets in _correlate_decimate.  The array is
+    C-ordered, as are the phase rows it multiplies there.
     """
     taps = _sampled_taps(shape, b, q)
     kernel = np.conj(taps[::-1]) / (q * b) if correlate else taps
@@ -258,7 +255,8 @@ def _phase_spectra(shape: PulseShape, b: float, q: int, correlate: bool,
     padded = np.zeros(width * q, dtype=np.complex128)
     padded[:kernel.size] = kernel
     branches = padded.reshape(width, q).T
-    return scipy.fft.fft(branches[::-1] if correlate else branches, nfft, axis=-1)
+    return np.fft.fft(np.ascontiguousarray(branches[::-1] if correlate else branches),
+                      nfft, axis=-1)
 
 
 # A shaped frame whose truncated filter tails still hold more than this
@@ -276,7 +274,7 @@ def _exact_filter(x: np.ndarray, shape: PulseShape, b: float, q: int,
     buffer needs zero padding well past the frame.  The correlator
     variant folds in the 1/(q*B) matched-filter scale.
     """
-    return scipy.fft.ifft(scipy.fft.fft(x) * _w1_spectrum(shape, x.size, b, q, correlate))
+    return np.fft.ifft(np.fft.fft(x) * _w1_spectrum(shape, x.size, b, q, correlate))
 
 
 def shape_symbols(symbols: np.ndarray, shape: PulseShape, b: float,
@@ -295,10 +293,10 @@ def shape_symbols(symbols: np.ndarray, shape: PulseShape, b: float,
         train[reach * q:(reach + symbols.size) * q:q] = symbols
         return _exact_filter(train, shape, b, q)
     full = symbols.size + 2 * reach
-    nfft = scipy.fft.next_fast_len(full, False)
-    branches = scipy.fft.ifft(scipy.fft.fft(symbols, nfft)
-                              * _phase_spectra(shape, float(b), int(q), False, nfft),
-                              axis=-1)
+    nfft = fast_len(full)
+    branches = np.fft.ifft(np.fft.fft(symbols, nfft)
+                           * _phase_spectra(shape, float(b), int(q), False, nfft),
+                           axis=-1)
     return branches[:, :full].T.reshape(-1)
 
 
@@ -323,10 +321,28 @@ def _correlate_decimate(x: np.ndarray, shape: PulseShape, b: float, q: int,
     rows = -(-(lead + n) // q)
     padded = np.zeros(rows * q, dtype=np.complex128)
     padded[lead:lead + n] = x
-    nfft = scipy.fft.next_fast_len(rows + 2 * shape.w1_span, False)
+    nfft = fast_len(rows + 2 * shape.w1_span)
+    # Zero-pad the phase rows here, C-contiguous: numpy.fft given the
+    # strided view and nfft takes about a fifth longer.
+    phases = np.zeros((q, nfft), dtype=np.complex128)
+    phases[:, :rows] = padded.reshape(rows, q).T
     spectra = _phase_spectra(shape, float(b), int(q), True, nfft)
-    summed = (scipy.fft.fft(padded.reshape(rows, q).T, nfft, axis=-1) * spectra).sum(axis=0)
-    return scipy.fft.ifft(summed)[lag:lag + count]
+    summed = _branch_sum(np.fft.fft(phases, axis=-1) * spectra)
+    return np.fft.ifft(summed)[lag:lag + count]
+
+
+def _branch_sum(spectra: np.ndarray) -> np.ndarray:
+    """The rows of a (q, nfft) array added in row order, whatever its layout.
+
+    numpy.fft returns the transforms of strided rows in Fortran order,
+    and on such an array sum(axis=0) adds pairwise along the contiguous
+    axis, which moves the last bit.  The loop adds as sum(axis=0) does
+    on a C array with rows of two or more entries.
+    """
+    out = spectra[0].copy()
+    for row in spectra[1:]:
+        out += row
+    return out
 
 
 # Brick-window edges sit exactly on sample instants; comparisons are

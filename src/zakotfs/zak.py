@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 import numpy as np
-import scipy.fft
 
 __all__ = ["DDGrid", "DTSignal", "idzt", "dzt", "idzt_samples", "dzt_values",
-           "frozen_complex", "memo"]
+           "fast_len", "frozen_complex", "memo"]
 
 # Role tags for DDGrid; purely informational but kept on the type so a
 # received grid is never silently fed where transmit symbols are expected.
@@ -64,6 +63,26 @@ def memo(maxsize: int):
             return _freeze(build(*args, **kwargs))
         return lru_cache(maxsize=maxsize)(frozen)
     return decorate
+
+
+@memo(maxsize=64)
+def fast_len(n: int) -> int:
+    """The smallest 11-smooth integer >= n, a length the FFT takes fast.
+
+    It is scipy.fft.next_fast_len(n, False); every zero-padded transform
+    in the package is sized by it.
+    """
+    if n < 1:
+        raise ValueError(f"transform length must be positive, got {n}")
+    size = n
+    while True:
+        rest = size
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return size
+        size += 1
 
 
 @dataclass(frozen=True)
@@ -128,14 +147,14 @@ def idzt_samples(values: np.ndarray) -> np.ndarray:
     """
     n = values.shape[1]
     # For each delay bin k the n-axis is an inverse DFT of the Doppler row.
-    blocks = np.sqrt(n) * scipy.fft.ifft(values, axis=1)  # [k, n]
+    blocks = np.sqrt(n) * np.fft.ifft(values, axis=1)  # [k, n]
     return blocks.T.reshape(-1)  # q = k + n*M ordering
 
 
 def dzt_values(samples: np.ndarray, m: int, n: int) -> np.ndarray:
     """The DZT of a length-MN array as a bare M x N array, unvalidated."""
     blocks = samples.reshape(n, m)  # [n, k]
-    return (scipy.fft.fft(blocks, axis=0) / np.sqrt(n)).T  # [k, l]
+    return (np.fft.fft(blocks, axis=0) / np.sqrt(n)).T  # [k, l]
 
 
 def idzt(grid: DDGrid | np.ndarray, rate: float | None = None) -> DTSignal:

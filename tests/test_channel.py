@@ -179,7 +179,7 @@ class TestApplyImpairments:
         x = np.ones(128, dtype=complex)
         sig = AnalogSignal(samples=x, rate=RATE, t0=-64 / RATE)
         out = apply_impairments(sig, ImpairmentSpec(eps0=5e3))
-        expect = np.exp(2j * np.pi * 5e3 * sig.times())
+        expect = np.exp(2j * np.pi * 5e3 * (sig.t0 + np.arange(128) / RATE))
         assert np.max(np.abs(out.samples - expect)) < 1e-12
 
     def test_noise_variance_calibrated(self):

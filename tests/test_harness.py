@@ -7,7 +7,6 @@ import tempfile
 
 import numpy as np
 import pytest
-import scipy.fft
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +17,7 @@ from zakotfs.config import ConfigError, config_from_dict, load_config
 from zakotfs.iqfile import IqFormatError, read_iq, read_iq_header, write_iq
 from zakotfs.runner import BerCurve, BerPoint, TrialReport, run_trial, sweep
 from zakotfs.waveform import AnalogSignal
+from zakotfs.zak import fast_len
 
 
 def tiny_config_dict(**run_overrides):
@@ -586,7 +586,7 @@ class TestMemos:
         ref = (plan.preamble, cfg.shape, b, q)
         other_root = (sync.Preamble(plan.preamble.length, plan.preamble.root + 2),) + ref[1:]
         k = plan.template.samples.size
-        nfft, wider = (scipy.fft.next_fast_len(n + k - 1, False) for n in (400, 700))
+        nfft, wider = (fast_len(n + k - 1) for n in (400, 700))
         phases = (cfg.shape, b, q, False, 128)
         c1, c2 = (estimation.SupportRegion.from_layout(plan.layout, kind)
                   for kind in ("C1", "C2"))
@@ -630,7 +630,7 @@ class TestMemos:
         b, q = cfg.params.b, cfg.q
         plan = runner._plan(cfg)
         exact = waveform.PulseShape(w1_span=None)
-        nfft = scipy.fft.next_fast_len(400 + plan.template.samples.size - 1, False)
+        nfft = fast_len(400 + plan.template.samples.size - 1)
         pos, steps = estimation._band_plan((-1, 0, 1), 16)
         gather, dest, conj = steps[1]
         return {

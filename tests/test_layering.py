@@ -1,6 +1,10 @@
-"""Package layering: no module reaches into another module's private names."""
+"""Package layering: no module reaches into another module's private names,
+and the package loads only the parts of scipy it uses."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,3 +96,38 @@ def test_lru_cache_only_inside_zak_memo(path):
 ])
 def test_memo_checker_flags_direct_caches(source):
     assert memo_factory_uses(source, "memo")
+
+
+# One 16x16 trial per shaping branch, with sync and a fractional-delay
+# path, so every transform in the link chain runs.
+_TRIAL_SCRIPT = """
+import sys
+import zakotfs.cli
+from zakotfs.config import config_from_dict
+from zakotfs.runner import run_trial
+raw = {
+    "config_version": 1,
+    "frame": {"m": 16, "n": 16, "tau_p_s": 1 / 30e3, "nu_p_hz": 30e3, "pilot_amp": 8.0},
+    "layout": {"tau_max_bins": 2.5, "dt_margin_bins": 1.0},
+    "shape": {"family": "rrc", "beta": 0.5, "w1_span": None, "oversampling": 4},
+    "channel": {"paths": [{"delay_bins": 0},
+                          {"delay_bins": 1.3, "doppler_bins": 1, "gain_db": -3}],
+                "cfo_hz": 200.0},
+    "run": {"constellation": 4, "snr_db": [15], "trials": 1, "base_seed": 2024,
+            "sync": True},
+}
+for span in (None, 16):
+    raw["shape"]["w1_span"] = span
+    run_trial(config_from_dict(raw), 0)
+print(sorted(name for name in sys.modules if name.startswith(("scipy.fft", "scipy.special"))))
+"""
+
+
+def test_a_trial_loads_neither_scipy_fft_nor_scipy_special():
+    """numpy.fft is the package's FFT front end; scipy serves only LAPACK."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent) + (os.pathsep + path if path else ""))
+    run = subprocess.run([sys.executable, "-c", _TRIAL_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

