@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,26 @@ def _get_choice(d: dict, section: str, key: str, choices, default=None) -> str:
         raise ConfigError(f"{section}.{key}",
                           f"must be one of {', '.join(choices)}, got {v!r}")
     return v
+
+
+# Finite SNR points lie within this many dB of 0 (about 1541): the linear
+# SNR, the trial's noise level and their squares are then finite floats.
+_SNR_DB_LIMIT = 5 * math.log10(sys.float_info.max)
+
+
+def _snr_point(where: str, v) -> float:
+    """One SNR point in dB; null and .inf mean noiseless."""
+    if v is None:
+        return math.inf
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(where, f"expected a number, got {v!r}")
+    if v == math.inf:
+        return math.inf
+    # NaN and -inf fail the comparison too.
+    if not abs(v) <= _SNR_DB_LIMIT:
+        raise ConfigError(where, "must be .inf or null (noiseless), or a dB value "
+                                 f"within ±{_SNR_DB_LIMIT:.0f}, got {v!r}")
+    return float(v)
 
 
 @dataclass(frozen=True)
@@ -249,12 +270,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("run.snr_db", "need a nonempty list of SNR points")
     snr_db = []
     for i, s in enumerate(raw_snr):
-        if s is None:
-            snr_db.append(math.inf)
-        elif isinstance(s, bool) or not isinstance(s, (int, float)):
-            raise ConfigError(f"run.snr_db[{i}]", f"expected a number, got {s!r}")
-        else:
-            snr_db.append(float(s))
+        point = _snr_point(f"run.snr_db[{i}]", s)
+        # The CSV rows and constellation file names show a point as %g.
+        if any(point == p or f"{point:g}" == f"{p:g}" for p in snr_db):
+            raise ConfigError(f"run.snr_db[{i}]", f"repeats the SNR point {point:g} dB")
+        snr_db.append(point)
     trials = _get_int(run, "run", "trials", default=1, minimum=1, maximum=MAX_TRIALS)
     base_seed = _get_int(run, "run", "base_seed", default=0, minimum=0, maximum=2 ** 64 - 1)
     support = _get_choice(run, "run", "support", SUPPORT_KINDS, default="C1")

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import zpbsv
 
+from ._lapack import zpbsv
 from .dd_frame import FrameLayout
 from .zak import ROLE_CHANNEL, DDGrid, dzt_values, idzt_samples, memo
 
@@ -221,8 +221,9 @@ def _band_plan(delays: tuple[int, ...], mn: int) -> tuple[np.ndarray, tuple]:
 
     Returns the ring fold positions and, for each offset off = 0..span,
     the flat gather indices into the (len(delays) - off, mn) profile
-    products, the flat destinations in the (2*span + 1, mn) band, and
-    the mask of entries stored conjugated.
+    products, the flat destinations in the (2*span + 1, mn) band stored
+    column by column, as LAPACK reads it, and the mask of entries stored
+    conjugated.
     """
     span = len(delays) - 1
     if 2 * span >= mn:
@@ -238,7 +239,7 @@ def _band_plan(delays: tuple[int, ...], mn: int) -> tuple[np.ndarray, tuple]:
         gather = (t - d[:rows, None]) % mn + mn * np.arange(rows)[:, None]
         p, q = pos, pos[(t + off) % mn]
         row, col = np.minimum(p, q), np.maximum(p, q)
-        dest = (u + row - col) * mn + col
+        dest = (u + row - col) + (u + 1) * col
         steps.append((gather, dest, p > q))
     return pos, tuple(steps)
 
@@ -262,8 +263,8 @@ def _normal_band(profiles: np.ndarray, noise_var: float, steps: tuple) -> np.nda
     sum_d g_d[t-d] conj(g_{d+off}[t-d]) over the contiguous delays, and
     only ring offsets up to span = max(delays) - min(delays) are nonzero.
     Folding by _ring_fold turns that ring band into a plain band of
-    half-width 2*span, returned in the upper layout
-    LAPACK's zpbsv reads; steps are _band_plan's index maps.
+    half-width 2*span, returned in the upper layout LAPACK's zpbsv
+    reads, in Fortran order; steps are _band_plan's index maps.
 
     The fold interleaves two chains that couple only at the ring's ends,
     so the Cholesky fill between them decays geometrically.  Started from
@@ -283,8 +284,8 @@ def _normal_band(profiles: np.ndarray, noise_var: float, steps: tuple) -> np.nda
         np.conjugate(entry, out=entry, where=conj)
         entries.append(entry)
     seed = _ZERO_SEED * (np.max(entries[0].real) + noise_var)
-    band = np.full((2 * d_count - 1, mn), seed, dtype=np.complex128)
-    flat = band.reshape(-1)
+    band = np.full((2 * d_count - 1, mn), seed, dtype=np.complex128, order="F")
+    flat = band.reshape(-1, order="F")
     for (_, dest, _), entry in zip(steps, entries):
         flat[dest] = entry
     band[-1] += noise_var
@@ -315,14 +316,14 @@ def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
     # Rounding leaves a null direction a pivot near eps rather than zero, so
     # pivots are judged against the largest diagonal entry, not against 0.
     floor = y.size * np.finfo(float).eps * np.max(band[-1].real)
-    # One LAPACK call: zpbtrf factors the band, zpbtrs solves with the factor.
-    factor, z_folded, info = zpbsv(band, y_folded, lower=0, overwrite_ab=1,
-                                   overwrite_b=1)
-    if info != 0 or np.min(factor[-1].real) ** 2 <= floor:
+    # One LAPACK call, in place: zpbtrf factors the band, zpbtrs solves
+    # with the factor, and y_folded becomes the folded solution.
+    info = zpbsv(band, y_folded)
+    if info != 0 or np.min(band[-1].real) ** 2 <= floor:
         raise SolverDivergence(
             "regularized normal matrix H H^H + noise_var I is singular "
             f"(noise_var={noise_var:g}); the taps do not determine the frame")
-    z = z_folded[pos]
+    z = y_folded[pos]
     # H^H z = sum_d conj(g_d) * roll(z, -d), the rows summed in order.
     x = (np.conj(profiles) * z[_roll_gather(tuple((-delays).tolist()), y.size)]).sum(axis=0)
     return DDGrid(values=dzt_values(x, y_dd.m, y_dd.n), role=y_dd.role)

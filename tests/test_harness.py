@@ -100,6 +100,32 @@ class TestConfigFromDict:
         cfg = config_from_dict(tiny_config_dict(snr_db=[None, 20]))
         assert cfg.snr_db == (np.inf, 20.0)
 
+    def test_inf_snr_means_noiseless(self):
+        cfg = config_from_dict(tiny_config_dict(snr_db=[20, float("inf")]))
+        assert cfg.snr_db == (20.0, np.inf)
+
+    def test_snr_limits_accepted(self):
+        cfg = config_from_dict(tiny_config_dict(snr_db=[-1541, 1541.25]))
+        assert cfg.snr_db == (-1541.0, 1541.25)
+
+    @pytest.mark.parametrize("snr_db", [
+        [float("nan")],
+        [float("-inf")],
+        [4000],                  # 10 ** 400.0 overflows
+        [-4000],                 # 10 ** -400.0 underflows to 0
+        [20, 1541.3],
+        [10 ** 400],             # no float holds it
+        [10, 20, 10],
+        [None, float("inf")],    # both mean noiseless
+        [0, -0.0],
+        [10, 10.000001],         # both print as 10
+    ], ids=["nan", "-inf", "overflow", "underflow", "past-limit", "huge-int",
+            "duplicate", "duplicate-noiseless", "duplicate-zero", "same-label"])
+    def test_bad_snr_point_rejected(self, snr_db):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(tiny_config_dict(snr_db=snr_db))
+        assert info.value.field_name == f"run.snr_db[{len(snr_db) - 1}]"
+
     def test_path_delay_within_layout_budget(self):
         raw = tiny_config_dict()
         raw["channel"]["paths"] = [{"delay_bins": 2.0}]
@@ -949,6 +975,15 @@ class TestCli:
         path = self._write_config(tmp_path)
         assert main(argv[:1] + ["--config", path] + argv[1:]) == 1
         assert f"config error: {flag}: must lie in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr", [float("nan"), float("-inf"), 4000, 12])
+    def test_bad_snr_exits_one_before_any_trial(self, tmp_path, capsys, monkeypatch, snr):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(runner, "run_trial", no_trial)
+        path = self._write_config(tmp_path, tiny_config_dict(snr_db=[12, snr]))
+        assert main(["sweep", "--config", path]) == 1
+        assert "config error: run.snr_db[1]" in capsys.readouterr().err
 
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "no.yaml")]) == 1

@@ -1,13 +1,16 @@
 """Package layering: no module reaches into another module's private names,
-and the package loads only the parts of scipy it uses."""
+and a trial runs without scipy."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from zakotfs import _lapack
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zakotfs"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -99,12 +102,19 @@ def test_memo_checker_flags_direct_caches(source):
 
 
 # One 16x16 trial per shaping branch, with sync and a fractional-delay
-# path, so every transform in the link chain runs.
+# path, so every transform and the equalizer's band solve run.  With
+# --without-scipy, scipy cannot be imported and the selftest runs first.
 _TRIAL_SCRIPT = """
+import json
 import sys
+if "--without-scipy" in sys.argv:
+    sys.modules["scipy"] = None
 import zakotfs.cli
+from zakotfs import _lapack
 from zakotfs.config import config_from_dict
 from zakotfs.runner import run_trial
+if "--without-scipy" in sys.argv:
+    assert zakotfs.cli.main(["selftest"]) == 0
 raw = {
     "config_version": 1,
     "frame": {"m": 16, "n": 16, "tau_p_s": 1 / 30e3, "nu_p_hz": 30e3, "pilot_amp": 8.0},
@@ -119,15 +129,33 @@ raw = {
 for span in (None, 16):
     raw["shape"]["w1_span"] = span
     run_trial(config_from_dict(raw), 0)
-print(sorted(name for name in sys.modules if name.startswith(("scipy.fft", "scipy.special"))))
+print(json.dumps({"resolved": _lapack._foreign() is not None,
+                  "scipy": sorted(name for name in sys.modules if name.startswith("scipy"))}))
 """
 
 
-def test_a_trial_loads_neither_scipy_fft_nor_scipy_special():
-    """numpy.fft is the package's FFT front end; scipy serves only LAPACK."""
+def _run_trials(*args: str) -> dict:
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent) + (os.pathsep + path if path else ""))
-    run = subprocess.run([sys.executable, "-c", _TRIAL_SCRIPT], env=env,
+    run = subprocess.run([sys.executable, "-c", _TRIAL_SCRIPT, *args], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_a_trial_loads_no_scipy():
+    """numpy.fft is the package's FFT front end and numpy's LAPACK solves
+    the band; only a numpy whose LAPACK exports no known zpbsv name
+    brings in scipy.linalg, and never scipy.fft or scipy.special."""
+    seen = _run_trials()
+    if seen["resolved"]:
+        assert seen["scipy"] == []
+    else:
+        assert not [name for name in seen["scipy"]
+                    if name.startswith(("scipy.fft", "scipy.special"))]
+
+
+def test_selftest_and_trials_run_without_scipy():
+    if _lapack._foreign() is None:
+        pytest.skip("numpy's LAPACK exports no known zpbsv name; scipy solves the band")
+    assert _run_trials("--without-scipy") == {"resolved": True, "scipy": ["scipy"]}
