@@ -11,7 +11,8 @@ import sys
 import numpy as np
 
 from . import svg
-from .config import MAX_TRIALS, ConfigError, config_from_dict, load_config
+from .config import (MAX_TRIALS, MAX_WORKERS, ConfigError, config_from_dict,
+                     load_config)
 from .dd_frame import FrameParams, build_layout
 from .estimation import SupportRegion, equalize_taps, manual_taps, predict_io
 from .iqfile import IqFormatError, read_iq_header, write_iq
@@ -35,7 +36,7 @@ def _check_flag(flag: str, value: int, lo: int, hi: float = math.inf) -> None:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.workers is not None:
-        _check_flag("--workers", args.workers, 1)
+        _check_flag("--workers", args.workers, 1, MAX_WORKERS + 1)
         cfg = dataclasses.replace(cfg, workers=args.workers)
     curve, _ = sweep(cfg, emit=True)
     sys.stdout.write(curve.to_csv())

@@ -20,6 +20,8 @@ __all__ = ["ConfigError", "ExperimentConfig", "config_from_dict", "load_config"]
 CONFIG_VERSION = 1
 # A trial's stream key is two 64-bit words: base_seed and (snr_index << 32) | trial.
 MAX_TRIALS = 2 ** 32
+# sweep starts every pool worker at once, one process each.
+MAX_WORKERS = 256
 
 SUPPORT_KINDS = ("C1", "C2")
 CFO_MODES = ("time_domain", "channel_folded")
@@ -281,7 +283,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     sync_on = _get_bool(run, "run", "sync", default=False)
     cfo_mode = _get_choice(run, "run", "cfo_correction", CFO_MODES,
                            default="time_domain")
-    workers = _get_int(run, "run", "workers", default=1, minimum=1)
+    workers = _get_int(run, "run", "workers", default=1, minimum=1, maximum=MAX_WORKERS)
 
     sy = _section(raw, "sync", required=False)
     _check_unknown(sy, {"preamble_length", "preamble_root", "gap_symbols",

@@ -216,8 +216,11 @@ class Constellation:
         half = self.bits_per_symbol // 2
         by_label = self.points[::1 << half].real
         grid = (by_label[:, None] + 1j * by_label[None, :]).reshape(-1)
+        # Neighbours of the sorted levels, not np.unique, which would load
+        # numpy.ma into every process on its first trial.
+        ascending = np.sort(by_label)
         if (not np.array_equal(self.points, grid)
-                or np.unique(by_label).size != by_label.size):
+                or np.any(ascending[1:] == ascending[:-1])):
             raise ValueError("per-axis decisions need a square grid of distinct "
                              "levels shared by both axes")
         labels = np.argsort(by_label)

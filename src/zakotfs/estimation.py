@@ -215,15 +215,25 @@ def _ring_fold(mn: int) -> np.ndarray:
     return np.where(2 * i < mn, 2 * i, 2 * (mn - 1 - i) + 1)
 
 
+class _BandPlan(NamedTuple):
+    """Index maps of _normal_band; the arrays are read-only."""
+
+    pos: np.ndarray   # band position of each ring sample, _ring_fold
+    roll: np.ndarray  # (D, mn + span) flat gather into the (D, mn) profiles
+    dest: np.ndarray  # (span + 1, mn) flat band destinations, per offset
+    conj: np.ndarray  # (span + 1, mn) mask of the entries stored conjugated
+
+
 @memo(maxsize=8)
-def _band_plan(delays: tuple[int, ...], mn: int) -> tuple[np.ndarray, tuple]:
+def _band_plan(delays: tuple[int, ...], mn: int) -> _BandPlan:
     """Index maps of _normal_band for contiguous delays on a length-mn ring.
 
-    Returns the ring fold positions and, for each offset off = 0..span,
-    the flat gather indices into the (len(delays) - off, mn) profile
-    products, the flat destinations in the (2*span + 1, mn) band stored
-    column by column, as LAPACK reads it, and the mask of entries stored
-    conjugated.
+    Row r of the roll map reads profile r rolled by delays[r] and runs
+    span samples past the ring's end, so that every offset's products
+    are slices of one gathered array.  For each offset off = 0..span,
+    dest and conj hold the flat destinations in the (2*span + 1, mn)
+    band stored column by column, as LAPACK reads it, and the entries
+    stored conjugated.
     """
     span = len(delays) - 1
     if 2 * span >= mn:
@@ -232,16 +242,13 @@ def _band_plan(delays: tuple[int, ...], mn: int) -> tuple[np.ndarray, tuple]:
     u = 2 * span
     d = np.array(delays)
     t = np.arange(mn)
+    roll = (np.arange(mn + span) - d[:, None]) % mn + mn * np.arange(d.size)[:, None]
     pos = _ring_fold(mn)
-    steps = []
-    for off in range(span + 1):
-        rows = d.size - off
-        gather = (t - d[:rows, None]) % mn + mn * np.arange(rows)[:, None]
-        p, q = pos, pos[(t + off) % mn]
-        row, col = np.minimum(p, q), np.maximum(p, q)
-        dest = (u + row - col) + (u + 1) * col
-        steps.append((gather, dest, p > q))
-    return pos, tuple(steps)
+    # Band positions of the ring pairs (t, t + off), one row per offset.
+    q = pos[(t + np.arange(span + 1)[:, None]) % mn]
+    row, col = np.minimum(pos, q), np.maximum(pos, q)
+    return _BandPlan(pos=pos, roll=roll, dest=(u + row - col) + (u + 1) * col,
+                     conj=pos > q)
 
 
 @memo(maxsize=16)
@@ -256,15 +263,17 @@ def _roll_gather(shifts: tuple[int, ...], mn: int) -> np.ndarray:
 _ZERO_SEED = 2.0 ** -300
 
 
-def _normal_band(profiles: np.ndarray, noise_var: float, steps: tuple) -> np.ndarray:
+def _normal_band(profiles: np.ndarray, noise_var: float, plan: _BandPlan) -> np.ndarray:
     """Upper band storage of the folded H H^H + noise_var I.
 
     H v = sum_d roll(g_d * v, d), so entry (t, t+off) of H H^H is
     sum_d g_d[t-d] conj(g_{d+off}[t-d]) over the contiguous delays, and
     only ring offsets up to span = max(delays) - min(delays) are nonzero.
-    Folding by _ring_fold turns that ring band into a plain band of
-    half-width 2*span, returned in the upper layout LAPACK's zpbsv
-    reads, in Fortran order; steps are _band_plan's index maps.
+    With the profiles rolled by their delays, g_{d+off}[t-d] is row
+    d + off of the rolled array at t + off, so each offset multiplies two
+    slices of it.  Folding by _ring_fold turns that ring band into a
+    plain band of half-width 2*span, returned in the upper layout
+    LAPACK's zpbsv reads, in Fortran order; plan is _band_plan's.
 
     The fold interleaves two chains that couple only at the ring's ends,
     so the Cholesky fill between them decays geometrically.  Started from
@@ -274,20 +283,19 @@ def _normal_band(profiles: np.ndarray, noise_var: float, steps: tuple) -> np.nda
     numbers too small to move any rounding.
     """
     d_count, mn = profiles.shape
-    entries = []
-    for off, (gather, dest, conj) in enumerate(steps):
+    rolled = np.take(profiles, plan.roll)
+    entries = np.empty(plan.dest.shape, dtype=np.complex128)
+    for off, entry in enumerate(entries):
         # Kept as one expression: numpy may multiply a large temporary in
         # place with the factors swapped, and complex products round by
         # operand order, so hoisting the conjugate would move the last bit.
-        prod = profiles[:d_count - off] * np.conj(profiles[off:])
-        entry = np.take(prod, gather).sum(axis=0)
-        np.conjugate(entry, out=entry, where=conj)
-        entries.append(entry)
+        prod = rolled[:d_count - off, :mn] * np.conj(rolled[off:, off:off + mn])
+        np.sum(prod, axis=0, out=entry)
+    del rolled, prod
+    np.conjugate(entries, out=entries, where=plan.conj)
     seed = _ZERO_SEED * (np.max(entries[0].real) + noise_var)
     band = np.full((2 * d_count - 1, mn), seed, dtype=np.complex128, order="F")
-    flat = band.reshape(-1, order="F")
-    for (_, dest, _), entry in zip(steps, entries):
-        flat[dest] = entry
+    band.reshape(-1, order="F")[plan.dest] = entries
     band[-1] += noise_var
     return band
 
@@ -309,10 +317,10 @@ def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
         raise ValueError("tap support and grid dimensions disagree")
     delays, profiles = _delay_gain_profiles(h)
     y = idzt_samples(y_dd.values)
-    pos, steps = _band_plan(tuple(delays.tolist()), y.size)
-    band = _normal_band(profiles, noise_var, steps)
+    plan = _band_plan(tuple(delays.tolist()), y.size)
+    band = _normal_band(profiles, noise_var, plan)
     y_folded = np.empty_like(y)
-    y_folded[pos] = y
+    y_folded[plan.pos] = y
     # Rounding leaves a null direction a pivot near eps rather than zero, so
     # pivots are judged against the largest diagonal entry, not against 0.
     floor = y.size * np.finfo(float).eps * np.max(band[-1].real)
@@ -323,7 +331,7 @@ def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
         raise SolverDivergence(
             "regularized normal matrix H H^H + noise_var I is singular "
             f"(noise_var={noise_var:g}); the taps do not determine the frame")
-    z = y_folded[pos]
+    z = y_folded[plan.pos]
     # H^H z = sum_d conj(g_d) * roll(z, -d), the rows summed in order.
     x = (np.conj(profiles) * z[_roll_gather(tuple((-delays).tolist()), y.size)]).sum(axis=0)
     return DDGrid(values=dzt_values(x, y_dd.m, y_dd.n), role=y_dd.role)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -198,14 +197,18 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     bits, burst, chip0_nominal = _make_tx(cfg, plan, rng)
     nbits = bits.size
 
+    # Each buffer of the chain is dropped once its successor exists, so
+    # the trial's peak, which the kept heap holds resident, stays low.
     faded = apply_paths(burst, cfg.paths)
     impaired = apply_impairments(faded, cfg.impairments)
+    del faded
 
     core_lo = int(round(-impaired.t0 * impaired.rate))
     core = impaired.samples[core_lo:core_lo + params.m * params.n * cfg.q]
     signal_power = float(np.mean(np.abs(core) ** 2))
     noise_psd = 0.0 if math.isinf(snr_db) else signal_power / 10 ** (snr_db / 10)
     rx = add_noise(impaired, noise_psd, rng)
+    del impaired, core
 
     sync_res = None
     if cfg.sync_enabled:
@@ -231,8 +234,10 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
             sync_res = replace(sync_res, cfo_hat=cfo_hat)
             trimmed = correct(rx, replace(sync_res, start_index=shift))
             rx = AnalogSignal.adopt(trimmed.samples, rate=rx.rate, t0=rx.t0)
+            del trimmed
 
     y_dd = dzt(sample_and_periodize(matched_filter(rx, cfg.shape, params), params))
+    del rx
     h_est = estimate(y_dd, layout, plan.support, cfg.pilot_amp)
     x_hat = equalize_taps(y_dd, h_est, dd_noise_var(noise_psd, cfg.q, params.b))
 
@@ -273,6 +278,9 @@ def sweep(cfg: ExperimentConfig, emit: bool = True
         # About sixteen chunks per worker: few round trips, and the last
         # chunks are short enough that no worker idles long at the end.
         chunk = max(1, len(trial_idx) // (16 * workers))
+        # Imported here: the pool brings in multiprocessing, which a serial
+        # run never needs.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             stats = list(pool.map(_trial_stats, repeat(cfg), trial_idx, snr_idx,
                                   chunksize=chunk))

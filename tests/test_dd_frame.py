@@ -226,6 +226,19 @@ class TestConstellation:
         with pytest.raises(ValueError, match="square grid"):
             tilted.demodulate(tilted.points)
 
+    @pytest.mark.parametrize("by_label", [
+        [1.0, 1.0],                  # four equal points
+        [0.0, -0.0],                 # levels equal as numbers, apart in sign
+        [-3.0, 1.0, 1.0, 3.0],       # 16 points on a grid with a repeated level
+    ])
+    def test_repeated_levels_are_not_demodulated(self, by_label):
+        """A square grid whose axis repeats a level has no per-axis decision."""
+        levels = np.array(by_label)
+        points = (levels[:, None] + 1j * levels[None, :]).reshape(-1)
+        c = Constellation(order=points.size, points=points)
+        with pytest.raises(ValueError, match="square grid"):
+            c.demodulate(points)
+
     def test_bits_per_symbol(self):
         assert Constellation.qam(4).bits_per_symbol == 2
         assert Constellation.qam(16).bits_per_symbol == 4

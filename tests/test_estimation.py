@@ -492,6 +492,37 @@ class TestMmseEqualize:
             equalize_taps(y, manual_taps({(0, 0): 1.0}, sup), 0.0)
 
 
+def gather_normal_band(profiles, noise_var, delays):
+    """_normal_band as it was built from per-offset gather maps: the
+    (rows, mn) profile products of each offset gathered back onto the ring
+    by flat index and summed over rows, then scattered one offset at a
+    time into the Fortran-ordered band."""
+    d_count, mn = profiles.shape
+    span = d_count - 1
+    u = 2 * span
+    d = np.array(delays)
+    t = np.arange(mn)
+    pos = estimation._ring_fold(mn)
+    entries, dests = [], []
+    for off in range(span + 1):
+        rows = d_count - off
+        gather = (t - d[:rows, None]) % mn + mn * np.arange(rows)[:, None]
+        p, q = pos, pos[(t + off) % mn]
+        row, col = np.minimum(p, q), np.maximum(p, q)
+        prod = profiles[:d_count - off] * np.conj(profiles[off:])
+        entry = np.take(prod, gather).sum(axis=0)
+        np.conjugate(entry, out=entry, where=p > q)
+        entries.append(entry)
+        dests.append((u + row - col) + (u + 1) * col)
+    seed = estimation._ZERO_SEED * (np.max(entries[0].real) + noise_var)
+    band = np.full((2 * d_count - 1, mn), seed, dtype=np.complex128, order="F")
+    flat = band.reshape(-1, order="F")
+    for dest, entry in zip(dests, entries):
+        flat[dest] = entry
+    band[-1] += noise_var
+    return band
+
+
 class TestEqualizeTaps:
     """The banded tap-driven solve against the dense oracle.
 
@@ -530,6 +561,29 @@ class TestEqualizeTaps:
         z = np.arange(mn) + 1j
         for d, row in zip(shifts, gather):
             assert np.array_equal(z[row], np.roll(z, d))
+
+    @settings(max_examples=80, deadline=None)
+    @given(span=st.integers(0, 4), mn=st.sampled_from([9, 16, 50, 256, 4096, 8192]),
+           first=st.integers(-4, 4), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.floats(1e-6, 1e6),
+           noise_var=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)))
+    # The benchmark bands: delays -1..3 on the 64x64 ring and on the 16x16 one.
+    @example(span=4, mn=4096, first=-1, seed=0, scale=1.0, noise_var=0.0)
+    @example(span=4, mn=4096, first=-1, seed=1, scale=1.0, noise_var=3e-3)
+    @example(span=4, mn=256, first=-1, seed=2, scale=1.0, noise_var=0.1)
+    def test_rolled_band_matches_gather_band(self, span, mn, first, seed, scale, noise_var):
+        """Products of slices of one rolled array give the gather version's
+        band byte for byte, also where the products pass numpy's 256 KiB
+        in-place threshold (five 4,096-sample rows) and the factors swap."""
+        rng = np.random.default_rng(seed)
+        profiles = scale * (rng.standard_normal((span + 1, mn))
+                            + 1j * rng.standard_normal((span + 1, mn)))
+        delays = tuple(range(first, first + span + 1))
+        got = estimation._normal_band(profiles, noise_var, estimation._band_plan(delays, mn))
+        want = gather_normal_band(profiles, noise_var, delays)
+        assert got.flags.f_contiguous
+        assert got.shape == want.shape
+        assert got.tobytes(order="A") == want.tobytes(order="A")
 
     @pytest.mark.parametrize("m,n,c_bins,kind", [
         (8, 8, 1.5, "C2"),
@@ -577,12 +631,12 @@ class TestEqualizeTaps:
         cho_solve_banded: the zpbtrf and zpbtrs calls zpbsv makes in one."""
         delays, profiles = estimation._delay_gain_profiles(h)
         s = idzt(y).samples
-        pos, steps = estimation._band_plan(tuple(delays.tolist()), s.size)
-        band = estimation._normal_band(profiles, noise_var, steps)
+        plan = estimation._band_plan(tuple(delays.tolist()), s.size)
+        band = estimation._normal_band(profiles, noise_var, plan)
         folded = np.empty_like(s)
-        folded[pos] = s
+        folded[plan.pos] = s
         factor = scipy.linalg.cholesky_banded(band, check_finite=False)
-        z = scipy.linalg.cho_solve_banded((factor, False), folded, check_finite=False)[pos]
+        z = scipy.linalg.cho_solve_banded((factor, False), folded, check_finite=False)[plan.pos]
         gather = estimation._roll_gather(tuple((-delays).tolist()), s.size)
         return dzt((np.conj(profiles) * z[gather]).sum(axis=0), m=y.m, n=y.n, role=y.role)
 
@@ -612,8 +666,8 @@ class TestEqualizeTaps:
         sup = SupportRegion.from_layout(lay, "C1")
         h = manual_taps({}, sup)
         delays, profiles = estimation._delay_gain_profiles(h)
-        _, steps = estimation._band_plan(tuple(delays.tolist()), 32)
-        band = estimation._normal_band(profiles, 0.0, steps)
+        plan = estimation._band_plan(tuple(delays.tolist()), 32)
+        band = estimation._normal_band(profiles, 0.0, plan)
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.cholesky_banded(band)
         assert _lapack.zpbsv(band, np.ones(32, dtype=complex)) == 1
@@ -719,8 +773,8 @@ class TestBandZeroSeed:
     def test_readme_factor_has_no_subnormal(self, readme_10db_system):
         y, h, noise_var = readme_10db_system
         delays, profiles = estimation._delay_gain_profiles(h)
-        _, steps = estimation._band_plan(tuple(delays.tolist()), y.m * y.n)
-        band = estimation._normal_band(profiles, noise_var, steps)
+        plan = estimation._band_plan(tuple(delays.tolist()), y.m * y.n)
+        band = estimation._normal_band(profiles, noise_var, plan)
         factor = scipy.linalg.cholesky_banded(band, check_finite=False)
         parts = np.abs(np.concatenate([factor.real.ravel(), factor.imag.ravel()]))
         assert not np.any((parts > 0) & (parts < np.finfo(float).tiny))

@@ -1,5 +1,6 @@
 """Configuration, IQ files, SVG output, the trial runner, and the CLI."""
 
+import concurrent.futures
 import copy
 import dataclasses
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from zakotfs import channel, estimation, runner, svg, sync, waveform
 from zakotfs.cli import main
-from zakotfs.config import ConfigError, config_from_dict, load_config
+from zakotfs.config import MAX_WORKERS, ConfigError, config_from_dict, load_config
 from zakotfs.iqfile import IqFormatError, read_iq, read_iq_header, write_iq
 from zakotfs.runner import BerCurve, BerPoint, TrialReport, run_trial, sweep
 from zakotfs.waveform import AnalogSignal
@@ -179,6 +180,14 @@ class TestConfigFromDict:
         assert run_trial(cfg, 0).seed_key == (2 ** 64 - 1, 0)
         with pytest.raises(ConfigError, match="run.base_seed"):
             config_from_dict(tiny_config_dict(base_seed=2 ** 64))
+
+    def test_worker_count_is_bounded(self):
+        """sweep starts its workers at once, so a config may ask for at most
+        MAX_WORKERS of them."""
+        assert config_from_dict(tiny_config_dict(workers=MAX_WORKERS)).workers == MAX_WORKERS
+        for workers in (MAX_WORKERS + 1, 100000):
+            with pytest.raises(ConfigError, match="run.workers"):
+                config_from_dict(tiny_config_dict(workers=workers))
 
     def test_layout_too_wide_for_grid(self):
         raw = tiny_config_dict()
@@ -657,8 +666,7 @@ class TestMemos:
         plan = runner._plan(cfg)
         exact = waveform.PulseShape(w1_span=None)
         nfft = fast_len(400 + plan.template.samples.size - 1)
-        pos, steps = estimation._band_plan((-1, 0, 1), 16)
-        gather, dest, conj = steps[1]
+        band_plan = estimation._band_plan((-1, 0, 1), 16)
         return {
             "layout.data_rows": plan.layout.data_rows,
             "plan.template": plan.template.samples,
@@ -676,10 +684,7 @@ class TestMemos:
             "phase_spectra.correlate": waveform._phase_spectra(cfg.shape, b, q, True, 128),
             "template_spectrum": sync._template_spectrum(plan.preamble, cfg.shape, b, q,
                                                          nfft),
-            "band_plan.pos": pos,
-            "band_plan.gather": gather,
-            "band_plan.dest": dest,
-            "band_plan.conj": conj,
+            **{f"band_plan.{field}": arr for field, arr in band_plan._asdict().items()},
             "roll_gather": estimation._roll_gather((-1, 0, 1), 16),
             "kay_window": sync._kay_window(16),
             **{f"readoff.{field}": arr for field, arr in
@@ -858,7 +863,8 @@ class TestSweep:
                 seen.append(chunksize)
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+        # sweep imports the pool from concurrent.futures when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         cfg = self._cfg(tmp_path, snr_db=snr_db, trials=trials, workers=workers)
         curve, scatters = sweep(cfg, emit=False)
         assert seen == [pool_size, chunk]
@@ -965,6 +971,7 @@ class TestCli:
         (["trial", "--index", "0", "--snr-index", "-1"], "--snr-index"),
         (["trial", "--index", "-1"], "--index"),
         (["trial", "--index", str(2 ** 32)], "--index"),
+        (["sweep", "--workers", str(MAX_WORKERS + 1)], "--workers"),
     ])
     def test_bad_flag_exits_one_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                  argv, flag):
@@ -975,6 +982,17 @@ class TestCli:
         path = self._write_config(tmp_path)
         assert main(argv[:1] + ["--config", path] + argv[1:]) == 1
         assert f"config error: {flag}: must lie in" in capsys.readouterr().err
+
+    def test_too_many_workers_exit_one_before_any_pool(self, tmp_path, capsys,
+                                                       monkeypatch):
+        """workers: 100000 fails when the config is read; a pool stand-in
+        that refuses to start shows that no process is forked."""
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        path = self._write_config(tmp_path, tiny_config_dict(workers=100000))
+        assert main(["sweep", "--config", path]) == 1
+        assert f"config error: run.workers: must be <= {MAX_WORKERS}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("snr", [float("nan"), float("-inf"), 4000, 12])
     def test_bad_snr_exits_one_before_any_trial(self, tmp_path, capsys, monkeypatch, snr):

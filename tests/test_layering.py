@@ -1,5 +1,5 @@
 """Package layering: no module reaches into another module's private names,
-and a trial runs without scipy."""
+a trial runs without scipy, and a serial run without the process pool."""
 
 import ast
 import json
@@ -102,17 +102,23 @@ def test_memo_checker_flags_direct_caches(source):
 
 
 # One 16x16 trial per shaping branch, with sync and a fractional-delay
-# path, so every transform and the equalizer's band solve run.  With
-# --without-scipy, scipy cannot be imported and the selftest runs first.
+# path, so every transform and the equalizer's band solve run, then one
+# serial sweep that writes its outputs.  With --without-scipy, scipy
+# cannot be imported and the selftest runs first.
 _TRIAL_SCRIPT = """
 import json
+import shutil
 import sys
+import tempfile
 if "--without-scipy" in sys.argv:
     sys.modules["scipy"] = None
 import zakotfs.cli
 from zakotfs import _lapack
 from zakotfs.config import config_from_dict
-from zakotfs.runner import run_trial
+from zakotfs.runner import run_trial, sweep
+# Modules a serial run must never load: the process pool, and numpy.ma,
+# which np.unique brings in.
+_UNUSED = {"multiprocessing", "concurrent.futures.process", "numpy.ma"}
 if "--without-scipy" in sys.argv:
     assert zakotfs.cli.main(["selftest"]) == 0
 raw = {
@@ -129,8 +135,15 @@ raw = {
 for span in (None, 16):
     raw["shape"]["w1_span"] = span
     run_trial(config_from_dict(raw), 0)
+out = tempfile.mkdtemp()
+raw["run"].update(trials=2, workers=1)
+raw["output"] = {"csv": out + "/ber.csv", "curve_svg": out + "/ber.svg",
+                 "constellation_prefix": out + "/const_"}
+sweep(config_from_dict(raw), emit=True)
+shutil.rmtree(out)
 print(json.dumps({"resolved": _lapack._foreign() is not None,
-                  "scipy": sorted(name for name in sys.modules if name.startswith("scipy"))}))
+                  "scipy": sorted(name for name in sys.modules if name.startswith("scipy")),
+                  "unused": sorted(name for name in sys.modules if name in _UNUSED)}))
 """
 
 
@@ -155,7 +168,13 @@ def test_a_trial_loads_no_scipy():
                     if name.startswith(("scipy.fft", "scipy.special"))]
 
 
+def test_a_serial_run_loads_no_process_pool_or_numpy_ma():
+    """Only sweep's workers > 1 branch imports the pool."""
+    assert _run_trials()["unused"] == []
+
+
 def test_selftest_and_trials_run_without_scipy():
     if _lapack._foreign() is None:
         pytest.skip("numpy's LAPACK exports no known zpbsv name; scipy solves the band")
-    assert _run_trials("--without-scipy") == {"resolved": True, "scipy": ["scipy"]}
+    assert _run_trials("--without-scipy") == {"resolved": True, "scipy": ["scipy"],
+                                              "unused": []}
