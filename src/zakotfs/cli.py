@@ -88,8 +88,8 @@ def _selftest_checks():
 
     def transforms():
         vals = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        grid = DDGrid(values=vals, role="symbols")
-        back = dzt(idzt(grid), role="symbols")
+        grid = DDGrid(values=vals)
+        back = dzt(idzt(grid))
         err = np.max(np.abs(back.values - grid.values))
         assert err < 1e-12, f"round-trip error {err:.2e}"
 
@@ -113,8 +113,8 @@ def _selftest_checks():
         err = np.max(np.abs(predict_io(DDGrid(values=pilot), h).values - want))
         assert err < 1e-12, f"closed-form error {err:.2e}"
         vals = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        y = predict_io(DDGrid(values=vals, role="symbols"), h)
-        x = equalize_taps(DDGrid(values=y.values, role="received"), h, 0.0)
+        y = predict_io(DDGrid(values=vals), h)
+        x = equalize_taps(y, h, 0.0)
         err = np.max(np.abs(x.values - vals))
         assert err < 1e-9, f"inversion error {err:.2e}"
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .zak import DDGrid, ROLE_SYMBOLS, frozen_complex
+from .zak import DDGrid, frozen_complex
 
 __all__ = [
     "FrameParams",
@@ -97,19 +97,15 @@ class FrameLayout:
             raise ValueError("pilot delay bin must sit inside the guard span")
 
     @cached_property
-    def data_delay_bins(self) -> tuple[int, ...]:
-        return tuple(k for k in range(self.m) if not (self.kappa1 <= k < self.kappa4))
-
-    @cached_property
     def data_rows(self) -> np.ndarray:
-        """data_delay_bins as a read-only index array."""
-        rows = np.array(self.data_delay_bins)
+        """The delay bins outside the guard span, ascending, read-only."""
+        rows = np.r_[:self.kappa1, self.kappa4:self.m]
         rows.setflags(write=False)
         return rows
 
     @property
     def n_data_cells(self) -> int:
-        return len(self.data_delay_bins) * self.n
+        return self.data_rows.size * self.n
 
 
 def build_layout(params: FrameParams, tau_max: float, dt_margin: float) -> FrameLayout:
@@ -264,7 +260,7 @@ def map_bits(bits: np.ndarray, constellation: Constellation, layout: FrameLayout
     rows = layout.data_rows
     values[rows, :] = symbols.reshape(rows.size, layout.n)
     values[layout.k_p, layout.l_p] = pilot_amp
-    return DDGrid(values=values, role=ROLE_SYMBOLS)
+    return DDGrid(values=values)
 
 
 def demap_symbols(grid: DDGrid | np.ndarray, layout: FrameLayout,

@@ -3,10 +3,10 @@ delay-Doppler input-output prediction built on it.
 
 The receiver reads the channel off the guard neighbourhood of the pilot
 cell, keeps taps only inside a declared support region, and inverts the
-operator those taps define by an exact banded MMSE solve.  Doppler tap
-indices are signed, l in [-N/2, N/2), stored in the grid at column
-l mod N; delay tap indices are signed as well, relative to the pilot row
-M/2, stored at row k mod M.
+operator those taps define by an exact banded MMSE solve.  The taps
+form one block with a row per delay tap and a column per Doppler tap,
+both signed and ascending: delay k relative to the pilot row M/2, and
+Doppler l in [-N/2, N/2).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from ._lapack import zpbsv
 from .dd_frame import FrameLayout
-from .zak import ROLE_CHANNEL, DDGrid, dzt_values, idzt_samples, memo
+from .zak import DDGrid, dzt_values, frozen_complex, idzt_samples, memo
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,6 @@ class _ReadOff(NamedTuple):
 
     delays: np.ndarray      # signed delay taps
     dopplers: np.ndarray    # signed Doppler taps
-    rows: np.ndarray        # tap grid rows, delays % M, as a column
-    cols: np.ndarray        # tap grid columns, dopplers % N
-    pilot_rows: np.ndarray  # received rows, delays + M/2, as a column
-    pilot_cols: np.ndarray  # received columns, (dopplers + N/2) % N
     phase: np.ndarray       # exp(-j*pi*l/N) over the signed Doppler taps
     spectrum_cols: np.ndarray  # dopplers % MN, the gain profiles' DFT bins
 
@@ -87,33 +83,39 @@ class _ReadOff(NamedTuple):
 @memo(maxsize=8)
 def _readoff(support: SupportRegion) -> _ReadOff:
     """The support's read-off index maps, built once per process."""
-    m, n = support.m, support.n
-    ks, ls = support.delay_taps(), support.doppler_taps()
-    return _ReadOff(delays=ks, dopplers=ls, rows=(ks % m)[:, None], cols=ls % n,
-                    pilot_rows=(ks + m // 2)[:, None], pilot_cols=(ls + n // 2) % n,
-                    phase=np.exp(-1j * np.pi * ls / n), spectrum_cols=ls % (m * n))
+    ls = support.doppler_taps()
+    return _ReadOff(delays=support.delay_taps(), dopplers=ls,
+                    phase=np.exp(-1j * np.pi * ls / support.n),
+                    spectrum_cols=ls % (support.m * support.n))
 
 
 @dataclass(frozen=True)
 class EffectiveChannelEstimate:
-    """Sparse DD channel taps plus the support they were read on."""
+    """DD channel taps plus the support they were read on.
 
-    taps: DDGrid
+    block is read-only, finite and complex: block[i, j] is the tap at
+    signed delay support.delay_taps()[i] and signed Doppler
+    support.doppler_taps()[j].
+    """
+
+    block: np.ndarray
     support: SupportRegion
 
     def __post_init__(self):
-        if self.taps.m != self.support.m or self.taps.n != self.support.n:
-            raise ValueError("tap grid and support dimensions disagree")
-
-    def _block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Signed delay taps, signed Doppler taps, and the (delay, Doppler) tap block."""
-        maps = _readoff(self.support)
-        return maps.delays, maps.dopplers, self.taps.values[maps.rows, maps.cols]
+        block = np.asarray(self.block)
+        want = (self.support.k_hi - self.support.k_lo, self.support.n)
+        if block.shape != want:
+            raise ValueError(f"tap block has shape {block.shape}, its support "
+                             f"wants {want}")
+        if not np.all(np.isfinite(block)):
+            raise ValueError("channel taps must be finite")
+        object.__setattr__(self, "block", frozen_complex(block))
 
     def tap_items(self):
         """Yield (k, l, value) over the support with signed indices."""
-        ks, ls, block = self._block()
-        yield from zip(ks.repeat(ls.size), np.tile(ls, ks.size), block.ravel())
+        maps = _readoff(self.support)
+        ks, ls = maps.delays, maps.dopplers
+        yield from zip(ks.repeat(ls.size), np.tile(ls, ks.size), self.block.ravel())
 
     def peak(self) -> tuple[int, int]:
         """Signed (k, l) of the largest-magnitude tap.
@@ -121,17 +123,18 @@ class EffectiveChannelEstimate:
         Ties go to the first in tap_items order: signed delay, then
         signed Doppler, both ascending.
         """
-        ks, ls, block = self._block()
-        i, j = np.unravel_index(np.argmax(np.abs(block)), block.shape)
-        return int(ks[i]), int(ls[j])
+        maps = _readoff(self.support)
+        i, j = np.unravel_index(np.argmax(np.abs(self.block)), self.block.shape)
+        return int(maps.delays[i]), int(maps.dopplers[j])
 
 
 def estimate(y_dd: DDGrid, layout: FrameLayout, support: SupportRegion,
              pilot_amp: float) -> EffectiveChannelEstimate:
     """Read the effective channel from the received pilot neighbourhood.
 
-    h[k, l] = y_dd[k + M/2, l + N/2] * exp(-j*pi*l/N) / pilot_amp inside
-    the support, zero outside.  The phase factor removes the transmit
+    h[k, l] = y_dd[k + M/2, l + N/2] * exp(-j*pi*l/N) / pilot_amp over
+    the support, so the block is the received rows [k_lo, k_hi) times
+    exp(-j*pi*l/N) / pilot_amp.  The phase factor removes the transmit
     twist the pilot position imprints on every echo.
     """
     if pilot_amp <= 0:
@@ -141,25 +144,19 @@ def estimate(y_dd: DDGrid, layout: FrameLayout, support: SupportRegion,
         raise ValueError("estimation assumes the pilot sits at (M/2, N/2)")
     if support.m != m or support.n != n:
         raise ValueError("support was built for a different grid size")
-
-    maps = _readoff(support)
-    taps = np.zeros((m, n), dtype=np.complex128)
-    taps[maps.rows, maps.cols] = (y_dd.values[maps.pilot_rows, maps.pilot_cols]
-                                  * maps.phase / pilot_amp)
-    return EffectiveChannelEstimate(taps=DDGrid(values=taps, role=ROLE_CHANNEL),
-                                    support=support)
+    block = y_dd.values[support.k_lo:support.k_hi] * _readoff(support).phase / pilot_amp
+    return EffectiveChannelEstimate(block=block, support=support)
 
 
 def manual_taps(entries: dict[tuple[int, int], complex],
                 support: SupportRegion) -> EffectiveChannelEstimate:
     """Build an estimate directly from {(k, l): gain} signed tap entries."""
-    taps = np.zeros((support.m, support.n), dtype=np.complex128)
+    block = np.zeros((support.k_hi - support.k_lo, support.n), dtype=np.complex128)
     for (k, l), g in entries.items():
         if not support.contains(k, l):
             raise ValueError(f"tap ({k}, {l}) falls outside the support")
-        taps[k % support.m, l % support.n] = g
-    return EffectiveChannelEstimate(taps=DDGrid(values=taps, role=ROLE_CHANNEL),
-                                    support=support)
+        block[k + support.m // 2 - support.k_lo, l + support.n // 2] = g
+    return EffectiveChannelEstimate(block=block, support=support)
 
 
 def predict_io(s_dd: DDGrid, h: EffectiveChannelEstimate) -> DDGrid:
@@ -177,7 +174,7 @@ def predict_io(s_dd: DDGrid, h: EffectiveChannelEstimate) -> DDGrid:
     x = idzt_samples(s_dd.values)
     gather = _roll_gather(tuple(delays.tolist()), x.size)
     y = np.take_along_axis(profiles * x, gather, axis=-1).sum(axis=0)
-    return DDGrid(values=dzt_values(y, s_dd.m, s_dd.n), role=s_dd.role)
+    return DDGrid(values=dzt_values(y, s_dd.m, s_dd.n))
 
 
 class SolverDivergence(RuntimeError):
@@ -200,7 +197,7 @@ def _delay_gain_profiles(h: EffectiveChannelEstimate) -> tuple[np.ndarray, np.nd
     mn = h.support.m * h.support.n
     maps = _readoff(h.support)
     spec = np.zeros((maps.delays.size, mn), dtype=np.complex128)
-    spec[:, maps.spectrum_cols] = h.taps.values[maps.rows, maps.cols]
+    spec[:, maps.spectrum_cols] = h.block
     return maps.delays, mn * np.fft.ifft(spec, axis=-1)
 
 
@@ -334,7 +331,7 @@ def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
     z = y_folded[plan.pos]
     # H^H z = sum_d conj(g_d) * roll(z, -d), the rows summed in order.
     x = (np.conj(profiles) * z[_roll_gather(tuple((-delays).tolist()), y.size)]).sum(axis=0)
-    return DDGrid(values=dzt_values(x, y_dd.m, y_dd.n), role=y_dd.role)
+    return DDGrid(values=dzt_values(x, y_dd.m, y_dd.n))
 
 
 def dd_noise_var(noise_psd: float, q: int, b: float) -> float:

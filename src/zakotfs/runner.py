@@ -13,7 +13,8 @@ from . import svg
 from .channel import add_noise, apply_impairments, apply_paths
 from .config import MAX_TRIALS, ExperimentConfig
 from .dd_frame import Constellation, FrameLayout, demap_symbols, map_bits
-from .estimation import (SupportRegion, dd_noise_var, equalize_taps, estimate)
+from .estimation import (EffectiveChannelEstimate, SupportRegion, dd_noise_var,
+                         equalize_taps, estimate)
 from .sync import (Preamble, SyncResult, correct, detect_timing, estimate_cfo,
                    make_preamble, shape_preamble)
 from .waveform import AnalogSignal, matched_filter, sample_and_periodize, synthesize
@@ -33,7 +34,7 @@ class TrialReport:
     bit_errors: int
     bits_sent: int
     symbols: np.ndarray
-    taps: object
+    taps: EffectiveChannelEstimate | None
     sync: SyncResult | None
     tx: AnalogSignal
 

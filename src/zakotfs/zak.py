@@ -26,13 +26,6 @@ import numpy as np
 __all__ = ["DDGrid", "DTSignal", "idzt", "dzt", "idzt_samples", "dzt_values",
            "fast_len", "frozen_complex", "memo"]
 
-# Role tags for DDGrid; purely informational but kept on the type so a
-# received grid is never silently fed where transmit symbols are expected.
-ROLE_SYMBOLS = "symbols"
-ROLE_RECEIVED = "received"
-ROLE_CHANNEL = "channel"
-_ROLES = (ROLE_SYMBOLS, ROLE_RECEIVED, ROLE_CHANNEL)
-
 
 def frozen_complex(values: np.ndarray) -> np.ndarray:
     """A read-only complex128 copy of values."""
@@ -94,7 +87,6 @@ class DDGrid:
     """
 
     values: np.ndarray
-    role: str = ROLE_SYMBOLS
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values)
@@ -102,8 +94,6 @@ class DDGrid:
             raise ValueError(f"DDGrid wants a 2-D array, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("DDGrid entries must be finite")
-        if self.role not in _ROLES:
-            raise ValueError(f"unknown DDGrid role {self.role!r}")
         object.__setattr__(self, "values", frozen_complex(v))
 
     @property
@@ -168,8 +158,8 @@ def idzt(grid: DDGrid | np.ndarray, rate: float | None = None) -> DTSignal:
     return DTSignal(samples=idzt_samples(values), m=m, n=n, rate=rate)
 
 
-def dzt(sig: DTSignal | np.ndarray, m: int | None = None, n: int | None = None,
-        role: str = ROLE_RECEIVED) -> DDGrid:
+def dzt(sig: DTSignal | np.ndarray, m: int | None = None,
+        n: int | None = None) -> DDGrid:
     """Discrete Zak transform: one MN-period of time samples to the grid."""
     if isinstance(sig, DTSignal):
         samples, m, n = sig.samples, sig.m, sig.n
@@ -179,4 +169,4 @@ def dzt(sig: DTSignal | np.ndarray, m: int | None = None, n: int | None = None,
         samples = np.asarray(sig, dtype=np.complex128)
         if samples.size != m * n:
             raise ValueError(f"expected {m * n} samples, got {samples.size}")
-    return DDGrid(values=dzt_values(samples, m, n), role=role)
+    return DDGrid(values=dzt_values(samples, m, n))

@@ -22,7 +22,7 @@ def params(m=64, n=64):
 
 def data_cells(lay):
     """Data cells in the deterministic (row-major) mapping order."""
-    return [(k, l) for k in lay.data_delay_bins for l in range(lay.n)]
+    return [(int(k), l) for k in lay.data_rows for l in range(lay.n)]
 
 
 def cell_kind(lay, k, l):
@@ -128,9 +128,12 @@ class TestFrameLayout:
 
     def test_data_rows_skip_guard_span(self):
         lay = build_layout(params(), tau_max=0.0, dt_margin=0.0)
-        rows = lay.data_delay_bins
+        rows = lay.data_rows
         assert 31 not in rows and 32 not in rows
         assert 30 in rows and 33 in rows
+        want = [k for k in range(lay.m) if not lay.kappa1 <= k < lay.kappa4]
+        assert rows.dtype.kind == "i" and rows.tolist() == want
+        assert not rows.flags.writeable
 
     def test_edge_ordering_enforced(self):
         with pytest.raises(ValueError, match="out of order"):

@@ -1022,9 +1022,9 @@ class TestCli:
         h = report.taps
         m, n = h.support.m, h.support.n
         want = []
-        for k in range(h.support.k_lo - m // 2, h.support.k_hi - m // 2):
-            for l in range(-(n // 2), n - n // 2):
-                v = h.taps.values[k % m, l % n]
+        for i, k in enumerate(range(h.support.k_lo - m // 2, h.support.k_hi - m // 2)):
+            for j, l in enumerate(range(-(n // 2), n - n // 2)):
+                v = h.block[i, j]
                 want.append(f"{k},{l},{v.real:.9e},{v.imag:.9e}")
         assert len(want) == h.support.size
         assert rows[1:] == want

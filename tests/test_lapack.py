@@ -125,8 +125,7 @@ def equalizer_system(seed=5):
     h = manual_taps({(int(k), int(l)): complex(*rng.standard_normal(2))
                      for k in sup.delay_taps() for l in sup.doppler_taps()
                      if rng.random() < 0.3}, sup)
-    y = DDGrid(values=rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)),
-               role="received")
+    y = DDGrid(values=rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
     return y, h
 
 

@@ -53,7 +53,7 @@ def extend(grid, k, l):
 def random_grid(m, n, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    return DDGrid(values=v, role="symbols")
+    return DDGrid(values=v)
 
 
 class TestAgainstDirectSum:
@@ -253,10 +253,6 @@ class TestTypesAndValidation:
         v[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             DDGrid(values=v)
-
-    def test_grid_rejects_unknown_role(self):
-        with pytest.raises(ValueError, match="role"):
-            DDGrid(values=np.ones((2, 2)), role="other")
 
     def test_grid_values_frozen(self):
         g = random_grid(2, 2, seed=0)
