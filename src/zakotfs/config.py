@@ -52,35 +52,22 @@ def _check_unknown(d: dict, allowed: set[str], section: str) -> None:
         raise ConfigError(section, f"unknown keys: {', '.join(extra)}")
 
 
-def _get_number(d: dict, section: str, key: str, default=None, minimum=None, maximum=None):
+def _get_number(d: dict, section: str, key: str, default=None, minimum=None, maximum=None,
+                kind: type = float):
+    """d[key] as a float, or as an int when kind is int (a float is then refused)."""
     if key not in d:
         if default is None:
             raise ConfigError(f"{section}.{key}", "value is missing")
         return default
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{section}.{key}", f"expected a number, got {v!r}")
+    if isinstance(v, bool) or not isinstance(v, int if kind is int else (int, float)):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{section}.{key}", f"expected {noun}, got {v!r}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{section}.{key}", f"must be >= {minimum}, got {v}")
     if maximum is not None and v > maximum:
         raise ConfigError(f"{section}.{key}", f"must be <= {maximum}, got {v}")
-    return float(v)
-
-
-def _get_int(d: dict, section: str, key: str, default=None, minimum=None,
-             maximum=None) -> int:
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"{section}.{key}", "value is missing")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{section}.{key}", f"expected an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{section}.{key}", f"must be >= {minimum}, got {v}")
-    if maximum is not None and v > maximum:
-        raise ConfigError(f"{section}.{key}", f"must be <= {maximum}, got {v}")
-    return v
+    return kind(v)
 
 
 def _get_bool(d: dict, section: str, key: str, default: bool) -> bool:
@@ -166,8 +153,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     frame = _section(raw, "frame")
     _check_unknown(frame, {"m", "n", "tau_p_s", "nu_p_hz", "pilot_amp"}, "frame")
-    m = _get_int(frame, "frame", "m", minimum=2)
-    n = _get_int(frame, "frame", "n", minimum=2)
+    m = _get_number(frame, "frame", "m", minimum=2, kind=int)
+    n = _get_number(frame, "frame", "n", minimum=2, kind=int)
     tau_p = _get_number(frame, "frame", "tau_p_s")
     nu_p = _get_number(frame, "frame", "nu_p_hz")
     if tau_p <= 0 or nu_p <= 0:
@@ -209,8 +196,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "w1_span" in sh and sh["w1_span"] is None:
         span = None
     else:
-        span = _get_int(sh, "shape", "w1_span", default=16, minimum=1)
-    q = _get_int(sh, "shape", "oversampling", default=4, minimum=2)
+        span = _get_number(sh, "shape", "w1_span", default=16, minimum=1, kind=int)
+    q = _get_number(sh, "shape", "oversampling", default=4, minimum=2, kind=int)
     try:
         shape = PulseShape(family=family, beta=beta, w1_span=span)
         shape.check_truncation(b, q)
@@ -262,7 +249,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     run = _section(raw, "run")
     _check_unknown(run, {"constellation", "snr_db", "trials", "base_seed",
                          "support", "sync", "cfo_correction", "workers"}, "run")
-    order = _get_int(run, "run", "constellation", default=4, minimum=2)
+    order = _get_number(run, "run", "constellation", default=4, minimum=2, kind=int)
     try:
         Constellation.qam(order)
     except ValueError as e:
@@ -277,20 +264,24 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if any(point == p or f"{point:g}" == f"{p:g}" for p in snr_db):
             raise ConfigError(f"run.snr_db[{i}]", f"repeats the SNR point {point:g} dB")
         snr_db.append(point)
-    trials = _get_int(run, "run", "trials", default=1, minimum=1, maximum=MAX_TRIALS)
-    base_seed = _get_int(run, "run", "base_seed", default=0, minimum=0, maximum=2 ** 64 - 1)
+    trials = _get_number(run, "run", "trials", default=1, minimum=1, maximum=MAX_TRIALS,
+                         kind=int)
+    base_seed = _get_number(run, "run", "base_seed", default=0, minimum=0,
+                            maximum=2 ** 64 - 1, kind=int)
     support = _get_choice(run, "run", "support", SUPPORT_KINDS, default="C1")
     sync_on = _get_bool(run, "run", "sync", default=False)
     cfo_mode = _get_choice(run, "run", "cfo_correction", CFO_MODES,
                            default="time_domain")
-    workers = _get_int(run, "run", "workers", default=1, minimum=1, maximum=MAX_WORKERS)
+    workers = _get_number(run, "run", "workers", default=1, minimum=1, maximum=MAX_WORKERS,
+                          kind=int)
 
     sy = _section(raw, "sync", required=False)
     _check_unknown(sy, {"preamble_length", "preamble_root", "gap_symbols",
                         "threshold"}, "sync")
-    pre_len = _get_int(sy, "sync", "preamble_length", default=DEFAULT_LENGTH)
-    pre_root = _get_int(sy, "sync", "preamble_root", default=DEFAULT_ROOT, minimum=1)
-    gap = _get_int(sy, "sync", "gap_symbols", default=DEFAULT_GAP, minimum=0)
+    pre_len = _get_number(sy, "sync", "preamble_length", default=DEFAULT_LENGTH, kind=int)
+    pre_root = _get_number(sy, "sync", "preamble_root", default=DEFAULT_ROOT, minimum=1,
+                           kind=int)
+    gap = _get_number(sy, "sync", "gap_symbols", default=DEFAULT_GAP, minimum=0, kind=int)
     # The peak metric lies in [0, 1]; a threshold above 1 rejects every frame.
     threshold = _get_number(sy, "sync", "threshold", default=DEFAULT_THRESHOLD,
                             minimum=0.0, maximum=1.0)

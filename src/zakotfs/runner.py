@@ -320,12 +320,12 @@ def write_outputs(cfg: ExperimentConfig, curve: BerCurve,
             f.write(curve.to_csv())
         written.append(cfg.out_csv)
 
-        series = [(name, [(p.snr_db, p.ber, p.ci95) for p in curve.points
-                          if not math.isinf(p.snr_db)])]
-        if series[0][1]:
+        finite = [(p.snr_db, p.ber, p.ci95) for p in curve.points
+                  if not math.isinf(p.snr_db)]
+        if finite:
             _ensure_parent(cfg.out_curve_svg)
             with open(cfg.out_curve_svg, "w", encoding="utf-8", newline="\n") as f:
-                f.write(svg.line_chart(series, title=f"BER, {name}"))
+                f.write(svg.line_chart(name, finite, title=f"BER, {name}"))
             written.append(cfg.out_curve_svg)
 
         reference = cfg.constellation().points

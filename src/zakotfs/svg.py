@@ -8,7 +8,7 @@ import numpy as np
 
 __all__ = ["line_chart", "scatter_chart"]
 
-_PALETTE = ("#1b6ca8", "#d1495b", "#2e933c", "#8f2d56", "#7a6c5d")
+_COLOR = "#1b6ca8"
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 24, 36, 48
@@ -26,18 +26,16 @@ def _esc(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def line_chart(series: list[tuple[str, list[tuple[float, float, float]]]],
-               title: str = "", x_label: str = "SNR (dB)",
-               y_label: str = "BER") -> str:
-    """Log-y line chart; each series is (name, [(x, y, ci_halfwidth)])."""
-    xs = [p[0] for _, pts in series for p in pts]
-    ys = [p[1] for _, pts in series for p in pts]
-    if not xs:
+def line_chart(name: str, points: list[tuple[float, float, float]],
+               title: str = "") -> str:
+    """Log-y BER-vs-SNR chart of one curve named name; points are (x, y, ci_halfwidth)."""
+    if not points:
         raise ValueError("nothing to plot")
+    xs = [p[0] for p in points]
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    pos = [y for y in ys if y > 0]
+    pos = [p[1] for p in points if p[1] > 0]
     y_min = min(pos) if pos else _LOG_FLOOR
     y_lo = 10 ** math.floor(math.log10(max(y_min, _LOG_FLOOR)))
     y_hi = 1.0
@@ -78,53 +76,49 @@ def line_chart(series: list[tuple[str, list[tuple[float, float, float]]]],
         parts.append(f'<text x="{_fmt(px)}" y="{_H - _MB + 16}" '
                      f'text-anchor="middle">{x:g}</text>')
     parts.append(f'<text x="{_W // 2}" y="{_H - 10}" '
-                 f'text-anchor="middle">{_esc(x_label)}</text>')
+                 'text-anchor="middle">SNR (dB)</text>')
     parts.append(f'<text x="16" y="{_H // 2}" text-anchor="middle" '
-                 f'transform="rotate(-90 16 {_H // 2})">{_esc(y_label)}</text>')
+                 f'transform="rotate(-90 16 {_H // 2})">BER</text>')
 
-    for i, (name, pts) in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
-        coords = [(sx(x), sy(y), y) for x, y, _ in pts]
-        path = " ".join(f"{'M' if j == 0 else 'L'}{_fmt(px)},{_fmt(py)}"
-                        for j, (px, py, _) in enumerate(coords))
-        parts.append(f'<path d="{path}" fill="none" stroke="{color}" '
-                     'stroke-width="1.5"/>')
-        for (x, y, ci), (px, py, _) in zip(pts, coords):
-            if ci > 0 and y > 0:
-                y_top = sy(y + ci)
-                y_bot = sy(max(y - ci, y_lo))
-                parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(y_top)}" '
-                             f'x2="{_fmt(px)}" y2="{_fmt(y_bot)}" '
-                             f'stroke="{color}"/>')
-            fill = color if y > 0 else "white"
-            parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" '
-                         f'fill="{fill}" stroke="{color}"/>')
-        ly = _MT + 16 + 16 * i
-        parts.append(f'<line x1="{_W - _MR - 130}" y1="{ly - 4}" '
-                     f'x2="{_W - _MR - 104}" y2="{ly - 4}" stroke="{color}" '
-                     'stroke-width="1.5"/>')
-        parts.append(f'<text x="{_W - _MR - 98}" y="{ly}">{_esc(name)}</text>')
+    coords = [(sx(x), sy(y)) for x, y, _ in points]
+    path = " ".join(f"{'M' if j == 0 else 'L'}{_fmt(px)},{_fmt(py)}"
+                    for j, (px, py) in enumerate(coords))
+    parts.append(f'<path d="{path}" fill="none" stroke="{_COLOR}" '
+                 'stroke-width="1.5"/>')
+    for (x, y, ci), (px, py) in zip(points, coords):
+        if ci > 0 and y > 0:
+            y_top = sy(y + ci)
+            y_bot = sy(max(y - ci, y_lo))
+            parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(y_top)}" '
+                         f'x2="{_fmt(px)}" y2="{_fmt(y_bot)}" '
+                         f'stroke="{_COLOR}"/>')
+        fill = _COLOR if y > 0 else "white"
+        parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" '
+                     f'fill="{fill}" stroke="{_COLOR}"/>')
+    ly = _MT + 16
+    parts.append(f'<line x1="{_W - _MR - 130}" y1="{ly - 4}" '
+                 f'x2="{_W - _MR - 104}" y2="{ly - 4}" stroke="{_COLOR}" '
+                 'stroke-width="1.5"/>')
+    parts.append(f'<text x="{_W - _MR - 98}" y="{ly}">{_esc(name)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def scatter_chart(points: np.ndarray, title: str = "",
-                  reference: np.ndarray | None = None,
-                  limit: float | None = None) -> str:
-    """Square IQ scatter; reference constellation drawn as crosses."""
+                  reference: np.ndarray | None = None) -> str:
+    """Square IQ scatter scaled to its points; reference constellation drawn as crosses."""
     pts = np.asarray(points).ravel()
     if pts.size == 0:
         raise ValueError("nothing to plot")
     if pts.size > 8192:
         pts = pts[:8192]
-    if limit is None:
-        spread = float(np.max(np.abs(np.concatenate(
-            [pts.real, pts.imag])))) if pts.size else 1.0
-        if reference is not None:
-            spread = max(spread, float(np.max(np.abs(reference.real))),
-                         float(np.max(np.abs(reference.imag))))
-        limit = 1.2 * max(spread, 1e-6)
+    spread = float(np.max(np.abs(np.concatenate([pts.real, pts.imag]))))
+    if reference is not None:
+        spread = max(spread, float(np.max(np.abs(reference.real))),
+                     float(np.max(np.abs(reference.imag))))
+    # Every point lies strictly inside the axes, so none is clipped.
+    limit = 1.2 * max(spread, 1e-6)
 
     side = 420
     margin = 30
@@ -151,12 +145,10 @@ def scatter_chart(points: np.ndarray, title: str = "",
         parts.append(f'<text x="{side // 2}" y="20" text-anchor="middle" '
                      f'font-size="14">{_esc(title)}</text>')
     # sx and sy over all points at once, in the same float64 operations.
-    inside = ~((np.abs(pts.real) > limit) | (np.abs(pts.imag) > limit))
-    kept = pts[inside]
-    xs = margin + (kept.real + limit) / (2 * limit) * plot
-    ys = margin + (limit - kept.imag) / (2 * limit) * plot
+    xs = margin + (pts.real + limit) / (2 * limit) * plot
+    ys = margin + (limit - pts.imag) / (2 * limit) * plot
     parts.extend(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" '
-                 'r="1.5" fill="#1b6ca8" fill-opacity="0.5"/>'
+                 f'r="1.5" fill="{_COLOR}" fill-opacity="0.5"/>'
                  for x, y in zip(xs.tolist(), ys.tolist()))
     if reference is not None:
         for rp in np.asarray(reference).ravel():

@@ -3,8 +3,10 @@
 import concurrent.futures
 import copy
 import dataclasses
+import hashlib
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +93,25 @@ class TestConfigFromDict:
         raw = tiny_config_dict(trials=True)
         with pytest.raises(ConfigError, match="run.trials"):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("run", "trials", 2.0, "run.trials: expected an integer, got 2.0"),
+        ("run", "trials", 0, "run.trials: must be >= 1, got 0"),
+        ("run", "trials", 2 ** 32 + 1, f"run.trials: must be <= {2 ** 32}, got {2 ** 32 + 1}"),
+        ("frame", "m", None, "frame.m: value is missing"),
+        ("frame", "pilot_amp", "8", "frame.pilot_amp: expected a number, got '8'"),
+        ("frame", "pilot_amp", False, "frame.pilot_amp: expected a number, got False"),
+        ("layout", "tau_max_bins", -0.5, "layout.tau_max_bins: must be >= 0.0, got -0.5"),
+    ])
+    def test_number_messages(self, section, key, value, message):
+        raw = tiny_config_dict()
+        if value is None:
+            del raw[section][key]
+        else:
+            raw[section][key] = value
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert str(info.value) == message
 
     def test_snr_list_required(self):
         raw = tiny_config_dict(snr_db=[])
@@ -358,27 +379,26 @@ class TestSvg:
     """Deterministic plain-text chart generation."""
 
     def test_line_chart_structure(self):
-        series = [("rrc 4-QAM", [(10.0, 1e-2, 1e-3), (15.0, 1e-3, 1e-4)])]
-        out = svg.line_chart(series, title="BER")
+        out = svg.line_chart("rrc 4-QAM", [(10.0, 1e-2, 1e-3), (15.0, 1e-3, 1e-4)],
+                             title="BER")
         assert out.startswith("<svg")
         assert out.endswith("\n")
         assert "rrc 4-QAM" in out
         assert "BER" in out
 
     def test_line_chart_deterministic(self):
-        series = [("s", [(0.0, 0.5, 0.01), (5.0, 0.1, 0.01)])]
-        assert svg.line_chart(series) == svg.line_chart(series)
+        points = [(0.0, 0.5, 0.01), (5.0, 0.1, 0.01)]
+        assert svg.line_chart("s", points) == svg.line_chart("s", points)
 
     def test_zero_ber_handled(self):
         """A zero value cannot sit on a log axis; it must still render."""
-        series = [("s", [(0.0, 1e-2, 0.0), (5.0, 0.0, 0.0)])]
-        out = svg.line_chart(series)
+        out = svg.line_chart("s", [(0.0, 1e-2, 0.0), (5.0, 0.0, 0.0)])
         assert "<svg" in out
         assert "inf" not in out and "nan" not in out
 
     def test_line_chart_empty_rejected(self):
         with pytest.raises(ValueError, match="nothing to plot"):
-            svg.line_chart([("s", [])])
+            svg.line_chart("s", [])
 
     def test_scatter_structure_and_determinism(self):
         rng = np.random.default_rng(1)
@@ -393,19 +413,16 @@ class TestSvg:
         """The vectorized coordinates give the bytes of a per-point loop."""
         rng = np.random.default_rng(2)
         pts = 0.8 * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
-        pts[:3] = [5 + 0j, 0.1 - 7j, np.nan]
-        limit = 2.0
+        limit = 1.2 * max(max(abs(p.real), abs(p.imag)) for p in pts)
         side, margin = 420, 30
         plot = side - 2 * margin
         circles = []
         for p in pts:
-            if abs(p.real) > limit or abs(p.imag) > limit:
-                continue
             cx = margin + (p.real + limit) / (2 * limit) * plot
             cy = margin + (limit - p.imag) / (2 * limit) * plot
             circles.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" '
                            'r="1.5" fill="#1b6ca8" fill-opacity="0.5"/>')
-        lines = svg.scatter_chart(pts, limit=limit).split("\n")
+        lines = svg.scatter_chart(pts).split("\n")
         assert [ln for ln in lines if ln.startswith("<circle")] == circles
 
     def test_scatter_caps_point_count(self):
@@ -750,6 +767,21 @@ README_CONFIG = {
 }
 
 
+def test_readme_quick_start_config():
+    """The README's exp.yaml builds and is the experiment README_CONFIG runs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```yaml\n# exp.yaml\n", 1)[1].split("```", 1)[0]
+    raw = yaml.safe_load(block)
+    config_from_dict(raw)
+    for section in ("frame", "layout", "shape", "channel"):
+        assert raw[section] == README_CONFIG[section], section
+    # README_CONFIG runs one of the README's SNR points, fewer trials, serially.
+    per_point = ("snr_db", "trials", "workers")
+    assert ({k: v for k, v in raw["run"].items() if k not in per_point}
+            == {k: v for k, v in README_CONFIG["run"].items() if k not in per_point})
+    assert set(README_CONFIG["run"]["snr_db"]) <= set(raw["run"]["snr_db"])
+
+
 class TestHeapPolicy:
     """Trial temporaries come from a heap that stays resident between trials."""
 
@@ -897,6 +929,52 @@ class TestSweep:
         with pytest.raises(ValueError, match="outside"):
             BerCurve(points=(BerPoint(snr_db=0, ber=1.5, ci95=0,
                                       trials=1, errors=1, bits=1),))
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestOutputBytes:
+    """The CSV and chart bytes, pinned by digest so a refactor cannot move them."""
+
+    def test_sweep_outputs(self, tmp_path):
+        """16x16 truncated rrc with sync; 15 dB has zero errors, an open marker."""
+        raw = {
+            "config_version": 1,
+            "frame": {"m": 16, "n": 16, "tau_p_s": 1 / 30e3, "nu_p_hz": 30e3,
+                      "pilot_amp": 8.0},
+            "layout": {"tau_max_bins": 2.5, "dt_margin_bins": 1.0},
+            "shape": {"family": "rrc", "beta": 0.5, "w1_span": 16, "oversampling": 4},
+            "channel": {"paths": [{"delay_bins": 0},
+                                  {"delay_bins": 2, "doppler_bins": 1, "gain_db": -3}],
+                        "cfo_hz": 200.0},
+            "run": {"constellation": 4, "snr_db": [5, 15], "trials": 2,
+                    "base_seed": 2024, "sync": True, "workers": 1},
+            "output": {"csv": str(tmp_path / "ber.csv"),
+                       "curve_svg": str(tmp_path / "ber.svg"),
+                       "constellation_prefix": str(tmp_path / "const_")},
+        }
+        sweep(config_from_dict(raw), emit=True)
+        digests = {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()}
+        assert digests == {
+            "ber.csv": "09f8e7ef06305175f8c92db8d18c7d19a533071130dc527960c3c9af703006e7",
+            "ber.svg": "ec57f51298969ffe46dd89185b978d1b67767b47aa7e1afcbaa5100115355d23",
+            "const_snr_5dB.svg":
+                "096e5d8572f7a48a504c02e7fa8583bf256b9ee1f1541c04bcd6167ee92fbd0d",
+            "const_snr_15dB.svg":
+                "698264cb4a475b6e934d5eebe03d6334c07be6519aeea8880f11d1e1176bd6ae",
+        }
+
+    def test_line_chart_with_a_zero_ber_point(self):
+        out = svg.line_chart("s", [(0.0, 1e-2, 1e-3), (5.0, 0.0, 0.0)], title="BER")
+        assert sha256(out.encode()) == (
+            "ccaa569b40aea397d499e40f9ddfae3e01e4b0ca14aece2911724660aaab4e8d")
+
+    def test_line_chart_of_one_snr_point(self):
+        out = svg.line_chart("s", [(10.0, 3e-3, 1e-3)])
+        assert sha256(out.encode()) == (
+            "64721ca8095ca67e5795dd45fe0a2efb0fb914a61f6ef85bf6e7b0aadb282413")
 
 
 # ---------------------------------------------------------------------

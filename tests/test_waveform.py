@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
@@ -18,7 +18,7 @@ from zakotfs.waveform import (
     shape_symbols,
     synthesize,
 )
-from zakotfs.zak import DDGrid, dzt, idzt
+from zakotfs.zak import DDGrid, dzt, fast_len, idzt
 
 B = 1.92e6
 T_P = 64 / B  # one Doppler period for an m=64 grid at 30 kHz
@@ -46,6 +46,28 @@ def full_rate_correlation(x, shape, q):
     """Oracle for the decimating correlator: every sample of the matched correlation."""
     taps = shape.w1_taps(B, q)
     return fftconvolve(x, np.conj(taps[::-1]) / (q * B), mode="same")
+
+
+def row_loop_correlation(x, shape, q, first):
+    """The decimating correlator with its branch spectra added in an explicit row loop."""
+    n = x.size
+    count = -(-(n - first) // q)
+    if count <= 0:
+        return np.zeros(0, dtype=np.complex128)
+    span_q = shape.w1_span * q
+    lead = (q - 1 - first - span_q) % q
+    lag = (first + span_q + lead) // q
+    rows = -(-(lead + n) // q)
+    padded = np.zeros(rows * q, dtype=np.complex128)
+    padded[lead:lead + n] = x
+    nfft = fast_len(rows + 2 * shape.w1_span)
+    phases = np.zeros((q, nfft), dtype=np.complex128)
+    phases[:, :rows] = padded.reshape(rows, q).T
+    spectra = np.fft.fft(phases, axis=-1) * waveform._phase_spectra(shape, B, q, True, nfft)
+    summed = spectra[0].copy()
+    for row in spectra[1:]:
+        summed += row
+    return np.fft.ifft(summed)[lag:lag + count]
 
 
 def times(sig):
@@ -206,23 +228,23 @@ class TestPolyphase:
                                   full_rate_shaping(s, shape, q)) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), q=st.integers(1, 16),
-           nfft=st.integers(2, 7000))
-    def test_branch_sum_ignores_memory_layout(self, seed, q, nfft):
-        """C- and Fortran-ordered copies of the branch spectra sum to the same bits.
+    @given(seed=st.integers(0, 2 ** 32 - 1), q=st.integers(2, 8),
+           span=st.integers(2, 16), n=st.integers(1, 4000), first=st.integers(0, 7),
+           family=st.sampled_from(["rrc", "sinc"]))
+    @example(seed=0, q=4, span=16, n=26143, first=0, family="rrc")  # README, (4, 6600)
+    def test_correlator_sums_branches_in_row_order(self, seed, q, span, n, first, family):
+        """The correlator's bits equal those of adding the branch spectra row by row.
 
-        numpy.fft hands back the correlator's batch in Fortran order; the
-        sum must still add the branches in row order, as sum(axis=0) does
-        on a C array whose rows are longer than one entry (the
-        correlator's are at least 2*span + 1).
+        numpy.fft returns Fortran-ordered transforms of strided rows, and
+        a sum over axis 0 of such an array moves the last bit; the phase
+        rows are built C-contiguous so the plain sum keeps the row order.
         """
+        first %= q
+        shape = PulseShape(family=family, w1_span=span)
         rng = np.random.default_rng(seed)
-        spectra = rng.standard_normal((q, nfft)) + 1j * rng.standard_normal((q, nfft))
-        by_rows = np.ascontiguousarray(spectra)
-        by_columns = np.asfortranarray(spectra)
-        want = by_rows.sum(axis=0).tobytes()
-        assert waveform._branch_sum(by_rows).tobytes() == want
-        assert waveform._branch_sum(by_columns).tobytes() == want
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got = waveform._correlate_decimate(x, shape, B, q, first)
+        assert got.tobytes() == row_loop_correlation(x, shape, q, first).tobytes()
 
     def test_matches_manual_convolution(self):
         sh = PulseShape(family="rrc", beta=0.5, w1_span=4)
@@ -269,20 +291,6 @@ class TestLoopback:
         g = DDGrid(np.ones((8, 8), dtype=complex))
         with pytest.raises(ValueError, match="tap energy"):
             synthesize(idzt(g, rate=params.b), sh, 4)
-
-    def test_margin_choice_does_not_move_the_grid(self):
-        """Widening the transmit margin leaves the folded output alone."""
-        m = n = 8
-        params = FrameParams(m=m, n=n, nu_p=B / m, tau_p=m / B)
-        rng = np.random.default_rng(4)
-        g = DDGrid(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-        sh = PulseShape(family="sinc", w1_span=None)
-        outs = []
-        for margin in (None, 80):
-            a = synthesize(idzt(g, rate=params.b), sh, 4, margin=margin)
-            y = dzt(sample_and_periodize(matched_filter(a, sh, params), params))
-            outs.append(y.values)
-        assert np.max(np.abs(outs[0] - outs[1])) < 1e-12
 
     def test_loopback_preserves_energy(self):
         m = n = 8
