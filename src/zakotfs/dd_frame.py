@@ -263,8 +263,7 @@ def map_bits(bits: np.ndarray, constellation: Constellation, layout: FrameLayout
     return DDGrid(values=values)
 
 
-def demap_symbols(grid: DDGrid | np.ndarray, layout: FrameLayout,
+def demap_symbols(grid: DDGrid, layout: FrameLayout,
                   constellation: Constellation) -> np.ndarray:
     """Hard-decision bits from the data cells of an equalized grid."""
-    values = grid.values if isinstance(grid, DDGrid) else np.asarray(grid)
-    return constellation.demodulate(values[layout.data_rows, :].reshape(-1))
+    return constellation.demodulate(grid.values[layout.data_rows, :].reshape(-1))

@@ -25,37 +25,36 @@ from .zak import DDGrid, dzt_values, frozen_complex, idzt_samples, memo
 class SupportRegion:
     """Delay-Doppler index set assumed to hold every effective-channel tap.
 
-    kind 'C1' covers [kappa2, kappa3) in absolute delay bins, the span of
-    the physical paths alone; 'C2' covers [kappa1, kappa4), one widened
-    margin that also absorbs uncorrected timing and CFO leakage.  Doppler
-    is always the full signed range.
+    Absolute delay bins [k_lo, k_hi) by the full signed Doppler range.
+    from_layout's 'C1' covers [kappa2, kappa3), the span of the physical
+    paths alone; 'C2' covers [kappa1, kappa4), one widened margin that
+    also absorbs uncorrected timing and CFO leakage.
     """
 
-    kind: str
     k_lo: int
     k_hi: int
     m: int
     n: int
 
     def __post_init__(self):
-        if self.kind not in ("C1", "C2"):
-            raise ValueError(f"unknown support kind {self.kind!r}")
         if not 0 <= self.k_lo < self.k_hi <= self.m:
             raise ValueError(
                 f"delay range [{self.k_lo}, {self.k_hi}) does not fit a "
                 f"grid with {self.m} delay bins"
             )
+        # The equalizer's ring band needs a ring wider than two spans.
+        span = self.k_hi - self.k_lo - 1
+        if 2 * span >= self.m * self.n:
+            raise ValueError(f"delay span {span} is too wide for a ring of "
+                             f"{self.m * self.n} samples")
 
     @classmethod
     def from_layout(cls, layout: FrameLayout, kind: str) -> "SupportRegion":
-        # An unknown kind is rejected by __post_init__.
+        if kind not in ("C1", "C2"):
+            raise ValueError(f"unknown support kind {kind!r}")
         lo, hi = ((layout.kappa2, layout.kappa3) if kind == "C1"
                   else (layout.kappa1, layout.kappa4))
-        return cls(kind=kind, k_lo=lo, k_hi=hi, m=layout.m, n=layout.n)
-
-    @property
-    def size(self) -> int:
-        return (self.k_hi - self.k_lo) * self.n
+        return cls(k_lo=lo, k_hi=hi, m=layout.m, n=layout.n)
 
     def delay_taps(self) -> np.ndarray:
         """Signed delay tap indices (absolute bin minus M/2)."""
@@ -69,24 +68,6 @@ class SupportRegion:
         """Membership in delay_taps() x doppler_taps(), signed indices."""
         return (self.k_lo - self.m // 2 <= k < self.k_hi - self.m // 2
                 and -(self.n // 2) <= l < self.n - self.n // 2)
-
-
-class _ReadOff(NamedTuple):
-    """Index maps of a support's pilot read-off; the arrays are read-only."""
-
-    delays: np.ndarray      # signed delay taps
-    dopplers: np.ndarray    # signed Doppler taps
-    phase: np.ndarray       # exp(-j*pi*l/N) over the signed Doppler taps
-    spectrum_cols: np.ndarray  # dopplers % MN, the gain profiles' DFT bins
-
-
-@memo(maxsize=8)
-def _readoff(support: SupportRegion) -> _ReadOff:
-    """The support's read-off index maps, built once per process."""
-    ls = support.doppler_taps()
-    return _ReadOff(delays=support.delay_taps(), dopplers=ls,
-                    phase=np.exp(-1j * np.pi * ls / support.n),
-                    spectrum_cols=ls % (support.m * support.n))
 
 
 @dataclass(frozen=True)
@@ -113,7 +94,7 @@ class EffectiveChannelEstimate:
 
     def tap_items(self):
         """Yield (k, l, value) over the support with signed indices."""
-        maps = _readoff(self.support)
+        maps = _maps(self.support)
         ks, ls = maps.delays, maps.dopplers
         yield from zip(ks.repeat(ls.size), np.tile(ls, ks.size), self.block.ravel())
 
@@ -123,7 +104,7 @@ class EffectiveChannelEstimate:
         Ties go to the first in tap_items order: signed delay, then
         signed Doppler, both ascending.
         """
-        maps = _readoff(self.support)
+        maps = _maps(self.support)
         i, j = np.unravel_index(np.argmax(np.abs(self.block)), self.block.shape)
         return int(maps.delays[i]), int(maps.dopplers[j])
 
@@ -144,7 +125,7 @@ def estimate(y_dd: DDGrid, layout: FrameLayout, support: SupportRegion,
         raise ValueError("estimation assumes the pilot sits at (M/2, N/2)")
     if support.m != m or support.n != n:
         raise ValueError("support was built for a different grid size")
-    block = y_dd.values[support.k_lo:support.k_hi] * _readoff(support).phase / pilot_amp
+    block = y_dd.values[support.k_lo:support.k_hi] * _maps(support).phase / pilot_amp
     return EffectiveChannelEstimate(block=block, support=support)
 
 
@@ -170,10 +151,9 @@ def predict_io(s_dd: DDGrid, h: EffectiveChannelEstimate) -> DDGrid:
     """
     if (s_dd.m, s_dd.n) != (h.support.m, h.support.n):
         raise ValueError("tap support and grid dimensions disagree")
-    delays, profiles = _delay_gain_profiles(h)
     x = idzt_samples(s_dd.values)
-    gather = _roll_gather(tuple(delays.tolist()), x.size)
-    y = np.take_along_axis(profiles * x, gather, axis=-1).sum(axis=0)
+    # The roll map's first MN columns are H's shifts, one row per delay.
+    y = np.take(_delay_gain_profiles(h) * x, _maps(h.support).roll[:, :x.size]).sum(axis=0)
     return DDGrid(values=dzt_values(y, s_dd.m, s_dd.n))
 
 
@@ -186,19 +166,19 @@ class SolverDivergence(RuntimeError):
     """
 
 
-def _delay_gain_profiles(h: EffectiveChannelEstimate) -> tuple[np.ndarray, np.ndarray]:
+def _delay_gain_profiles(h: EffectiveChannelEstimate) -> np.ndarray:
     """Per-delay time-varying gains of the tap operator.
 
     A DD tap (k', l') acts on the time sequence as a circular shift by
     k' under a modulation at l'/(MN); summing one delay row over its
     Doppler column therefore yields a diagonal gain profile for that
-    shift, sampled exactly by a zero-padded inverse DFT.
+    shift, sampled exactly by a zero-padded inverse DFT.  Row r is the
+    profile of delay _maps(h.support).delays[r].
     """
     mn = h.support.m * h.support.n
-    maps = _readoff(h.support)
-    spec = np.zeros((maps.delays.size, mn), dtype=np.complex128)
-    spec[:, maps.spectrum_cols] = h.block
-    return maps.delays, mn * np.fft.ifft(spec, axis=-1)
+    spec = np.zeros((h.block.shape[0], mn), dtype=np.complex128)
+    spec[:, _maps(h.support).spectrum_cols] = h.block
+    return mn * np.fft.ifft(spec, axis=-1)
 
 
 def _ring_fold(mn: int) -> np.ndarray:
@@ -212,46 +192,46 @@ def _ring_fold(mn: int) -> np.ndarray:
     return np.where(2 * i < mn, 2 * i, 2 * (mn - 1 - i) + 1)
 
 
-class _BandPlan(NamedTuple):
-    """Index maps of _normal_band; the arrays are read-only."""
+class _Maps(NamedTuple):
+    """Index maps of a support's tap operator; the arrays are read-only."""
 
-    pos: np.ndarray   # band position of each ring sample, _ring_fold
-    roll: np.ndarray  # (D, mn + span) flat gather into the (D, mn) profiles
-    dest: np.ndarray  # (span + 1, mn) flat band destinations, per offset
-    conj: np.ndarray  # (span + 1, mn) mask of the entries stored conjugated
+    delays: np.ndarray    # signed delay taps
+    dopplers: np.ndarray  # signed Doppler taps
+    phase: np.ndarray     # exp(-j*pi*l/N) over the signed Doppler taps
+    spectrum_cols: np.ndarray  # dopplers % MN, the gain profiles' DFT bins
+    pos: np.ndarray       # band position of each ring sample, _ring_fold
+    roll: np.ndarray      # (D, MN + span) flat gather into the (D, MN) profiles
+    dest: np.ndarray      # (span + 1, MN) flat band destinations, per offset
+    conj: np.ndarray      # (span + 1, MN) mask of the entries stored conjugated
+    adjoint: np.ndarray   # (D, MN): row r holds (t + delays[r]) mod MN
 
 
 @memo(maxsize=8)
-def _band_plan(delays: tuple[int, ...], mn: int) -> _BandPlan:
-    """Index maps of _normal_band for contiguous delays on a length-mn ring.
+def _maps(support: SupportRegion) -> _Maps:
+    """The support's index maps on its length-MN ring, built once per process.
 
-    Row r of the roll map reads profile r rolled by delays[r] and runs
-    span samples past the ring's end, so that every offset's products
-    are slices of one gathered array.  For each offset off = 0..span,
-    dest and conj hold the flat destinations in the (2*span + 1, mn)
-    band stored column by column, as LAPACK reads it, and the entries
-    stored conjugated.
+    Row r of the roll map reads profile r rolled by delays[r], which is H's
+    shift, and runs span samples past the ring's end, so that every
+    offset's products in _normal_band are slices of one gathered array.
+    For each offset off = 0..span, dest and conj hold the flat
+    destinations in the (2*span + 1, MN) band stored column by column, as
+    LAPACK reads it, and the entries stored conjugated.  Row r of adjoint
+    is np.roll(z, -delays[r]) as a gather, H^H's shift.
     """
-    span = len(delays) - 1
-    if 2 * span >= mn:
-        raise ValueError(f"delay span {span} is too wide for a ring of "
-                         f"{mn} samples")
+    mn = support.m * support.n
+    d, ls = support.delay_taps(), support.doppler_taps()
+    span = d.size - 1
     u = 2 * span
-    d = np.array(delays)
     t = np.arange(mn)
-    roll = (np.arange(mn + span) - d[:, None]) % mn + mn * np.arange(d.size)[:, None]
     pos = _ring_fold(mn)
     # Band positions of the ring pairs (t, t + off), one row per offset.
     q = pos[(t + np.arange(span + 1)[:, None]) % mn]
     row, col = np.minimum(pos, q), np.maximum(pos, q)
-    return _BandPlan(pos=pos, roll=roll, dest=(u + row - col) + (u + 1) * col,
-                     conj=pos > q)
-
-
-@memo(maxsize=16)
-def _roll_gather(shifts: tuple[int, ...], mn: int) -> np.ndarray:
-    """Row i holds (t - shifts[i]) mod mn: np.roll(z, shifts[i]) as a gather."""
-    return (np.arange(mn) - np.array(shifts)[:, None]) % mn
+    return _Maps(delays=d, dopplers=ls, phase=np.exp(-1j * np.pi * ls / support.n),
+                 spectrum_cols=ls % mn, pos=pos,
+                 roll=(np.arange(mn + span) - d[:, None]) % mn + mn * np.arange(d.size)[:, None],
+                 dest=(u + row - col) + (u + 1) * col, conj=pos > q,
+                 adjoint=(t + d[:, None]) % mn)
 
 
 # Relative value of the band's structural zeros: 2**-300 sits about 250
@@ -260,7 +240,7 @@ def _roll_gather(shifts: tuple[int, ...], mn: int) -> np.ndarray:
 _ZERO_SEED = 2.0 ** -300
 
 
-def _normal_band(profiles: np.ndarray, noise_var: float, plan: _BandPlan) -> np.ndarray:
+def _normal_band(profiles: np.ndarray, noise_var: float, maps: _Maps) -> np.ndarray:
     """Upper band storage of the folded H H^H + noise_var I.
 
     H v = sum_d roll(g_d * v, d), so entry (t, t+off) of H H^H is
@@ -270,7 +250,7 @@ def _normal_band(profiles: np.ndarray, noise_var: float, plan: _BandPlan) -> np.
     d + off of the rolled array at t + off, so each offset multiplies two
     slices of it.  Folding by _ring_fold turns that ring band into a
     plain band of half-width 2*span, returned in the upper layout
-    LAPACK's zpbsv reads, in Fortran order; plan is _band_plan's.
+    LAPACK's zpbsv reads, in Fortran order; maps is _maps's.
 
     The fold interleaves two chains that couple only at the ring's ends,
     so the Cholesky fill between them decays geometrically.  Started from
@@ -280,8 +260,8 @@ def _normal_band(profiles: np.ndarray, noise_var: float, plan: _BandPlan) -> np.
     numbers too small to move any rounding.
     """
     d_count, mn = profiles.shape
-    rolled = np.take(profiles, plan.roll)
-    entries = np.empty(plan.dest.shape, dtype=np.complex128)
+    rolled = np.take(profiles, maps.roll)
+    entries = np.empty(maps.dest.shape, dtype=np.complex128)
     for off, entry in enumerate(entries):
         # Kept as one expression: numpy may multiply a large temporary in
         # place with the factors swapped, and complex products round by
@@ -289,10 +269,10 @@ def _normal_band(profiles: np.ndarray, noise_var: float, plan: _BandPlan) -> np.
         prod = rolled[:d_count - off, :mn] * np.conj(rolled[off:, off:off + mn])
         np.sum(prod, axis=0, out=entry)
     del rolled, prod
-    np.conjugate(entries, out=entries, where=plan.conj)
+    np.conjugate(entries, out=entries, where=maps.conj)
     seed = _ZERO_SEED * (np.max(entries[0].real) + noise_var)
     band = np.full((2 * d_count - 1, mn), seed, dtype=np.complex128, order="F")
-    band.reshape(-1, order="F")[plan.dest] = entries
+    band.reshape(-1, order="F")[maps.dest] = entries
     band[-1] += noise_var
     return band
 
@@ -312,12 +292,12 @@ def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
         raise ValueError("noise_var must be nonnegative")
     if (y_dd.m, y_dd.n) != (h.support.m, h.support.n):
         raise ValueError("tap support and grid dimensions disagree")
-    delays, profiles = _delay_gain_profiles(h)
+    maps = _maps(h.support)
+    profiles = _delay_gain_profiles(h)
     y = idzt_samples(y_dd.values)
-    plan = _band_plan(tuple(delays.tolist()), y.size)
-    band = _normal_band(profiles, noise_var, plan)
+    band = _normal_band(profiles, noise_var, maps)
     y_folded = np.empty_like(y)
-    y_folded[plan.pos] = y
+    y_folded[maps.pos] = y
     # Rounding leaves a null direction a pivot near eps rather than zero, so
     # pivots are judged against the largest diagonal entry, not against 0.
     floor = y.size * np.finfo(float).eps * np.max(band[-1].real)
@@ -328,9 +308,9 @@ def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
         raise SolverDivergence(
             "regularized normal matrix H H^H + noise_var I is singular "
             f"(noise_var={noise_var:g}); the taps do not determine the frame")
-    z = y_folded[plan.pos]
+    z = y_folded[maps.pos]
     # H^H z = sum_d conj(g_d) * roll(z, -d), the rows summed in order.
-    x = (np.conj(profiles) * z[_roll_gather(tuple((-delays).tolist()), y.size)]).sum(axis=0)
+    x = (np.conj(profiles) * z[maps.adjoint]).sum(axis=0)
     return DDGrid(values=dzt_values(x, y_dd.m, y_dd.n))
 
 

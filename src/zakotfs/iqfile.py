@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -47,9 +48,10 @@ def write_iq(path: str, signal: AnalogSignal) -> None:
 
 
 def read_iq_header(path: str) -> IqHeader:
-    """Parse and validate only the 32-byte header."""
+    """Parse and validate the 32-byte header; the body must hold its count."""
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
+        body = f.seek(0, os.SEEK_END) - _HEADER.size
     if len(head) < _HEADER.size:
         raise IqFormatError(
             f"{path}: header needs {_HEADER.size} bytes, file has {len(head)}"
@@ -61,6 +63,11 @@ def read_iq_header(path: str) -> IqHeader:
         raise IqFormatError(f"{path}: unsupported version {version}")
     if not rate > 0:
         raise IqFormatError(f"{path}: nonpositive sample rate {rate}")
+    if body != 8 * count:
+        raise IqFormatError(
+            f"{path}: header promises {count} samples, "
+            f"body holds {body // 8} ({body} bytes)"
+        )
     return IqHeader(version=version, rate=rate, count=count)
 
 
@@ -70,12 +77,6 @@ def read_iq(path: str) -> AnalogSignal:
     with open(path, "rb") as f:
         f.seek(_HEADER.size)
         body = f.read()
-    have = len(body) // 8
-    if len(body) != 8 * header.count:
-        raise IqFormatError(
-            f"{path}: header promises {header.count} samples, "
-            f"body holds {have} ({len(body)} bytes)"
-        )
     inter = np.frombuffer(body, dtype="<f4")
     samples = inter[0::2].astype(np.float64) + 1j * inter[1::2].astype(np.float64)
     return AnalogSignal.adopt(samples, rate=header.rate, t0=0.0)

@@ -233,7 +233,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
             cfo_hat = estimate_cfo(rx, preamble, cfg.q, sync_res.start_index,
                                    shape=cfg.shape)
             sync_res = replace(sync_res, cfo_hat=cfo_hat)
-            trimmed = correct(rx, replace(sync_res, start_index=shift))
+            trimmed = correct(rx, shift, cfo_hat)
             rx = AnalogSignal.adopt(trimmed.samples, rate=rx.rate, t0=rx.t0)
             del trimmed
 

@@ -252,20 +252,20 @@ def _derotation(freq: float, t0: float, rate: float, n: int) -> np.ndarray:
     return np.multiply.outer(coarse, fine).reshape(-1)[:n]
 
 
-def correct(rx: AnalogSignal, sync: SyncResult) -> AnalogSignal:
-    """Trim to the estimated start and undo the estimated carrier ramp.
+def correct(rx: AnalogSignal, start_index: int, cfo_hz: float) -> AnalogSignal:
+    """Trim to start_index and undo a carrier offset of cfo_hz.
 
     The derotation references the buffer's own time axis, so running
     correct with the true (offset, CFO) of a synthetic impairment
     restores the original samples to a few ulp, and exactly when the
     offset is 0 Hz.
     """
-    if not 0 <= sync.start_index <= rx.samples.size:
+    if not 0 <= start_index <= rx.samples.size:
         raise ValueError(
-            f"start index {sync.start_index} outside buffer of {rx.samples.size}"
+            f"start index {start_index} outside buffer of {rx.samples.size}"
         )
-    trimmed = rx.samples[sync.start_index:]
-    t0 = rx.t0 + sync.start_index / rx.rate
-    ramp = _derotation(sync.cfo_hat, t0, rx.rate, trimmed.size)
+    trimmed = rx.samples[start_index:]
+    t0 = rx.t0 + start_index / rx.rate
+    ramp = _derotation(cfo_hz, t0, rx.rate, trimmed.size)
     out = np.multiply(trimmed, ramp, out=ramp)
     return AnalogSignal.adopt(out, rate=rx.rate, t0=t0)

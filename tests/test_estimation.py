@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zakotfs import _lapack, estimation, runner
@@ -88,13 +88,12 @@ def dense_mmse(y, h, noise_var):
 
 @st.composite
 def supports(draw):
-    """Random even grid with N >= 2 and a C1 or C2 delay range on it."""
+    """Random even grid with N >= 2 and a delay range on it."""
     m = 2 * draw(st.integers(1, 8))
     n = draw(st.sampled_from([2, 4, 8]))
     k_lo = draw(st.integers(0, m - 1))
     k_hi = draw(st.integers(k_lo + 1, m))
-    kind = draw(st.sampled_from(["C1", "C2"]))
-    return SupportRegion(kind=kind, k_lo=k_lo, k_hi=k_hi, m=m, n=n)
+    return SupportRegion(k_lo=k_lo, k_hi=k_hi, m=m, n=n)
 
 
 def run_chain(grid, params, shape, q, paths=(), imp=None):
@@ -137,14 +136,14 @@ class TestSupportRegion:
     def test_size_and_contains(self):
         _, lay = make_layout(c_bins=3.0)
         s = SupportRegion.from_layout(lay, "C1")
-        assert s.size == 4 * 64
+        assert s.delay_taps().size * s.doppler_taps().size == 4 * 64
         assert s.contains(-1, 0) and s.contains(2, 31)
         assert not s.contains(3, 0)
         assert not s.contains(0, 32)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_contains_exactly_the_listed_taps(self, n):
-        s = SupportRegion(kind="C1", k_lo=2, k_hi=5, m=8, n=n)
+        s = SupportRegion(k_lo=2, k_hi=5, m=8, n=n)
         ks, ls = s.delay_taps(), s.doppler_taps()
         for k in ks:
             for l in ls:
@@ -161,7 +160,7 @@ class TestSupportRegion:
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError, match="delay range"):
-            SupportRegion(kind="C1", k_lo=5, k_hi=5, m=8, n=8)
+            SupportRegion(k_lo=5, k_hi=5, m=8, n=8)
 
 
 class TestEstimate:
@@ -237,7 +236,7 @@ class TestEstimate:
 
     def test_support_grid_must_match(self):
         _, lay = make_layout(m=16, n=8, c_bins=2.0)
-        sup = SupportRegion(kind="C1", k_lo=3, k_hi=5, m=8, n=8)
+        sup = SupportRegion(k_lo=3, k_hi=5, m=8, n=8)
         y = DDGrid(values=np.zeros((16, 8)))
         with pytest.raises(ValueError, match="different grid"):
             estimate(y, lay, sup, 1.0)
@@ -250,7 +249,7 @@ class TestManualTapsAndEstimate:
         _, lay = make_layout(m=16, n=8, c_bins=2.0)
         sup = SupportRegion.from_layout(lay, "C1")
         h = manual_taps({(0, 0): 1.0}, sup)
-        assert sum(1 for _ in h.tap_items()) == sup.size
+        assert sum(1 for _ in h.tap_items()) == (sup.k_hi - sup.k_lo) * sup.n
 
     def test_peak_finds_planted_tap(self):
         _, lay = make_layout(m=16, n=8, c_bins=2.0)
@@ -291,7 +290,7 @@ class TestManualTapsAndEstimate:
             manual_taps({(5, 0): 1.0}, sup)
 
     def test_grid_size_mismatch_rejected(self):
-        sup = SupportRegion(kind="C1", k_lo=3, k_hi=5, m=8, n=8)
+        sup = SupportRegion(k_lo=3, k_hi=5, m=8, n=8)
         for shape in ((4, 4), (8, 8), (2, 4), (2, 8, 1), (16,)):
             with pytest.raises(ValueError, match="shape"):
                 EffectiveChannelEstimate(block=np.zeros(shape), support=sup)
@@ -300,7 +299,7 @@ class TestManualTapsAndEstimate:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
                                      complex(1, np.inf)])
     def test_nonfinite_tap_rejected(self, bad):
-        sup = SupportRegion(kind="C1", k_lo=3, k_hi=5, m=8, n=8)
+        sup = SupportRegion(k_lo=3, k_hi=5, m=8, n=8)
         block = np.zeros((2, 8), dtype=np.complex128)
         block[1, 5] = bad
         with pytest.raises(ValueError, match="finite"):
@@ -309,7 +308,7 @@ class TestManualTapsAndEstimate:
             manual_taps({(0, 0): 1.0, (-1, 2): bad}, sup)
 
     def test_block_is_a_read_only_copy(self):
-        sup = SupportRegion(kind="C1", k_lo=3, k_hi=5, m=8, n=8)
+        sup = SupportRegion(k_lo=3, k_hi=5, m=8, n=8)
         block = np.ones((2, 8))
         h = EffectiveChannelEstimate(block=block, support=sup)
         block[0, 0] = 5.0
@@ -384,8 +383,8 @@ class TestPredictIo:
     @settings(max_examples=60, deadline=None)
     @given(sup=supports(), seed=st.integers(0, 2 ** 32 - 1),
            density=st.floats(0.05, 0.6))
-    @example(sup=SupportRegion("C2", 0, 16, 16, 8), seed=3, density=0.3)
-    @example(sup=SupportRegion("C1", 1, 2, 2, 2), seed=4, density=0.6)
+    @example(sup=SupportRegion(0, 16, 16, 8), seed=3, density=0.3)
+    @example(sup=SupportRegion(1, 2, 2, 2), seed=4, density=0.6)
     def test_matches_oracle_on_random_supports(self, sup, seed, density):
         """The time-domain operator is the tap-by-tap twisted convolution."""
         m, n = sup.m, sup.n
@@ -399,9 +398,29 @@ class TestPredictIo:
         got = predict_io(s, h).values
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want), initial=0.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(sup=supports(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(sup=SupportRegion(0, 16, 16, 8), seed=3)
+    def test_matches_roll_gather_form(self, sup, seed):
+        """predict_io gives, byte for byte, the per-delay rolls gathered
+        along the time axis and summed over the delays in order."""
+        rng = np.random.default_rng(seed)
+        entries = {(int(k), int(l)): complex(rng.standard_normal(), rng.standard_normal())
+                   for k in sup.delay_taps() for l in sup.doppler_taps()
+                   if rng.random() < 0.5}
+        h = manual_taps(entries, sup)
+        s = DDGrid(values=rng.standard_normal((sup.m, sup.n))
+                   + 1j * rng.standard_normal((sup.m, sup.n)))
+        x = idzt(s).samples
+        mn = x.size
+        gather = (np.arange(mn) - sup.delay_taps()[:, None]) % mn
+        profiles = estimation._delay_gain_profiles(h)
+        y = np.take_along_axis(profiles * x, gather, axis=-1).sum(axis=0)
+        assert predict_io(s, h).values.tobytes() == dzt(y, m=sup.m, n=sup.n).values.tobytes()
+
     def test_grid_mismatch_rejected(self):
         """Taps on a 16x8 support cannot act on an 8x8 frame."""
-        sup = SupportRegion(kind="C1", k_lo=7, k_hi=10, m=16, n=8)
+        sup = SupportRegion(k_lo=7, k_hi=10, m=16, n=8)
         h = manual_taps({(0, 0): 1.0, (1, 2): 0.5j}, sup)
         s = DDGrid(values=np.ones((8, 8), dtype=complex))
         with pytest.raises(ValueError, match="tap support and grid dimensions disagree"):
@@ -503,13 +522,13 @@ class TestMmseEqualize:
             assert np.all(np.isfinite(equalize_taps(y, h, 1e-3).values))
 
     def test_negative_noise_rejected(self):
-        sup = SupportRegion(kind="C1", k_lo=2, k_hi=3, m=4, n=4)
+        sup = SupportRegion(k_lo=2, k_hi=3, m=4, n=4)
         y = DDGrid(values=np.zeros((4, 4)))
         with pytest.raises(ValueError, match="noise_var"):
             equalize_taps(y, manual_taps({(0, 0): 1.0}, sup), -1.0)
 
     def test_shape_mismatch_rejected(self):
-        sup = SupportRegion(kind="C1", k_lo=2, k_hi=3, m=4, n=4)
+        sup = SupportRegion(k_lo=2, k_hi=3, m=4, n=4)
         y = DDGrid(values=np.zeros((6, 6)))
         with pytest.raises(ValueError, match="disagree"):
             equalize_taps(y, manual_taps({(0, 0): 1.0}, sup), 0.0)
@@ -569,22 +588,23 @@ class TestEqualizeTaps:
         sup = SupportRegion.from_layout(lay, "C2")
         h = self._random_estimate(sup, seed=5, density=0.6)
         mn = sup.m * sup.n
-        delays, profiles = estimation._delay_gain_profiles(h)
+        profiles = estimation._delay_gain_profiles(h)
         dopplers = sup.doppler_taps()
-        assert np.array_equal(delays, sup.delay_taps())
+        assert np.array_equal(estimation._maps(sup).delays, sup.delay_taps())
         for row, got in zip(h.block, profiles, strict=True):
             spec = np.zeros(mn, dtype=np.complex128)
             spec[dopplers % mn] = row
             assert np.array_equal(got, mn * np.fft.ifft(spec))
 
-    def test_roll_gather_is_the_roll(self):
+    def test_maps_hold_the_rolls(self):
         """One memo serves H (shifts d) and H^H (shifts -d)."""
-        shifts, mn = (-2, -1, 0, 1, 2, 3), 64
-        gather = estimation._roll_gather(shifts, mn)
-        assert not gather.flags.writeable
+        sup = SupportRegion(k_lo=2, k_hi=8, m=8, n=8)
+        maps, mn = estimation._maps(sup), 64
+        assert maps.delays.tolist() == [-2, -1, 0, 1, 2, 3]
         z = np.arange(mn) + 1j
-        for d, row in zip(shifts, gather):
-            assert np.array_equal(z[row], np.roll(z, d))
+        for r, d in enumerate(maps.delays):
+            assert np.array_equal(z[maps.roll[r, :mn] - r * mn], np.roll(z, d))
+            assert np.array_equal(z[maps.adjoint[r]], np.roll(z, -d))
 
     @settings(max_examples=80, deadline=None)
     @given(span=st.integers(0, 4), mn=st.sampled_from([9, 16, 50, 256, 4096, 8192]),
@@ -598,13 +618,15 @@ class TestEqualizeTaps:
     def test_rolled_band_matches_gather_band(self, span, mn, first, seed, scale, noise_var):
         """Products of slices of one rolled array give the gather version's
         band byte for byte, also where the products pass numpy's 256 KiB
-        in-place threshold (five 4,096-sample rows) and the factors swap."""
+        in-place threshold (five 4,096-sample rows) and the factors swap.
+        The ring is an MN x 1 grid, whose delays reach (MN - 1) // 2."""
+        assume(first + span <= (mn - 1) // 2)
+        sup = SupportRegion(k_lo=mn // 2 + first, k_hi=mn // 2 + first + span + 1, m=mn, n=1)
         rng = np.random.default_rng(seed)
         profiles = scale * (rng.standard_normal((span + 1, mn))
                             + 1j * rng.standard_normal((span + 1, mn)))
-        delays = tuple(range(first, first + span + 1))
-        got = estimation._normal_band(profiles, noise_var, estimation._band_plan(delays, mn))
-        want = gather_normal_band(profiles, noise_var, delays)
+        got = estimation._normal_band(profiles, noise_var, estimation._maps(sup))
+        want = gather_normal_band(profiles, noise_var, sup.delay_taps())
         assert got.flags.f_contiguous
         assert got.shape == want.shape
         assert got.tobytes(order="A") == want.tobytes(order="A")
@@ -629,8 +651,8 @@ class TestEqualizeTaps:
     @settings(max_examples=50, deadline=None)
     @given(sup=supports(), seed=st.integers(0, 2 ** 32 - 1),
            noise_var=st.floats(1e-3, 10.0))
-    @example(sup=SupportRegion("C2", 0, 2, 2, 2), seed=0, noise_var=1e-3)
-    @example(sup=SupportRegion("C2", 0, 16, 16, 2), seed=1, noise_var=1e-3)
+    @example(sup=SupportRegion(0, 2, 2, 2), seed=0, noise_var=1e-3)
+    @example(sup=SupportRegion(0, 16, 16, 2), seed=1, noise_var=1e-3)
     def test_band_layout_matches_oracle(self, sup, seed, noise_var):
         """Random grids down to N = 2, where a support over the whole
         delay axis brings the folded band closest to aliasing around the
@@ -653,21 +675,20 @@ class TestEqualizeTaps:
     def _two_call_solve(y, h, noise_var):
         """equalize_taps with the band solved by cholesky_banded, then
         cho_solve_banded: the zpbtrf and zpbtrs calls zpbsv makes in one."""
-        delays, profiles = estimation._delay_gain_profiles(h)
+        maps = estimation._maps(h.support)
+        profiles = estimation._delay_gain_profiles(h)
         s = idzt(y).samples
-        plan = estimation._band_plan(tuple(delays.tolist()), s.size)
-        band = estimation._normal_band(profiles, noise_var, plan)
+        band = estimation._normal_band(profiles, noise_var, maps)
         folded = np.empty_like(s)
-        folded[plan.pos] = s
+        folded[maps.pos] = s
         factor = scipy.linalg.cholesky_banded(band, check_finite=False)
-        z = scipy.linalg.cho_solve_banded((factor, False), folded, check_finite=False)[plan.pos]
-        gather = estimation._roll_gather(tuple((-delays).tolist()), s.size)
-        return dzt((np.conj(profiles) * z[gather]).sum(axis=0), m=y.m, n=y.n)
+        z = scipy.linalg.cho_solve_banded((factor, False), folded, check_finite=False)[maps.pos]
+        return dzt((np.conj(profiles) * z[maps.adjoint]).sum(axis=0), m=y.m, n=y.n)
 
     @settings(max_examples=60, deadline=None)
     @given(sup=supports(), seed=st.integers(0, 2 ** 32 - 1),
            noise_var=st.floats(1e-3, 10.0))
-    @example(sup=SupportRegion("C2", 0, 16, 16, 2), seed=1, noise_var=1e-3)
+    @example(sup=SupportRegion(0, 16, 16, 2), seed=1, noise_var=1e-3)
     def test_one_call_solve_matches_two_calls(self, sup, seed, noise_var):
         """One zpbsv call returns the two-call solution bit for bit."""
         rng = np.random.default_rng(seed)
@@ -688,9 +709,8 @@ class TestEqualizeTaps:
         _, lay = make_layout(m=8, n=4, c_bins=1.0)
         sup = SupportRegion.from_layout(lay, "C1")
         h = manual_taps({}, sup)
-        delays, profiles = estimation._delay_gain_profiles(h)
-        plan = estimation._band_plan(tuple(delays.tolist()), 32)
-        band = estimation._normal_band(profiles, 0.0, plan)
+        profiles = estimation._delay_gain_profiles(h)
+        band = estimation._normal_band(profiles, 0.0, estimation._maps(sup))
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.cholesky_banded(band)
         assert _lapack.zpbsv(band, np.ones(32, dtype=complex)) == 1
@@ -755,11 +775,10 @@ class TestEqualizeTaps:
             equalize_taps(DDGrid(values=np.zeros((4, 4))), h, 0.0)
 
     def test_delay_span_wider_than_half_the_ring_rejected(self):
-        """With N = 1 a full delay support would fold the band onto itself."""
-        sup = SupportRegion(kind="C2", k_lo=0, k_hi=4, m=4, n=1)
-        h = manual_taps({}, sup)
-        with pytest.raises(ValueError, match="too wide"):
-            equalize_taps(DDGrid(values=np.ones((4, 1))), h, 0.1)
+        """With N = 1 a full delay support would fold the band onto itself,
+        so no such support is built."""
+        with pytest.raises(ValueError, match="delay span 3 is too wide for a ring of 4"):
+            SupportRegion(k_lo=0, k_hi=4, m=4, n=1)
 
 
 # The README quick-start experiment at its lowest SNR point.
@@ -795,9 +814,8 @@ class TestBandZeroSeed:
 
     def test_readme_factor_has_no_subnormal(self, readme_10db_system):
         y, h, noise_var = readme_10db_system
-        delays, profiles = estimation._delay_gain_profiles(h)
-        plan = estimation._band_plan(tuple(delays.tolist()), y.m * y.n)
-        band = estimation._normal_band(profiles, noise_var, plan)
+        profiles = estimation._delay_gain_profiles(h)
+        band = estimation._normal_band(profiles, noise_var, estimation._maps(h.support))
         factor = scipy.linalg.cholesky_banded(band, check_finite=False)
         parts = np.abs(np.concatenate([factor.real.ravel(), factor.imag.ravel()]))
         assert not np.any((parts > 0) & (parts < np.finfo(float).tiny))
@@ -837,7 +855,7 @@ class TestNoiseCalibration:
         _, lay = make_layout(m=m, n=n, c_bins=c_bins, margin_bins=margin)
         sup = SupportRegion.from_layout(lay, "C1")
         if not pilot_row:
-            sup = SupportRegion(kind="C1", k_lo=sup.k_lo, k_hi=lay.k_p, m=m, n=n)
+            sup = SupportRegion(k_lo=sup.k_lo, k_hi=lay.k_p, m=m, n=n)
         rng = np.random.default_rng(m * n)
         y = DDGrid(values=rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
         cells = [(k, l)

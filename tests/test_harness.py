@@ -344,8 +344,10 @@ class TestIqFiles:
         write_iq(path, self._signal(n=100))
         with open(path, "r+b") as f:
             f.truncate(32 + 8 * 60)
-        with pytest.raises(IqFormatError, match="promises 100 samples"):
-            read_iq(path)
+        for read in (read_iq, read_iq_header):
+            with pytest.raises(IqFormatError,
+                               match="promises 100 samples, body holds 60 "):
+                read(path)
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "cap.iq")
@@ -540,7 +542,7 @@ class TestRunTrial:
         assert not last_symbol < rx.samples.size - (shift + 1)
 
         def decode_window(trim):
-            trimmed = sync.correct(rx, sync.SyncResult(trim, 0.0, 1.0))
+            trimmed = sync.correct(rx, trim, 0.0)
             kept = AnalogSignal(samples=trimmed.samples, rate=rx.rate, t0=rx.t0)
             return waveform.sample_and_periodize(
                 waveform.matched_filter(kept, cfg.shape, cfg.params), cfg.params)
@@ -651,23 +653,15 @@ class TestMemos:
             "reference.root": (sync._reference, ref, other_root),
             "template_spectrum.nfft": (sync._template_spectrum, ref + (nfft,),
                                        ref + (wider,)),
-            "band_plan.delays": (estimation._band_plan, ((-1, 0, 1), 16), ((0, 1, 2), 16)),
-            "band_plan.mn": (estimation._band_plan, ((-1, 0, 1), 16), ((-1, 0, 1), 32)),
-            "roll_gather.shifts": (estimation._roll_gather, ((-1, 0, 1), 16),
-                                   ((1, 0, -1), 16)),
-            "roll_gather.mn": (estimation._roll_gather, ((-1, 0, 1), 16),
-                               ((-1, 0, 1), 32)),
-            "readoff.kind": (estimation._readoff, (c1,), (c2,)),
-            "readoff.grid": (estimation._readoff, (c1,),
-                             (dataclasses.replace(c1, n=c1.n // 2),)),
+            "maps.kind": (estimation._maps, (c1,), (c2,)),
+            "maps.grid": (estimation._maps, (c1,), (dataclasses.replace(c1, n=c1.n // 2),)),
             "kay_window.length": (sync._kay_window, (16,), (17,)),
             "template_norm.root": (_RootEnergy(), ref, other_root),
         }
 
     @pytest.mark.parametrize("name", [
         "fold_slots.start", "phase_spectra.correlate", "phase_spectra.nfft",
-        "reference.root", "template_spectrum.nfft", "band_plan.delays", "band_plan.mn",
-        "roll_gather.shifts", "roll_gather.mn", "readoff.kind", "readoff.grid",
+        "reference.root", "template_spectrum.nfft", "maps.kind", "maps.grid",
         "kay_window.length", "template_norm.root"])
     def test_memo_keys_are_complete(self, name):
         """Two calls differing in one argument each get their own result."""
@@ -683,7 +677,6 @@ class TestMemos:
         plan = runner._plan(cfg)
         exact = waveform.PulseShape(w1_span=None)
         nfft = fast_len(400 + plan.template.samples.size - 1)
-        band_plan = estimation._band_plan((-1, 0, 1), 16)
         return {
             "layout.data_rows": plan.layout.data_rows,
             "plan.template": plan.template.samples,
@@ -701,11 +694,9 @@ class TestMemos:
             "phase_spectra.correlate": waveform._phase_spectra(cfg.shape, b, q, True, 128),
             "template_spectrum": sync._template_spectrum(plan.preamble, cfg.shape, b, q,
                                                          nfft),
-            **{f"band_plan.{field}": arr for field, arr in band_plan._asdict().items()},
-            "roll_gather": estimation._roll_gather((-1, 0, 1), 16),
             "kay_window": sync._kay_window(16),
-            **{f"readoff.{field}": arr for field, arr in
-               estimation._readoff(plan.support)._asdict().items()},
+            **{f"maps.{field}": arr for field, arr in
+               estimation._maps(plan.support)._asdict().items()},
         }
 
     def test_cached_arrays_are_read_only(self):
@@ -1104,7 +1095,7 @@ class TestCli:
             for j, l in enumerate(range(-(n // 2), n - n // 2)):
                 v = h.block[i, j]
                 want.append(f"{k},{l},{v.real:.9e},{v.imag:.9e}")
-        assert len(want) == h.support.size
+        assert len(want) == h.block.size
         assert rows[1:] == want
         assert (dump / "constellation_trial0.svg").exists()
 
@@ -1120,6 +1111,17 @@ class TestCli:
         path = tmp_path / "junk.iq"
         path.write_bytes(b"not an iq file at all, just text padding....")
         assert main(["iq-info", str(path)]) == 2
+
+    def test_iq_info_truncated_capture_exits_two(self, tmp_path, capsys):
+        """A body shorter than the header's count fails as read_iq does."""
+        path = str(tmp_path / "cap.iq")
+        write_iq(path, AnalogSignal(samples=np.ones(100), rate=2e6, t0=0.0))
+        with open(path, "r+b") as f:
+            f.truncate(32 + 8 * 10)
+        assert main(["iq-info", path]) == 2
+        captured = capsys.readouterr()
+        assert "samples:" not in captured.out
+        assert "header promises 100 samples, body holds 10" in captured.err
 
     def test_unknown_command_is_a_usage_error(self):
         with pytest.raises(SystemExit):

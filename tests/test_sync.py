@@ -11,7 +11,6 @@ from scipy.signal import fftconvolve
 from zakotfs import sync
 from zakotfs.sync import (
     Preamble,
-    SyncResult,
     correct,
     detect_timing,
     estimate_cfo,
@@ -419,13 +418,13 @@ class TestEstimateCfo:
 
 
 class TestCorrect:
-    """Trim plus derotation by the acquired sync state."""
+    """Trim plus derotation by an acquired start index and CFO."""
 
     def test_noop_sync_is_identity(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         sig = AnalogSignal(samples=x, rate=RATE, t0=0.0)
-        out = correct(sig, SyncResult(start_index=0, cfo_hat=0.0, peak_metric=1.0))
+        out = correct(sig, 0, 0.0)
         assert np.array_equal(out.samples, sig.samples)
 
     def test_zero_offset_is_identity_on_any_grid(self):
@@ -433,7 +432,7 @@ class TestCorrect:
         rng = np.random.default_rng(14)
         x = rng.standard_normal(1001) + 1j * rng.standard_normal(1001)
         sig = AnalogSignal(samples=x, rate=RATE, t0=-37 / RATE)
-        out = correct(sig, SyncResult(start_index=5, cfo_hat=0.0, peak_metric=1.0))
+        out = correct(sig, 5, 0.0)
         assert out.samples.tobytes() == x[5:].tobytes()
 
     @settings(max_examples=80, deadline=None)
@@ -458,24 +457,22 @@ class TestCorrect:
         t = np.arange(buf.size) / RATE
         rx = AnalogSignal(samples=buf * np.exp(2j * np.pi * cfo * t),
                           rate=RATE, t0=0.0)
-        out = correct(rx, SyncResult(start_index=shift, cfo_hat=cfo,
-                                     peak_metric=1.0))
+        out = correct(rx, shift, cfo)
         assert np.max(np.abs(out.samples - clean)) < 1e-10
 
     def test_time_origin_advances(self):
         sig = AnalogSignal(samples=np.zeros(64), rate=RATE, t0=-8 / RATE)
-        out = correct(sig, SyncResult(start_index=8, cfo_hat=0.0, peak_metric=1.0))
+        out = correct(sig, 8, 0.0)
         assert out.t0 == pytest.approx(0.0, abs=1e-15)
 
     def test_partial_cfo_leaves_residual_ramp(self):
         n = np.arange(1024)
         rx = AnalogSignal(samples=np.exp(2j * np.pi * 1000.0 * n / RATE),
                           rate=RATE, t0=0.0)
-        out = correct(rx, SyncResult(start_index=0, cfo_hat=600.0,
-                                     peak_metric=1.0))
+        out = correct(rx, 0, 600.0)
         assert kay_cfo(out.samples, RATE) == pytest.approx(400.0, abs=1e-3)
 
     def test_start_index_bounds(self):
         sig = AnalogSignal(samples=np.zeros(64), rate=RATE, t0=0.0)
         with pytest.raises(ValueError, match="outside buffer"):
-            correct(sig, SyncResult(start_index=65, cfo_hat=0.0, peak_metric=1.0))
+            correct(sig, 65, 0.0)
