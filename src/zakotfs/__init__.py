@@ -1,7 +1,7 @@
 """Zak-OTFS baseband modem: delay-Doppler framing, transforms, channel,
 synchronization, estimation, equalization, and a Monte-Carlo harness."""
 
-from .channel import (ChannelSpec, ImpairmentSpec, PathSpec, apply_impairments,
+from .channel import (ImpairmentSpec, PathSpec, add_noise, apply_impairments,
                       apply_paths, fold_impairments)
 from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from .dd_frame import (Constellation, FrameLayout, FrameParams, build_layout,
@@ -15,16 +15,16 @@ from .sync import (Preamble, SyncResult, correct, detect_timing, estimate_cfo,
                    kay_cfo, make_preamble, shape_preamble)
 from .waveform import (AnalogSignal, PulseShape, matched_filter, rrc_w1, rrc_w2,
                        sample_and_periodize, synthesize)
-from .zak import DDGrid, DTSignal, dzt, idzt
+from .zak import DDGrid, dzt, idzt
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalogSignal", "BerCurve", "BerPoint", "ChannelSpec", "ConfigError",
-    "Constellation", "DDGrid", "DTSignal", "EffectiveChannelEstimate",
+    "AnalogSignal", "BerCurve", "BerPoint", "ConfigError",
+    "Constellation", "DDGrid", "EffectiveChannelEstimate",
     "ExperimentConfig", "FrameLayout", "FrameParams", "ImpairmentSpec",
     "IqFormatError", "PathSpec", "Preamble", "PulseShape", "SolverDivergence",
-    "SupportRegion", "SyncResult", "TrialReport", "apply_impairments",
+    "SupportRegion", "SyncResult", "TrialReport", "add_noise", "apply_impairments",
     "apply_paths", "build_layout", "config_from_dict",
     "correct", "dd_noise_var", "demap_symbols", "detect_timing", "dzt",
     "equalize_taps", "estimate", "estimate_cfo", "fold_impairments",

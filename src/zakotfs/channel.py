@@ -4,9 +4,9 @@ The physical channel is a sum of discrete paths,
 
     r(t) = sum_i h_i s(t - tau_i) exp(j 2 pi nu_i (t - tau_i)),
 
-followed by a receiver impairment stage that delays by dt, rotates by a
-carrier offset eps0 (absolute Hz) and a constant phase phi, and adds
-complex white Gaussian noise:
+followed by a receiver impairment stage that delays by dt and rotates by
+a carrier offset eps0 (absolute Hz) and a constant phase phi, and then by
+complex white Gaussian noise z, which add_noise draws:
 
     r~(t) = r(t - dt) exp(j (2 pi eps0 t + phi)) + z(t).
 
@@ -33,7 +33,6 @@ from .zak import memo
 __all__ = [
     "PathSpec",
     "ImpairmentSpec",
-    "ChannelSpec",
     "apply_paths",
     "apply_impairments",
     "add_noise",
@@ -72,30 +71,6 @@ class ImpairmentSpec:
             raise ValueError("dt must be non-negative")
         if not -np.pi <= self.phi < np.pi:
             raise ValueError(f"phi must lie in [-pi, pi), got {self.phi}")
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Paths plus impairments; noise is added separately, by add_noise.
-
-    tau_max / nu_max declare the support bounds the frame layout was
-    built for.
-    """
-
-    paths: tuple[PathSpec, ...]
-    impairments: ImpairmentSpec = ImpairmentSpec()
-    tau_max: float = 0.0
-    nu_max: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.paths:
-            raise ValueError("a channel needs at least one path")
-        object.__setattr__(self, "paths", tuple(self.paths))
-        for p in self.paths:
-            if p.delay > self.tau_max + 1e-12:
-                raise ValueError(f"path delay {p.delay} exceeds tau_max={self.tau_max}")
-            if abs(p.doppler) > self.nu_max + 1e-9:
-                raise ValueError(f"path Doppler {p.doppler} exceeds nu_max={self.nu_max}")
 
 
 def _delay_samples(x: np.ndarray, shift: float) -> np.ndarray:
@@ -146,16 +121,15 @@ def apply_paths(sig: AnalogSignal, paths: tuple[PathSpec, ...] | list[PathSpec])
     return AnalogSignal.adopt(out, rate=sig.rate, t0=sig.t0)
 
 
-def apply_impairments(sig: AnalogSignal, imp: ImpairmentSpec, noise_psd: float = 0.0,
-                      rng: np.random.Generator | None = None) -> AnalogSignal:
-    """Apply timing/carrier/phase impairments, then add noise once."""
+def apply_impairments(sig: AnalogSignal, imp: ImpairmentSpec) -> AnalogSignal:
+    """Apply the timing, carrier and phase impairments; add_noise adds the noise."""
     x = _delay_samples(sig.samples, imp.dt * sig.rate)
     # Multiply by a fresh copy of the ramp: above a size threshold numpy
     # reuses a temporary operand as the output and swaps the factors, and
     # the copy keeps the last bit of every sample the same as multiplying
     # by a newly computed ramp.
     x = x * _carrier_ramp(sig.t0, sig.rate, x.size, imp.eps0, imp.phi).copy()
-    return add_noise(AnalogSignal.adopt(x, rate=sig.rate, t0=sig.t0), noise_psd, rng)
+    return AnalogSignal.adopt(x, rate=sig.rate, t0=sig.t0)
 
 
 def add_noise(sig: AnalogSignal, noise_psd: float,
@@ -179,7 +153,8 @@ def add_noise(sig: AnalogSignal, noise_psd: float,
     return AnalogSignal.adopt(z, rate=sig.rate, t0=sig.t0)
 
 
-def fold_impairments(spec: ChannelSpec) -> tuple[PathSpec, ...]:
+def fold_impairments(paths: tuple[PathSpec, ...] | list[PathSpec],
+                     imp: ImpairmentSpec) -> tuple[PathSpec, ...]:
     """Absorb dt/eps0/phi into the path set.
 
     Each path (h, tau, nu) becomes
@@ -187,9 +162,8 @@ def fold_impairments(spec: ChannelSpec) -> tuple[PathSpec, ...]:
     and apply_paths on the folded set matches apply_paths followed by
     the noiseless impairment stage.
     """
-    imp = spec.impairments
     folded = []
-    for p in spec.paths:
+    for p in paths:
         gain = p.gain * np.exp(1j * (2 * np.pi * imp.eps0 * (p.delay + imp.dt) + imp.phi))
         folded.append(PathSpec(gain=gain, delay=p.delay + imp.dt, doppler=p.doppler + imp.eps0))
     return tuple(folded)

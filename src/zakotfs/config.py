@@ -22,6 +22,9 @@ CONFIG_VERSION = 1
 MAX_TRIALS = 2 ** 32
 # sweep starts every pool worker at once, one process each.
 MAX_WORKERS = 256
+# A path gain's bound in dB: the squares of any few such gains, which
+# normalize_power sums, stay finite and nonzero.
+MAX_GAIN_DB = 300.0
 
 SUPPORT_KINDS = ("C1", "C2")
 CFO_MODES = ("time_domain", "channel_folded")
@@ -54,7 +57,7 @@ def _check_unknown(d: dict, allowed: set[str], section: str) -> None:
 
 def _get_number(d: dict, section: str, key: str, default=None, minimum=None, maximum=None,
                 kind: type = float):
-    """d[key] as a float, or as an int when kind is int (a float is then refused)."""
+    """d[key] as a finite float, or as an int when kind is int (a float is then refused)."""
     if key not in d:
         if default is None:
             raise ConfigError(f"{section}.{key}", "value is missing")
@@ -63,6 +66,10 @@ def _get_number(d: dict, section: str, key: str, default=None, minimum=None, max
     if isinstance(v, bool) or not isinstance(v, int if kind is int else (int, float)):
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{section}.{key}", f"expected {noun}, got {v!r}")
+    # NaN passes every bound check, so it is refused here with the infinities;
+    # an int past the float range counts as infinite.
+    if kind is float and not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{section}.{key}", f"must be finite, got {v!r}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{section}.{key}", f"must be >= {minimum}, got {v}")
     if maximum is not None and v > maximum:
@@ -221,7 +228,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                        where)
         d_bins = _get_number(p, where, "delay_bins", minimum=0.0)
         v_bins = _get_number(p, where, "doppler_bins", default=0.0)
-        g_db = _get_number(p, where, "gain_db", default=0.0)
+        g_db = _get_number(p, where, "gain_db", default=0.0,
+                           minimum=-MAX_GAIN_DB, maximum=MAX_GAIN_DB)
         ph = _get_number(p, where, "phase_deg", default=0.0)
         if d_bins > tau_max_bins + 1e-9:
             raise ConfigError(f"{where}.delay_bins",
@@ -235,8 +243,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if _get_bool(ch, "channel", "normalize_power", default=True):
         scale = math.sqrt(sum(abs(g) ** 2 for g in gains))
         gains = [g / scale for g in gains]
-    paths = tuple(PathSpec(gain=g, delay=d, doppler=v)
-                  for g, d, v in zip(gains, delays, dopplers))
+    paths = []
+    for i, (g, d, v) in enumerate(zip(gains, delays, dopplers)):
+        try:
+            paths.append(PathSpec(gain=g, delay=d, doppler=v))
+        except ValueError as e:
+            raise ConfigError(f"channel.paths[{i}]", str(e)) from e
     cfo = _get_number(ch, "channel", "cfo_hz", default=0.0)
     dt_bins = _get_number(ch, "channel", "timing_offset_bins",
                           default=0.0, minimum=0.0)
@@ -312,7 +324,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         dt_margin=dt_margin,
         shape=shape,
         q=q,
-        paths=paths,
+        paths=tuple(paths),
         impairments=impairments,
         constellation_order=order,
         snr_db=tuple(snr_db),

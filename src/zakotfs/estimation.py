@@ -18,7 +18,7 @@ import numpy as np
 
 from ._lapack import zpbsv
 from .dd_frame import FrameLayout
-from .zak import DDGrid, dzt_values, frozen_complex, idzt_samples, memo
+from .zak import DDGrid, dzt, frozen_complex, idzt, memo
 
 
 @dataclass(frozen=True)
@@ -151,10 +151,10 @@ def predict_io(s_dd: DDGrid, h: EffectiveChannelEstimate) -> DDGrid:
     """
     if (s_dd.m, s_dd.n) != (h.support.m, h.support.n):
         raise ValueError("tap support and grid dimensions disagree")
-    x = idzt_samples(s_dd.values)
+    x = idzt(s_dd.values)
     # The roll map's first MN columns are H's shifts, one row per delay.
     y = np.take(_delay_gain_profiles(h) * x, _maps(h.support).roll[:, :x.size]).sum(axis=0)
-    return DDGrid(values=dzt_values(y, s_dd.m, s_dd.n))
+    return DDGrid(values=dzt(y, s_dd.m, s_dd.n))
 
 
 class SolverDivergence(RuntimeError):
@@ -294,7 +294,7 @@ def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
         raise ValueError("tap support and grid dimensions disagree")
     maps = _maps(h.support)
     profiles = _delay_gain_profiles(h)
-    y = idzt_samples(y_dd.values)
+    y = idzt(y_dd.values)
     band = _normal_band(profiles, noise_var, maps)
     y_folded = np.empty_like(y)
     y_folded[maps.pos] = y
@@ -311,7 +311,7 @@ def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
     z = y_folded[maps.pos]
     # H^H z = sum_d conj(g_d) * roll(z, -d), the rows summed in order.
     x = (np.conj(profiles) * z[maps.adjoint]).sum(axis=0)
-    return DDGrid(values=dzt_values(x, y_dd.m, y_dd.n))
+    return DDGrid(values=dzt(x, y_dd.m, y_dd.n))
 
 
 def dd_noise_var(noise_psd: float, q: int, b: float) -> float:

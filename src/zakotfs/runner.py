@@ -18,7 +18,7 @@ from .estimation import (EffectiveChannelEstimate, SupportRegion, dd_noise_var,
 from .sync import (Preamble, SyncResult, correct, detect_timing, estimate_cfo,
                    make_preamble, shape_preamble)
 from .waveform import AnalogSignal, matched_filter, sample_and_periodize, synthesize
-from .zak import dzt, idzt, memo
+from .zak import DDGrid, dzt, idzt, memo
 
 __all__ = ["TrialReport", "BerPoint", "BerCurve", "run_trial", "sweep",
            "write_outputs"]
@@ -180,7 +180,7 @@ def _make_tx(cfg: ExperimentConfig, plan: _Plan, rng: np.random.Generator):
     nbits = plan.layout.n_data_cells * plan.constellation.bits_per_symbol
     bits = rng.integers(0, 2, size=nbits)
     tx_grid = map_bits(bits, plan.constellation, plan.layout, cfg.pilot_amp)
-    frame_sig = synthesize(idzt(tx_grid, rate=cfg.params.b), cfg.shape, cfg.q)
+    frame_sig = synthesize(idzt(tx_grid.values), cfg.shape, cfg.params.b, cfg.q)
     burst, chip0_nominal = _compose_burst(cfg, frame_sig, plan.template)
     return bits, burst, chip0_nominal
 
@@ -237,8 +237,9 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
             rx = AnalogSignal.adopt(trimmed.samples, rate=rx.rate, t0=rx.t0)
             del trimmed
 
-    y_dd = dzt(sample_and_periodize(matched_filter(rx, cfg.shape, params), params))
-    del rx
+    folded = sample_and_periodize(matched_filter(rx, cfg.shape, params), params)
+    y_dd = DDGrid(values=dzt(folded, params.m, params.n))
+    del rx, folded
     h_est = estimate(y_dd, layout, plan.support, cfg.pilot_amp)
     x_hat = equalize_taps(y_dd, h_est, dd_noise_var(noise_psd, cfg.q, params.b))
 

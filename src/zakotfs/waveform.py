@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dd_frame import FrameParams
-from .zak import DTSignal, fast_len, frozen_complex, memo
+from .zak import fast_len, frozen_complex, memo
 
 __all__ = [
     "PulseShape",
@@ -404,21 +404,17 @@ def _first_instant(i_zero: int, q: int, n: int, mn: int) -> int:
     return -(i_zero // q)
 
 
-def synthesize(dt: DTSignal, shape: PulseShape, q: int) -> AnalogSignal:
-    """Shape one frame into the analog domain at rate q*B.
+def synthesize(samples: np.ndarray, shape: PulseShape, b: float, q: int) -> AnalogSignal:
+    """Shape one frame period of symbols at rate b into the analog domain at q*b.
 
     The frame core occupies t in [0, T).  The symbol stream is extended
     MN-periodically under the transmit window.  For the 'sinc' family the
     flat window reaches shape.reach() + 8 symbol periods past the core,
     so delayed copies at the receiver stay in the periodic steady state.
-    Needs dt.rate set to B.
     """
-    if dt.rate is None:
-        raise ValueError("DTSignal.rate must carry the symbol rate B")
     if q < 2:
         raise ValueError("oversampling q must be at least 2")
-    b = dt.rate
-    mn = dt.m * dt.n
+    mn = samples.size
     t_period = mn / b
     margin = shape.reach() + 8
     shape.check_truncation(b, q)
@@ -437,14 +433,14 @@ def synthesize(dt: DTSignal, shape: PulseShape, q: int) -> AnalogSignal:
         # Periodic steady state first: exact trigonometric interpolation
         # of the symbol sequence on the q-grid, then the window cuts it.
         period = np.zeros(mn * q, dtype=np.complex128)
-        period[::q] = dt.samples
+        period[::q] = samples
         core = _exact_filter(period, shape, b, q)
         slots = _fold_slots(n_out, q_lo * q - span_q, mn * q)
         window = _window_at(shape, t0, q * b, n_out, t_period, margin / b)
         return AnalogSignal.adopt(core[slots] * window, rate=q * b, t0=t0)
 
     window = _symbol_window(shape, q_lo, q_hi, b, t_period, margin / b)
-    vals = dt.samples[_fold_slots(q_hi - q_lo, q_lo, mn)] * window
+    vals = samples[_fold_slots(q_hi - q_lo, q_lo, mn)] * window
     return AnalogSignal.adopt(shape_symbols(vals, shape, b, q)[:n_out],
                               rate=q * b, t0=t0)
 
@@ -478,7 +474,7 @@ def matched_filter(r: AnalogSignal, shape: PulseShape, params: FrameParams) -> A
                               t0=-(i_zero // q) / b)
 
 
-def sample_and_periodize(y: AnalogSignal, params: FrameParams) -> DTSignal:
+def sample_and_periodize(y: AnalogSignal, params: FrameParams) -> np.ndarray:
     """Sample the filtered signal at q/B and fold into one MN period.
 
     y may be at any integer multiple q >= 1 of B, such as the rate-B
@@ -491,5 +487,4 @@ def sample_and_periodize(y: AnalogSignal, params: FrameParams) -> DTSignal:
     q, i_zero = _sample_grid(y, params.b, 1)
     q_min = _first_instant(i_zero, q, y.samples.size, mn)
     picked = y.samples[i_zero % q::q]
-    return DTSignal(samples=_fold(picked, q_min, mn), m=params.m, n=params.n,
-                    rate=params.b)
+    return _fold(picked, q_min, mn)

@@ -23,8 +23,7 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-__all__ = ["DDGrid", "DTSignal", "idzt", "dzt", "idzt_samples", "dzt_values",
-           "fast_len", "frozen_complex", "memo"]
+__all__ = ["DDGrid", "idzt", "dzt", "fast_len", "frozen_complex", "memo"]
 
 
 def frozen_complex(values: np.ndarray) -> np.ndarray:
@@ -108,30 +107,8 @@ class DDGrid:
         return float(np.sum(np.abs(self.values) ** 2))
 
 
-@dataclass(frozen=True)
-class DTSignal:
-    """One period of an MN-periodic discrete-time sequence at rate B."""
-
-    samples: np.ndarray
-    m: int
-    n: int
-    rate: float | None = None
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.samples)
-        if s.ndim != 1:
-            raise ValueError("DTSignal samples must be 1-D")
-        if s.size != self.m * self.n:
-            raise ValueError(
-                f"expected {self.m * self.n} samples for an {self.m}x{self.n} frame, got {s.size}"
-            )
-        if not np.all(np.isfinite(s)):
-            raise ValueError("DTSignal samples must be finite")
-        object.__setattr__(self, "samples", frozen_complex(s))
-
-
-def idzt_samples(values: np.ndarray) -> np.ndarray:
-    """The IDZT of an M x N array as a bare length-MN array, unvalidated.
+def idzt(values: np.ndarray) -> np.ndarray:
+    """Inverse discrete Zak transform of an M x N array: one MN period.
 
     Sample q = k + n*M carries delay bin k in Doppler block n.
     """
@@ -141,32 +118,9 @@ def idzt_samples(values: np.ndarray) -> np.ndarray:
     return blocks.T.reshape(-1)  # q = k + n*M ordering
 
 
-def dzt_values(samples: np.ndarray, m: int, n: int) -> np.ndarray:
-    """The DZT of a length-MN array as a bare M x N array, unvalidated."""
+def dzt(samples: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Discrete Zak transform of one MN period of samples: an M x N array."""
+    if samples.size != m * n:
+        raise ValueError(f"expected {m * n} samples, got {samples.size}")
     blocks = samples.reshape(n, m)  # [n, k]
     return (np.fft.fft(blocks, axis=0) / np.sqrt(n)).T  # [k, l]
-
-
-def idzt(grid: DDGrid | np.ndarray, rate: float | None = None) -> DTSignal:
-    """Inverse discrete Zak transform: delay-Doppler grid to time samples.
-
-    Returns the fundamental period s[q], q = 0..MN-1, laid out so that
-    sample q = k + n*M carries delay bin k in Doppler block n.
-    """
-    values = grid.values if isinstance(grid, DDGrid) else np.asarray(grid, dtype=np.complex128)
-    m, n = values.shape
-    return DTSignal(samples=idzt_samples(values), m=m, n=n, rate=rate)
-
-
-def dzt(sig: DTSignal | np.ndarray, m: int | None = None,
-        n: int | None = None) -> DDGrid:
-    """Discrete Zak transform: one MN-period of time samples to the grid."""
-    if isinstance(sig, DTSignal):
-        samples, m, n = sig.samples, sig.m, sig.n
-    else:
-        if m is None or n is None:
-            raise ValueError("dzt on a bare array needs explicit m and n")
-        samples = np.asarray(sig, dtype=np.complex128)
-        if samples.size != m * n:
-            raise ValueError(f"expected {m * n} samples, got {samples.size}")
-    return DDGrid(values=dzt_values(samples, m, n))

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from zakotfs.channel import (
-    ChannelSpec,
     ImpairmentSpec,
     PathSpec,
+    add_noise,
     apply_impairments,
     apply_paths,
     fold_impairments,
@@ -80,13 +80,14 @@ def pilot_frame(layout, pilot_amp=8.0):
 
 def run_chain(grid, params, shape, paths=(), imp=None, noise_psd=0.0, rng=None):
     """Transmit, fade, impair, matched-filter, and fold back to the grid."""
-    sig = synthesize(idzt(grid, rate=params.b), shape, Q)
+    sig = synthesize(idzt(grid.values), shape, params.b, Q)
     if paths:
         sig = apply_paths(sig, paths)
     if imp is not None or noise_psd > 0.0:
-        sig = apply_impairments(sig, imp or ImpairmentSpec(),
-                                noise_psd=noise_psd, rng=rng)
-    return dzt(sample_and_periodize(matched_filter(sig, shape, params), params))
+        sig = add_noise(apply_impairments(sig, imp or ImpairmentSpec()),
+                        noise_psd, rng)
+    return DDGrid(values=dzt(sample_and_periodize(matched_filter(sig, shape, params), params),
+                             params.m, params.n))
 
 
 def core_power(sig, params):
@@ -152,11 +153,11 @@ class TestTransformFidelity:
             for _ in range(250):
                 v = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
                 g = DDGrid(values=v)
-                sig = idzt(g)
-                back = dzt(sig)
+                sig = idzt(g.values)
+                back = dzt(sig, m, n)
                 scale = np.max(np.abs(v))
-                assert np.max(np.abs(back.values - v)) / scale < 1e-10
-                sample_energy = np.sum(np.abs(sig.samples) ** 2)
+                assert np.max(np.abs(back - v)) / scale < 1e-10
+                sample_energy = np.sum(np.abs(sig) ** 2)
                 assert sample_energy == pytest.approx(g.energy(), rel=1e-10)
         assert time.monotonic() - t_start < 10.0
 
@@ -166,10 +167,10 @@ class TestTransformFidelity:
         rng = np.random.default_rng(m * 31 + n)
         for _ in range(5):
             v = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-            fast = idzt(DDGrid(values=v)).samples
+            fast = idzt(v)
             assert np.max(np.abs(fast - naive_idzt(v))) < 1e-12
             s = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
-            fwd = dzt(s, m=m, n=n).values
+            fwd = dzt(s, m, n)
             assert np.max(np.abs(fwd - naive_dzt(s, m, n))) < 1e-12
 
 
@@ -248,11 +249,9 @@ class TestImpairmentFoldEquivalence:
             imp = ImpairmentSpec(dt=rng.uniform(0.0, 0.5e-6),
                                  eps0=rng.uniform(-1e3, 1e3),
                                  phi=rng.uniform(-np.pi, np.pi * 0.99))
-            spec = ChannelSpec(paths=paths, impairments=imp,
-                               tau_max=2.5e-6, nu_max=4e3)
             sig = band_limited_probe(seed=seed)
             direct = apply_impairments(apply_paths(sig, paths), imp)
-            folded = apply_paths(sig, fold_impairments(spec))
+            folded = apply_paths(sig, fold_impairments(paths, imp))
             scale = np.max(np.abs(direct.samples))
             assert np.max(np.abs(direct.samples - folded.samples)) / scale < 1e-9
         assert time.monotonic() - t_start < 30.0
@@ -295,13 +294,14 @@ class TestEstimatorBinAccuracy:
             k0, l0, gain = self._draw(rng)
             path = PathSpec(gain=gain, delay=k0 / p.b,
                             doppler=l0 * p.doppler_bin_hz)
-            sig = synthesize(idzt(pilot_frame(lay), rate=p.b), shape, Q)
+            sig = synthesize(idzt(pilot_frame(lay).values), shape, p.b, Q)
             sig = apply_paths(sig, (path,))
             noise_psd = core_power(sig, p) / 10 ** 2.5
             noise_rng = np.random.default_rng(9000 + trial)
-            sig = apply_impairments(sig, ImpairmentSpec(),
-                                    noise_psd=noise_psd, rng=noise_rng)
-            y = dzt(sample_and_periodize(matched_filter(sig, shape, p), p))
+            sig = add_noise(apply_impairments(sig, ImpairmentSpec()),
+                            noise_psd, noise_rng)
+            y = DDGrid(values=dzt(sample_and_periodize(matched_filter(sig, shape, p), p),
+                                  p.m, p.n))
             hits += estimate(y, lay, sup, 8.0).peak() == (k0, l0)
         assert hits >= 99
 

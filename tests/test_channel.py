@@ -5,7 +5,6 @@ import pytest
 import scipy.fft
 
 from zakotfs.channel import (
-    ChannelSpec,
     ImpairmentSpec,
     PathSpec,
     add_noise,
@@ -61,27 +60,14 @@ class TestSpecsValidation:
             ImpairmentSpec(phi=np.pi)
         assert ImpairmentSpec(phi=-np.pi).phi == -np.pi
 
-    def test_channel_needs_paths(self):
-        with pytest.raises(ValueError, match="at least one path"):
-            ChannelSpec(paths=())
-
-    def test_channel_delay_budget_enforced(self):
-        p = PathSpec(gain=1.0, delay=2e-6, doppler=0.0)
-        with pytest.raises(ValueError, match="tau_max"):
-            ChannelSpec(paths=(p,), tau_max=1e-6)
-
-    def test_channel_doppler_budget_enforced(self):
-        p = PathSpec(gain=1.0, delay=0.0, doppler=5e3)
-        with pytest.raises(ValueError, match="nu_max"):
-            ChannelSpec(paths=(p,), nu_max=1e3)
-
     def test_negative_noise_rejected(self):
-        """A channel spec carries no noise level; add_noise is the one entry."""
-        p = PathSpec(gain=1.0, delay=0.0, doppler=0.0)
+        """Neither the impairment spec nor its stage carries a noise level;
+        add_noise is the one entry."""
+        sig = AnalogSignal(samples=np.zeros(16), rate=RATE, t0=0.0)
         with pytest.raises(TypeError, match="noise_psd"):
-            ChannelSpec(paths=(p,), noise_psd=-1.0)
+            ImpairmentSpec(noise_psd=-1.0)
         with pytest.raises(TypeError, match="noise_psd"):
-            ChannelSpec(paths=(p,), noise_psd=0.0)
+            apply_impairments(sig, ImpairmentSpec(), noise_psd=0.0)
 
 
 class TestApplyPaths:
@@ -162,7 +148,7 @@ class TestApplyPaths:
 
 
 class TestApplyImpairments:
-    """The receiver-side dt / eps0 / phi stage and its noise injection."""
+    """The receiver-side dt / eps0 / phi stage, then add_noise on its output."""
 
     def test_all_zero_is_identity(self):
         sig = band_limited_probe(seed=6)
@@ -185,7 +171,7 @@ class TestApplyImpairments:
     def test_noise_variance_calibrated(self):
         sig = AnalogSignal(samples=np.zeros(200_000), rate=RATE, t0=0.0)
         rng = np.random.default_rng(8)
-        out = apply_impairments(sig, ImpairmentSpec(), noise_psd=2.0, rng=rng)
+        out = add_noise(apply_impairments(sig, ImpairmentSpec()), 2.0, rng)
         var = np.mean(np.abs(out.samples) ** 2)
         assert var == pytest.approx(2.0, rel=0.03)
         # Circularly symmetric: half the power per quadrature.
@@ -194,12 +180,12 @@ class TestApplyImpairments:
     def test_noise_needs_rng(self):
         sig = AnalogSignal(samples=np.zeros(16), rate=RATE, t0=0.0)
         with pytest.raises(ValueError, match="rng"):
-            apply_impairments(sig, ImpairmentSpec(), noise_psd=1.0)
+            add_noise(apply_impairments(sig, ImpairmentSpec()), 1.0, None)
 
     def test_negative_noise_rejected(self):
         sig = AnalogSignal(samples=np.zeros(16), rate=RATE, t0=0.0)
         with pytest.raises(ValueError, match="noise_psd"):
-            apply_impairments(sig, ImpairmentSpec(), noise_psd=-1.0)
+            add_noise(apply_impairments(sig, ImpairmentSpec()), -1.0, None)
 
 
 class TestAddNoise:
@@ -233,8 +219,7 @@ class TestFoldImpairments:
         """Each folded path follows the closed-form gain and shifts."""
         imp = ImpairmentSpec(dt=0.5e-6, eps0=700.0, phi=0.4)
         p = PathSpec(gain=0.9 - 0.2j, delay=1e-6, doppler=1.5e3)
-        spec = ChannelSpec(paths=(p,), impairments=imp, tau_max=2e-6, nu_max=3e3)
-        (f,) = fold_impairments(spec)
+        (f,) = fold_impairments((p,), imp)
         assert f.delay == pytest.approx(p.delay + imp.dt)
         assert f.doppler == pytest.approx(p.doppler + imp.eps0)
         expect_gain = p.gain * np.exp(
@@ -243,8 +228,7 @@ class TestFoldImpairments:
 
     def test_identity_fold(self):
         p = PathSpec(gain=1.0, delay=1e-6, doppler=2e3)
-        spec = ChannelSpec(paths=(p,), tau_max=1e-5, nu_max=1e4)
-        assert fold_impairments(spec) == (p,)
+        assert fold_impairments((p,), ImpairmentSpec()) == (p,)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fold_equivalence_on_band_limited_probe(self, seed):
@@ -262,11 +246,9 @@ class TestFoldImpairments:
         imp = ImpairmentSpec(dt=rng.uniform(0.0, 0.5e-6),
                              eps0=rng.uniform(-1e3, 1e3),
                              phi=rng.uniform(-np.pi, np.pi * 0.99))
-        spec = ChannelSpec(paths=paths, impairments=imp, tau_max=2.5e-6, nu_max=4e3)
-
         sig = band_limited_probe(seed=seed)
         direct = apply_impairments(apply_paths(sig, paths), imp)
-        folded = apply_paths(sig, fold_impairments(spec))
+        folded = apply_paths(sig, fold_impairments(paths, imp))
         scale = np.max(np.abs(direct.samples))
         assert np.max(np.abs(direct.samples - folded.samples)) / scale < 1e-9
 
@@ -277,7 +259,7 @@ class TestFoldImpairments:
         rng = np.random.default_rng(9)
         bits = rng.integers(0, 2, size=layout.n_data_cells * const.bits_per_symbol)
         grid = map_bits(bits, const, layout, pilot_amp=8.0)
-        return synthesize(idzt(grid, rate=params.b), shape, 4)
+        return synthesize(idzt(grid.values), shape, params.b, 4)
 
     @pytest.mark.parametrize("family,span,bound", [
         ("rrc", 16, 2e-5),
@@ -289,8 +271,7 @@ class TestFoldImpairments:
         sig = self._frame_signal(PulseShape(family=family, beta=0.5, w1_span=span))
         paths = (PathSpec(gain=0.8, delay=0.6e-6, doppler=500.0),)
         imp = ImpairmentSpec(dt=0.2e-6, eps0=300.0, phi=0.5)
-        spec = ChannelSpec(paths=paths, impairments=imp, tau_max=1e-6, nu_max=1e3)
         direct = apply_impairments(apply_paths(sig, paths), imp)
-        folded = apply_paths(sig, fold_impairments(spec))
+        folded = apply_paths(sig, fold_impairments(paths, imp))
         scale = np.max(np.abs(direct.samples))
         assert np.max(np.abs(direct.samples - folded.samples)) / scale < bound

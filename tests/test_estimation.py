@@ -98,12 +98,13 @@ def supports(draw):
 
 def run_chain(grid, params, shape, q, paths=(), imp=None):
     """Transmit, fade, impair, matched-filter, fold back to the grid."""
-    sig = synthesize(idzt(grid, rate=params.b), shape, q)
+    sig = synthesize(idzt(grid.values), shape, params.b, q)
     if paths:
         sig = apply_paths(sig, paths)
     if imp is not None:
         sig = apply_impairments(sig, imp)
-    return dzt(sample_and_periodize(matched_filter(sig, shape, params), params))
+    return DDGrid(values=dzt(sample_and_periodize(matched_filter(sig, shape, params), params),
+                             params.m, params.n))
 
 
 class TestSupportRegion:
@@ -411,12 +412,12 @@ class TestPredictIo:
         h = manual_taps(entries, sup)
         s = DDGrid(values=rng.standard_normal((sup.m, sup.n))
                    + 1j * rng.standard_normal((sup.m, sup.n)))
-        x = idzt(s).samples
+        x = idzt(s.values)
         mn = x.size
         gather = (np.arange(mn) - sup.delay_taps()[:, None]) % mn
         profiles = estimation._delay_gain_profiles(h)
         y = np.take_along_axis(profiles * x, gather, axis=-1).sum(axis=0)
-        assert predict_io(s, h).values.tobytes() == dzt(y, m=sup.m, n=sup.n).values.tobytes()
+        assert predict_io(s, h).values.tobytes() == dzt(y, sup.m, sup.n).tobytes()
 
     def test_grid_mismatch_rejected(self):
         """Taps on a 16x8 support cannot act on an 8x8 frame."""
@@ -483,8 +484,8 @@ class TestMmseEqualize:
         y = DDGrid(values=rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
         var = 0.3
         x = equalize_taps(y, h, var)
-        expect = dzt(np.conj(g) * idzt(y).samples / (np.abs(g) ** 2 + var), m=8, n=8)
-        assert np.max(np.abs(x.values - expect.values)) < 1e-10
+        expect = dzt(np.conj(g) * idzt(y.values) / (np.abs(g) ** 2 + var), 8, 8)
+        assert np.max(np.abs(x.values - expect)) < 1e-10
 
     def test_noiseless_two_tap_channel_inverts(self):
         """y built by the oracle matrix, not by predict_io itself."""
@@ -677,13 +678,13 @@ class TestEqualizeTaps:
         cho_solve_banded: the zpbtrf and zpbtrs calls zpbsv makes in one."""
         maps = estimation._maps(h.support)
         profiles = estimation._delay_gain_profiles(h)
-        s = idzt(y).samples
+        s = idzt(y.values)
         band = estimation._normal_band(profiles, noise_var, maps)
         folded = np.empty_like(s)
         folded[maps.pos] = s
         factor = scipy.linalg.cholesky_banded(band, check_finite=False)
         z = scipy.linalg.cho_solve_banded((factor, False), folded, check_finite=False)[maps.pos]
-        return dzt((np.conj(profiles) * z[maps.adjoint]).sum(axis=0), m=y.m, n=y.n)
+        return DDGrid(values=dzt((np.conj(profiles) * z[maps.adjoint]).sum(axis=0), y.m, y.n))
 
     @settings(max_examples=60, deadline=None)
     @given(sup=supports(), seed=st.integers(0, 2 ** 32 - 1),

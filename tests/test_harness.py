@@ -23,6 +23,9 @@ from zakotfs.waveform import AnalogSignal
 from zakotfs.zak import fast_len
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def tiny_config_dict(**run_overrides):
     """A fast noiseless loopback setup on an 8x8 grid."""
     raw = {
@@ -112,6 +115,35 @@ class TestConfigFromDict:
         with pytest.raises(ConfigError) as info:
             config_from_dict(raw)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("field, value", [
+        ("sync.threshold", NAN),
+        ("layout.dt_margin_bins", NAN),
+        ("layout.dt_margin_bins", INF),
+        ("layout.tau_max_bins", NAN),
+        ("layout.tau_max_bins", INF),
+        ("layout.tau_max_bins", 10 ** 400),
+        ("frame.pilot_amp", INF),
+        ("frame.nu_p_hz", NAN),
+        *[(f"channel.paths[0].{key}", value)
+          for key in ("delay_bins", "doppler_bins", "gain_db", "phase_deg")
+          for value in (NAN, INF, -INF)],
+        ("channel.paths[0].gain_db", 4000),     # 10 ** 200 squares to inf
+        ("channel.paths[0].gain_db", -4000),    # 10 ** -200 squares to 0
+        ("channel.paths[0].gain_db", 1e4),      # 10 ** 500.0 overflows
+    ])
+    def test_unusable_number_rejected(self, field, value):
+        """NaN passes every bound check and the infinities overflow, so
+        each is refused when the config is read, on its own field."""
+        raw = tiny_config_dict()
+        where, key = field.rsplit(".", 1)
+        if where == "channel.paths[0]":
+            raw["channel"]["paths"][0][key] = value
+        else:
+            raw.setdefault(where, {})[key] = value
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert info.value.field_name == field
 
     def test_snr_list_required(self):
         raw = tiny_config_dict(snr_db=[])
@@ -547,7 +579,7 @@ class TestRunTrial:
             return waveform.sample_and_periodize(
                 waveform.matched_filter(kept, cfg.shape, cfg.params), cfg.params)
 
-        assert decode_window(shift).samples.size == mn
+        assert decode_window(shift).size == mn
         with pytest.raises(ValueError, match="does not cover the frame period"):
             decode_window(shift + 1)
 

@@ -2,6 +2,7 @@
 a trial runs without scipy, and a serial run without the process pool."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -50,6 +51,13 @@ def private_uses(source: str) -> list[str]:
 def test_no_private_imports_across_modules(path):
     assert private_uses(path.read_text(encoding="utf-8")) == []
 
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    """A name left in __all__ after its definition is gone fails here."""
+    name = "zakotfs" if path.stem == "__init__" else f"zakotfs.{path.stem}"
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 @pytest.mark.parametrize("source", [
     "from .runner import _make_tx\n",

@@ -350,7 +350,7 @@ class TestEstimateCfo:
 
     def _received(self, cfo, paths=None, noise=0.0, seed=0):
         """Shaped preamble through optional two-path fading plus CFO."""
-        from zakotfs.channel import PathSpec, ImpairmentSpec, apply_paths, apply_impairments
+        from zakotfs.channel import ImpairmentSpec, add_noise, apply_impairments, apply_paths
         pre = make_preamble()
         shape = PulseShape(family="rrc", beta=0.5, w1_span=16)
         shaped = shape_preamble(pre, shape, B, Q)
@@ -361,7 +361,7 @@ class TestEstimateCfo:
         if paths:
             sig = apply_paths(sig, paths)
         rng = np.random.default_rng(seed) if noise > 0 else None
-        sig = apply_impairments(sig, ImpairmentSpec(eps0=cfo), noise_psd=noise, rng=rng)
+        sig = add_noise(apply_impairments(sig, ImpairmentSpec(eps0=cfo)), noise, rng)
         chip0 = pad + shape.reach() * Q
         return sig, pre, shape, chip0
 

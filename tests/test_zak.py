@@ -9,8 +9,7 @@ import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zakotfs.zak import (DDGrid, DTSignal, dzt, dzt_values, fast_len, frozen_complex,
-                         idzt, idzt_samples, memo)
+from zakotfs.zak import DDGrid, dzt, fast_len, frozen_complex, idzt, memo
 
 
 def naive_idzt(values):
@@ -63,7 +62,7 @@ class TestAgainstDirectSum:
     def test_idzt_matches_naive(self, m, n):
         """Fast IDZT equals the direct sum to near machine precision."""
         g = random_grid(m, n, seed=m * 100 + n)
-        fast = idzt(g).samples
+        fast = idzt(g.values)
         slow = naive_idzt(g.values)
         assert np.max(np.abs(fast - slow)) < 1e-12
 
@@ -72,23 +71,15 @@ class TestAgainstDirectSum:
         """Fast DZT equals the direct sum to near machine precision."""
         rng = np.random.default_rng(m * 7 + n)
         s = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
-        fast = dzt(s, m=m, n=n).values
+        fast = dzt(s, m, n)
         slow = naive_dzt(s, m, n)
         assert np.max(np.abs(fast - slow)) < 1e-12
-
-    @pytest.mark.parametrize("m,n", [(2, 2), (8, 4), (4, 8)])
-    def test_array_level_transforms_are_the_wrapped_ones(self, m, n):
-        """idzt and dzt hold exactly what the bare-array functions return."""
-        g = random_grid(m, n, seed=m * 31 + n)
-        samples = idzt_samples(g.values)
-        assert samples.tobytes() == idzt(g).samples.tobytes()
-        assert dzt_values(samples, m, n).tobytes() == dzt(samples, m=m, n=n).values.tobytes()
 
     def test_sample_ordering_is_delay_major(self):
         """Sample q = k + n*M carries delay bin k of Doppler block n."""
         g = np.zeros((4, 4), dtype=complex)
         g[2, 0] = 1.0  # flat across Doppler blocks after the inverse DFT
-        s = idzt(g).samples
+        s = idzt(g)
         expect = np.zeros(16, dtype=complex)
         expect[2::4] = 1.0 / 2.0  # 1/sqrt(N)
         assert np.allclose(s, expect, atol=1e-14)
@@ -101,16 +92,16 @@ class TestRoundTripAndUnitarity:
     def test_round_trip(self, m, n):
         """dzt(idzt(g)) returns the original grid."""
         g = random_grid(m, n, seed=5)
-        back = dzt(idzt(g))
-        assert np.max(np.abs(back.values - g.values)) < 1e-12
+        back = dzt(idzt(g.values), m, n)
+        assert np.max(np.abs(back - g.values)) < 1e-12
 
     @pytest.mark.parametrize("m,n", [(4, 4), (16, 8), (64, 64)])
     def test_parseval(self, m, n):
         """Grid energy equals sample energy on both legs."""
         g = random_grid(m, n, seed=11)
-        s = idzt(g)
-        assert np.sum(np.abs(s.samples) ** 2) == pytest.approx(g.energy(), rel=1e-12)
-        y = dzt(s)
+        s = idzt(g.values)
+        assert np.sum(np.abs(s) ** 2) == pytest.approx(g.energy(), rel=1e-12)
+        y = DDGrid(values=dzt(s, m, n))
         assert y.energy() == pytest.approx(g.energy(), rel=1e-12)
 
     def test_linearity(self):
@@ -118,8 +109,8 @@ class TestRoundTripAndUnitarity:
         a = random_grid(8, 8, seed=1)
         b = random_grid(8, 8, seed=2)
         combo = DDGrid(values=2.0 * a.values - 1j * b.values)
-        lhs = idzt(combo).samples
-        rhs = 2.0 * idzt(a).samples - 1j * idzt(b).samples
+        lhs = idzt(combo.values)
+        rhs = 2.0 * idzt(a.values) - 1j * idzt(b.values)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -140,9 +131,9 @@ class TestTransformProperties:
     @given(m=even_sizes, n=even_sizes, seed=st.integers(0, 2 ** 32 - 1))
     def test_round_trip_both_ways(self, m, n, seed):
         g = random_grid(m, n, seed)
-        assert np.allclose(dzt(idzt(g)).values, g.values, rtol=0, atol=1e-12)
-        s = idzt(random_grid(m, n, seed + 1)).samples
-        assert np.allclose(idzt(dzt(s, m=m, n=n)).samples, s, rtol=0, atol=1e-12)
+        assert np.allclose(dzt(idzt(g.values), m, n), g.values, rtol=0, atol=1e-12)
+        s = idzt(random_grid(m, n, seed + 1).values)
+        assert np.allclose(idzt(dzt(s, m, n)), s, rtol=0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(m=even_sizes, n=even_sizes, seed=st.integers(0, 2 ** 32 - 1))
@@ -151,17 +142,17 @@ class TestTransformProperties:
         a = random_grid(m, n, seed)
         b = random_grid(m, n, seed + 1)
         grid_inner = np.vdot(a.values, b.values)
-        time_inner = np.vdot(idzt(a).samples, idzt(b).samples)
+        time_inner = np.vdot(idzt(a.values), idzt(b.values))
         assert abs(time_inner - grid_inner) <= 1e-12 * m * n
-        assert idzt(a).samples.size == m * n
+        assert idzt(a.values).size == m * n
 
     @settings(max_examples=60, deadline=None)
     @given(m=even_sizes, n=even_sizes, seed=st.integers(0, 2 ** 32 - 1),
            k=st.integers(-100, 100), l=st.integers(-100, 100))
     def test_quasi_periodic(self, m, n, seed, k, l):
         """The direct sum off the fundamental cell equals extend() of the fast DZT."""
-        s = idzt(random_grid(m, n, seed)).samples
-        z = dzt(s, m=m, n=n)
+        s = idzt(random_grid(m, n, seed).values)
+        z = dzt(s, m, n)
         assert abs(zak_at(s, m, n, k, l) - extend(z, k, l)) < 1e-10
         wrap = np.exp(2j * np.pi * l / n)
         assert abs(extend(z, k + m, l) - wrap * extend(z, k, l)) < 1e-10
@@ -176,7 +167,7 @@ class TestKnownGrids:
         m, n = 8, 8
         g = np.zeros((m, n), dtype=complex)
         g[3, 0] = 1.0
-        s = idzt(g).samples
+        s = idzt(g)
         comb = np.zeros(m * n, dtype=complex)
         comb[3::m] = 1.0 / np.sqrt(n)
         assert np.allclose(s, comb, atol=1e-14)
@@ -186,7 +177,7 @@ class TestKnownGrids:
         m, n = 4, 8
         g = np.zeros((m, n), dtype=complex)
         g[1, 3] = 2.0
-        s = idzt(g).samples
+        s = idzt(g)
         for blk in range(n):
             expect = 2.0 * np.exp(2j * np.pi * blk * 3 / n) / np.sqrt(n)
             assert s[1 + blk * m] == pytest.approx(expect, abs=1e-14)
@@ -196,9 +187,9 @@ class TestKnownGrids:
     def test_constant_samples_concentrate_at_zero_doppler(self):
         """An all-ones sequence has energy only in the l = 0 column."""
         m, n = 8, 4
-        y = dzt(np.ones(m * n), m=m, n=n)
-        assert np.allclose(y.values[:, 0], np.sqrt(n), atol=1e-13)
-        assert np.max(np.abs(y.values[:, 1:])) < 1e-13
+        y = dzt(np.ones(m * n), m, n)
+        assert np.allclose(y[:, 0], np.sqrt(n), atol=1e-13)
+        assert np.max(np.abs(y[:, 1:])) < 1e-13
 
 
 class TestQuasiPeriodicExtension:
@@ -233,16 +224,16 @@ class TestQuasiPeriodicExtension:
         """A one-sample circular delay reads out at the extended index k - 1."""
         m, n = 4, 4
         g = random_grid(m, n, seed=7)
-        s = idzt(g).samples
-        shifted = dzt(np.roll(s, 1), m=m, n=n)
+        s = idzt(g.values)
+        shifted = dzt(np.roll(s, 1), m, n)
         for k in range(m):
             for l in range(n):
-                assert shifted.values[k, l] == pytest.approx(
+                assert shifted[k, l] == pytest.approx(
                     extend(g, k - 1, l), abs=1e-12)
 
 
 class TestTypesAndValidation:
-    """Constructor checks on the grid and signal containers."""
+    """Constructor checks on the grid, and dzt's length check."""
 
     def test_grid_rejects_1d(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -259,17 +250,13 @@ class TestTypesAndValidation:
         with pytest.raises(ValueError):
             g.values[0, 0] = 0.0
 
-    def test_dtsignal_size_checked(self):
-        with pytest.raises(ValueError, match="expected 8 samples"):
-            DTSignal(samples=np.ones(6), m=2, n=4)
-
     def test_dzt_bare_array_needs_shape(self):
-        with pytest.raises(ValueError, match="explicit m and n"):
+        with pytest.raises(TypeError, match="'m' and 'n'"):
             dzt(np.ones(16))
 
     def test_dzt_bare_array_size_mismatch(self):
         with pytest.raises(ValueError, match="expected 16 samples"):
-            dzt(np.ones(12), m=4, n=4)
+            dzt(np.ones(12), 4, 4)
 
 
 class _Pair(NamedTuple):
