@@ -100,7 +100,7 @@ def _selftest_checks():
         assert side <= 0.05, f"sidelobe ratio {side:.3f}"
 
     def operator():
-        params = FrameParams(m=8, n=8, nu_p=30e3, tau_p=1 / 30e3)
+        params = FrameParams(m=8, n=8, nu_p=30e3)
         layout = build_layout(params, 1.5 / params.b, 0.0)
         support = SupportRegion.from_layout(layout, "C2")
         h = manual_taps({(0, 0): 1.0, (1, -2): 0.4j}, support)

@@ -144,7 +144,7 @@ class ExperimentConfig:
         return build_layout(self.params, self.tau_max, self.dt_margin)
 
     def constellation(self) -> Constellation:
-        return Constellation.qam(self.constellation_order)
+        return Constellation(self.constellation_order)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -177,9 +177,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("frame.pilot_amp", "must be positive")
     try:
         # The Doppler period is authoritative; the written delay period
-        # only cross-checks it, so rounding in the file cannot trip the
-        # exact reciprocal relation downstream.
-        params = FrameParams(m=m, n=n, nu_p=nu_p, tau_p=1.0 / nu_p)
+        # only cross-checks it, and FrameParams derives tau_p as 1/nu_p.
+        params = FrameParams(m=m, n=n, nu_p=nu_p)
     except ValueError as e:
         raise ConfigError("frame", str(e)) from e
     b = params.b
@@ -263,7 +262,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                          "support", "sync", "cfo_correction", "workers"}, "run")
     order = _get_number(run, "run", "constellation", default=4, minimum=2, kind=int)
     try:
-        Constellation.qam(order)
+        Constellation(order)
     except ValueError as e:
         raise ConfigError("run.constellation", str(e)) from e
     raw_snr = run.get("snr_db")

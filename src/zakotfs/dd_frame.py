@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .zak import DDGrid, frozen_complex
+from .zak import DDGrid
 
 __all__ = [
     "FrameParams",
@@ -36,24 +36,23 @@ class FrameParams:
     """Grid dimensions and the delay-Doppler period of the frame.
 
     m delay bins spaced 1/B, n Doppler bins spaced nu_p/n, with
-    B = m * nu_p and frame duration T = n * tau_p.  The periods must
-    satisfy tau_p * nu_p = 1.
+    B = m * nu_p and frame duration T = n * tau_p, tau_p = 1/nu_p.
     """
 
     m: int
     n: int
     nu_p: float
-    tau_p: float
 
     def __post_init__(self) -> None:
         if self.m < 2 or self.n < 2 or self.m % 2 or self.n % 2:
             raise ValueError(f"m and n must be even and >= 2, got {self.m}x{self.n}")
-        if self.nu_p <= 0 or self.tau_p <= 0:
-            raise ValueError("nu_p and tau_p must be positive")
-        if abs(self.nu_p * self.tau_p - 1.0) > 1e-12:
-            raise ValueError(
-                f"tau_p * nu_p must equal 1, got {self.nu_p * self.tau_p!r}"
-            )
+        if self.nu_p <= 0:
+            raise ValueError("nu_p must be positive")
+
+    @property
+    def tau_p(self) -> float:
+        """Delay period tau_p = 1/nu_p in seconds."""
+        return 1.0 / self.nu_p
 
     @property
     def b(self) -> float:
@@ -74,27 +73,49 @@ class FrameParams:
 class FrameLayout:
     """Cell bookkeeping for one frame.
 
-    kappa1..kappa4 are absolute delay-bin edges: [kappa1, kappa4) is the
-    non-data (pilot plus guard) delay span, [kappa2, kappa3) the inner
-    span a matched-timing receiver reads, both across all Doppler bins.
+    The pilot sits at (k_p, l_p) = (m/2, n/2).  reach is the delay spread
+    of the physical paths in bins, guard the guard half-width, which adds
+    the timing margin to it.  kappa1..kappa4 are absolute delay-bin edges:
+    [kappa1, kappa4) is the non-data (pilot plus guard) delay span and
+    [kappa2, kappa3) the rows k_p - 1 .. k_p + reach that the paths alone
+    reach, both across all Doppler bins.
     """
 
     m: int
     n: int
-    k_p: int
-    l_p: int
-    kappa1: int
-    kappa2: int
-    kappa3: int
-    kappa4: int
+    reach: int
+    guard: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.kappa1 <= self.kappa2 < self.kappa3 <= self.kappa4 <= self.m):
+        if not 0 <= self.reach <= self.guard <= self.m // 2 - 2:
             raise ValueError(
-                f"guard edges out of order: {(self.kappa1, self.kappa2, self.kappa3, self.kappa4)}"
+                f"a delay reach of {self.reach} and guard of {self.guard} bins "
+                f"cannot be guarded on an m={self.m} grid"
             )
-        if not (self.kappa1 <= self.k_p < self.kappa4):
-            raise ValueError("pilot delay bin must sit inside the guard span")
+
+    @property
+    def k_p(self) -> int:
+        return self.m // 2
+
+    @property
+    def l_p(self) -> int:
+        return self.n // 2
+
+    @property
+    def kappa1(self) -> int:
+        return self.k_p - 1 - self.guard
+
+    @property
+    def kappa2(self) -> int:
+        return self.k_p - 1
+
+    @property
+    def kappa3(self) -> int:
+        return self.k_p + self.reach + 1
+
+    @property
+    def kappa4(self) -> int:
+        return self.k_p + 1 + self.guard
 
     @cached_property
     def data_rows(self) -> np.ndarray:
@@ -111,34 +132,16 @@ class FrameLayout:
 def build_layout(params: FrameParams, tau_max: float, dt_margin: float) -> FrameLayout:
     """Place pilot and guards for a channel with delay spread tau_max.
 
-    The guard half-width is ceil(B * (tau_max + dt_margin)) delay bins;
-    dt_margin budgets for residual timing error on top of the physical
-    delay spread.
+    The paths reach ceil(B * tau_max) delay bins past the pilot; the guard
+    half-width is ceil(B * (tau_max + dt_margin)) delay bins, where
+    dt_margin budgets for residual timing error on top of that spread.
     """
     if tau_max < 0 or dt_margin < 0:
         raise ValueError("tau_max and dt_margin must be non-negative")
-    m, n = params.m, params.n
-    spread = params.b * (tau_max + dt_margin)
-    c = math.ceil(spread - _CEIL_EPS) if spread > 0 else 0
-    if c > m // 2 - 2:
-        raise ValueError(
-            f"delay spread of {spread:.2f} bins cannot be guarded on an m={m} grid"
-        )
-    k_p = math.ceil(m / 2)
-    l_p = math.ceil(n / 2)
-    layout = FrameLayout(
-        m=m,
-        n=n,
-        k_p=k_p,
-        l_p=l_p,
-        kappa1=k_p - 1 - c,
-        kappa2=k_p - 1,
-        kappa3=k_p + c,
-        kappa4=k_p + 1 + c,
-    )
-    if layout.n_data_cells == 0:
-        raise ValueError("guard span swallows the whole delay axis; no data cells remain")
-    return layout
+    b = params.b
+    return FrameLayout(m=params.m, n=params.n,
+                       reach=math.ceil(b * tau_max - _CEIL_EPS),
+                       guard=math.ceil(b * (tau_max + dt_margin) - _CEIL_EPS))
 
 
 def _gray_levels(bits: int) -> np.ndarray:
@@ -161,29 +164,24 @@ class Constellation:
     """
 
     order: int
-    points: np.ndarray
 
     def __post_init__(self) -> None:
         if self.order not in (4, 16):
             raise ValueError(f"unsupported constellation order {self.order}")
-        pts = frozen_complex(self.points)
-        if pts.shape != (self.order,):
-            raise ValueError("points array does not match the constellation order")
-        object.__setattr__(self, "points", pts)
 
-    @classmethod
-    def qam(cls, order: int) -> "Constellation":
-        if order not in (4, 16):
-            raise ValueError(f"unsupported constellation order {order}")
-        half = order.bit_length() // 2  # bits per axis; order is 4 or 16
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The order symbols indexed by bit label, read-only."""
+        half = self.order.bit_length() // 2  # bits per axis; order is 4 or 16
         levels = _gray_levels(half)
         n_axis = 1 << half
-        pts = np.empty(order, dtype=np.complex128)
+        pts = np.empty(self.order, dtype=np.complex128)
         for i_label in range(n_axis):
             for q_label in range(n_axis):
                 pts[(i_label << half) | q_label] = levels[i_label] + 1j * levels[q_label]
         pts /= np.sqrt(np.mean(np.abs(pts) ** 2))
-        return cls(order=order, points=pts)
+        pts.setflags(write=False)
+        return pts
 
     @property
     def bits_per_symbol(self) -> int:
@@ -211,14 +209,6 @@ class Constellation:
         """
         half = self.bits_per_symbol // 2
         by_label = self.points[::1 << half].real
-        grid = (by_label[:, None] + 1j * by_label[None, :]).reshape(-1)
-        # Neighbours of the sorted levels, not np.unique, which would load
-        # numpy.ma into every process on its first trial.
-        ascending = np.sort(by_label)
-        if (not np.array_equal(self.points, grid)
-                or np.any(ascending[1:] == ascending[:-1])):
-            raise ValueError("per-axis decisions need a square grid of distinct "
-                             "levels shared by both axes")
         labels = np.argsort(by_label)
         levels = by_label[labels].tolist()
         cuts = []

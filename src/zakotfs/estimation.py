@@ -26,9 +26,10 @@ class SupportRegion:
     """Delay-Doppler index set assumed to hold every effective-channel tap.
 
     Absolute delay bins [k_lo, k_hi) by the full signed Doppler range.
-    from_layout's 'C1' covers [kappa2, kappa3), the span of the physical
-    paths alone; 'C2' covers [kappa1, kappa4), one widened margin that
-    also absorbs uncorrected timing and CFO leakage.
+    from_layout's 'C1' covers [kappa2, kappa3), the rows k_p - 1 .. k_p +
+    reach that the physical paths alone reach; 'C2' covers [kappa1,
+    kappa4), the whole guard, whose timing margin also absorbs uncorrected
+    timing and CFO leakage.
     """
 
     k_lo: int
@@ -109,21 +110,19 @@ class EffectiveChannelEstimate:
         return int(maps.delays[i]), int(maps.dopplers[j])
 
 
-def estimate(y_dd: DDGrid, layout: FrameLayout, support: SupportRegion,
+def estimate(y_dd: DDGrid, support: SupportRegion,
              pilot_amp: float) -> EffectiveChannelEstimate:
     """Read the effective channel from the received pilot neighbourhood.
 
     h[k, l] = y_dd[k + M/2, l + N/2] * exp(-j*pi*l/N) / pilot_amp over
     the support, so the block is the received rows [k_lo, k_hi) times
     exp(-j*pi*l/N) / pilot_amp.  The phase factor removes the transmit
-    twist the pilot position imprints on every echo.
+    twist the pilot position imprints on every echo; every FrameLayout
+    puts the pilot at (M/2, N/2).
     """
     if pilot_amp <= 0:
         raise ValueError("pilot_amp must be positive")
-    m, n = y_dd.m, y_dd.n
-    if layout.k_p != m // 2 or layout.l_p != n // 2:
-        raise ValueError("estimation assumes the pilot sits at (M/2, N/2)")
-    if support.m != m or support.n != n:
+    if (support.m, support.n) != (y_dd.m, y_dd.n):
         raise ValueError("support was built for a different grid size")
     block = y_dd.values[support.k_lo:support.k_hi] * _maps(support).phase / pilot_amp
     return EffectiveChannelEstimate(block=block, support=support)

@@ -240,7 +240,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     folded = sample_and_periodize(matched_filter(rx, cfg.shape, params), params)
     y_dd = DDGrid(values=dzt(folded, params.m, params.n))
     del rx, folded
-    h_est = estimate(y_dd, layout, plan.support, cfg.pilot_amp)
+    h_est = estimate(y_dd, plan.support, cfg.pilot_amp)
     x_hat = equalize_taps(y_dd, h_est, dd_noise_var(noise_psd, cfg.q, params.b))
 
     rx_bits = demap_symbols(x_hat, layout, plan.constellation)

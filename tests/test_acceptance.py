@@ -68,7 +68,7 @@ def naive_dzt(samples, m, n):
 
 
 def make_layout(m, n, c_bins, margin_bins=0.0):
-    p = FrameParams(m=m, n=n, nu_p=NU_P, tau_p=1 / NU_P)
+    p = FrameParams(m=m, n=n, nu_p=NU_P)
     return p, build_layout(p, tau_max=c_bins / p.b, dt_margin=margin_bins / p.b)
 
 
@@ -190,8 +190,8 @@ class TestPredictionOracle:
         sup = SupportRegion.from_layout(lay, "C2")
         shape = PulseShape(family=family, beta=0.5, w1_span=None)
         y_pilot = run_chain(pilot_frame(lay), p, shape, paths=(path,))
-        h = estimate(y_pilot, lay, sup, 8.0)
-        const = Constellation.qam(4)
+        h = estimate(y_pilot, sup, 8.0)
+        const = Constellation(4)
         rng = np.random.default_rng(42)
         bits = rng.integers(0, 2, size=lay.n_data_cells * const.bits_per_symbol)
         frame = map_bits(bits, const, lay, pilot_amp=8.0)
@@ -204,7 +204,7 @@ class TestPredictionOracle:
         """Raised-cosine shaping: every on-bin (delay, Doppler) pair
         inside the support is predicted within 5e-3, inside a minute."""
         t_start = time.monotonic()
-        p = FrameParams(m=8, n=8, nu_p=NU_P, tau_p=1 / NU_P)
+        p = FrameParams(m=8, n=8, nu_p=NU_P)
         worst = 0.0
         for k0 in range(3):
             for l0 in range(-3, 4):
@@ -218,7 +218,7 @@ class TestPredictionOracle:
     def test_flat_shaping_on_delay_paths(self):
         """Flat-band shaping concentrates on-bin delays onto single taps,
         so the prediction tightens to 1e-3."""
-        p = FrameParams(m=8, n=8, nu_p=NU_P, tau_p=1 / NU_P)
+        p = FrameParams(m=8, n=8, nu_p=NU_P)
         for k0 in range(3):
             path = PathSpec(gain=0.9 * np.exp(0.3j), delay=k0 / p.b,
                             doppler=0.0)
@@ -284,7 +284,7 @@ class TestEstimatorBinAccuracy:
             path = PathSpec(gain=gain, delay=k0 / p.b,
                             doppler=l0 * p.doppler_bin_hz)
             y = run_chain(pilot_frame(lay), p, shape, paths=(path,))
-            assert estimate(y, lay, sup, 8.0).peak() == (k0, l0)
+            assert estimate(y, sup, 8.0).peak() == (k0, l0)
 
     def test_at_25_db_at_least_99_of_100(self):
         p, lay, sup, shape = self._setup()
@@ -302,7 +302,7 @@ class TestEstimatorBinAccuracy:
                             noise_psd, noise_rng)
             y = DDGrid(values=dzt(sample_and_periodize(matched_filter(sig, shape, p), p),
                                   p.m, p.n))
-            hits += estimate(y, lay, sup, 8.0).peak() == (k0, l0)
+            hits += estimate(y, sup, 8.0).peak() == (k0, l0)
         assert hits >= 99
 
 
@@ -319,7 +319,7 @@ class TestResidualImpairmentSignatures:
         shape = PulseShape(family="rrc", beta=0.5, w1_span=None)
         path = PathSpec(gain=1.0, delay=0.0, doppler=0.0)
         y = run_chain(pilot_frame(lay), p, shape, paths=(path,), imp=imp)
-        h = estimate(y, lay, sup, 8.0)
+        h = estimate(y, sup, 8.0)
         assert sup.contains(*h.peak())
         return h.peak()
 
@@ -331,11 +331,11 @@ class TestResidualImpairmentSignatures:
         assert self._peak(ImpairmentSpec(eps0=468.75)) == (0, 1)
 
     def test_one_bin_timing_offset_moves_one_delay_bin(self):
-        p = FrameParams(m=64, n=64, nu_p=NU_P, tau_p=1 / NU_P)
+        p = FrameParams(m=64, n=64, nu_p=NU_P)
         assert self._peak(ImpairmentSpec(dt=1.0 / p.b)) == (1, 0)
 
     def test_combined_offsets_move_diagonally_and_stay_in_support(self):
-        p = FrameParams(m=64, n=64, nu_p=NU_P, tau_p=1 / NU_P)
+        p = FrameParams(m=64, n=64, nu_p=NU_P)
         imp = ImpairmentSpec(dt=1.0 / p.b, eps0=468.75)
         assert self._peak(imp) == (1, 1)
 

@@ -253,9 +253,9 @@ class TestFoldImpairments:
         assert np.max(np.abs(direct.samples - folded.samples)) / scale < 1e-9
 
     def _frame_signal(self, shape):
-        params = FrameParams(m=32, n=32, nu_p=30e3, tau_p=1 / 30e3)
+        params = FrameParams(m=32, n=32, nu_p=30e3)
         layout = build_layout(params, tau_max=2.0 / params.b, dt_margin=0.0)
-        const = Constellation.qam(4)
+        const = Constellation(4)
         rng = np.random.default_rng(9)
         bits = rng.integers(0, 2, size=layout.n_data_cells * const.bits_per_symbol)
         grid = map_bits(bits, const, layout, pilot_amp=8.0)

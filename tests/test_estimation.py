@@ -28,7 +28,7 @@ NU_P = 30e3
 
 
 def make_layout(m=64, n=64, c_bins=3.0, margin_bins=0.0):
-    p = FrameParams(m=m, n=n, nu_p=NU_P, tau_p=1 / NU_P)
+    p = FrameParams(m=m, n=n, nu_p=NU_P)
     return p, build_layout(p, tau_max=c_bins / p.b, dt_margin=margin_bins / p.b)
 
 
@@ -114,7 +114,7 @@ class TestSupportRegion:
         _, lay = make_layout(c_bins=3.0)
         s = SupportRegion.from_layout(lay, "C1")
         assert (s.k_lo, s.k_hi) == (lay.kappa2, lay.kappa3)
-        assert list(s.delay_taps()) == [-1, 0, 1, 2]
+        assert list(s.delay_taps()) == [-1, 0, 1, 2, 3]
 
     def test_c2_spans_full_guard(self):
         _, lay = make_layout(c_bins=3.0)
@@ -137,9 +137,10 @@ class TestSupportRegion:
     def test_size_and_contains(self):
         _, lay = make_layout(c_bins=3.0)
         s = SupportRegion.from_layout(lay, "C1")
-        assert s.delay_taps().size * s.doppler_taps().size == 4 * 64
+        assert s.delay_taps().size * s.doppler_taps().size == 5 * 64
         assert s.contains(-1, 0) and s.contains(2, 31)
-        assert not s.contains(3, 0)
+        assert s.contains(3, 0)
+        assert not s.contains(4, 0)
         assert not s.contains(0, 32)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -174,7 +175,7 @@ class TestEstimate:
         amp = 4.0
         v = np.zeros((16, 8), dtype=complex)
         v[lay.k_p + 1, (lay.l_p + 2) % 8] = 0.5 - 0.25j
-        h = estimate(DDGrid(values=v), lay, sup, amp)
+        h = estimate(DDGrid(values=v), sup, amp)
         got = tap(h, 1, 2)
         expect = (0.5 - 0.25j) * np.exp(-1j * np.pi * 2 / 8) / amp
         assert got == pytest.approx(expect, abs=1e-14)
@@ -184,7 +185,7 @@ class TestEstimate:
         sup = SupportRegion.from_layout(lay, "C1")
         rng = np.random.default_rng(0)
         y = DDGrid(values=rng.standard_normal((16, 8)))
-        h = estimate(y, lay, sup, 1.0)
+        h = estimate(y, sup, 1.0)
         # The block holds the support's taps and nothing else.
         assert h.block.shape == (sup.k_hi - sup.k_lo, 8)
         held = {(int(k), int(l)) for k, l, _ in h.tap_items()}
@@ -196,7 +197,7 @@ class TestEstimate:
         p, lay = make_layout(m=16, n=16, c_bins=2.0)
         sup = SupportRegion.from_layout(lay, "C2")
         y = run_chain(pilot_frame(lay), p, PulseShape(family="sinc", w1_span=None), 4)
-        h = estimate(y, lay, sup, 8.0)
+        h = estimate(y, sup, 8.0)
         assert h.peak() == (0, 0)
         assert tap(h, 0, 0) == pytest.approx(1.0, abs=1e-9)
         assert np.sum(np.abs(h.block) ** 2) - abs(tap(h, 0, 0)) ** 2 < 1e-3
@@ -208,7 +209,7 @@ class TestEstimate:
         path = PathSpec(gain=0.8, delay=1 / p.b, doppler=2 * p.doppler_bin_hz)
         y = run_chain(pilot_frame(lay), p, PulseShape(family="sinc", w1_span=None),
                       4, paths=(path,))
-        h = estimate(y, lay, sup, 8.0)
+        h = estimate(y, sup, 8.0)
         assert h.peak() == (1, 2)
         assert abs(tap(h, 1, 2)) == pytest.approx(0.8, rel=1e-6)
 
@@ -220,7 +221,7 @@ class TestEstimate:
         sup = SupportRegion.from_layout(lay, kind)
         rng = np.random.default_rng(m + n)
         y = DDGrid(values=rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-        got = estimate(y, lay, sup, 8.0).block
+        got = estimate(y, sup, 8.0).block
         want = np.zeros((sup.k_hi - sup.k_lo, n), dtype=np.complex128)
         ls = sup.doppler_taps()
         phase = np.exp(-1j * np.pi * ls / n)
@@ -233,14 +234,14 @@ class TestEstimate:
         sup = SupportRegion.from_layout(lay, "C1")
         y = DDGrid(values=np.zeros((16, 8)))
         with pytest.raises(ValueError, match="pilot_amp"):
-            estimate(y, lay, sup, 0.0)
+            estimate(y, sup, 0.0)
 
     def test_support_grid_must_match(self):
         _, lay = make_layout(m=16, n=8, c_bins=2.0)
         sup = SupportRegion(k_lo=3, k_hi=5, m=8, n=8)
         y = DDGrid(values=np.zeros((16, 8)))
         with pytest.raises(ValueError, match="different grid"):
-            estimate(y, lay, sup, 1.0)
+            estimate(y, sup, 1.0)
 
 
 class TestManualTapsAndEstimate:
@@ -273,7 +274,7 @@ class TestManualTapsAndEstimate:
         sup = SupportRegion.from_layout(lay, "C2" if seed % 2 else "C1")
         rng = np.random.default_rng(seed)
         y = DDGrid(values=rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8)))
-        h = estimate(y, lay, sup, 1.0)
+        h = estimate(y, sup, 1.0)
         assert h.peak() == self.loop_peak(h)
 
     def test_peak_tie_takes_first_signed_tap(self):
@@ -365,7 +366,7 @@ class TestPredictIo:
 
     @pytest.mark.parametrize("m,n", [(8, 8), (8, 4), (16, 8)])
     def test_matches_naive_double_sum(self, m, n):
-        p = FrameParams(m=m, n=n, nu_p=NU_P, tau_p=1 / NU_P)
+        p = FrameParams(m=m, n=n, nu_p=NU_P)
         lay = build_layout(p, tau_max=1.0 / p.b, dt_margin=0.0)
         sup = SupportRegion.from_layout(lay, "C2")
         rng = np.random.default_rng(m + n)
@@ -433,8 +434,8 @@ class TestPredictIo:
         sup = SupportRegion.from_layout(lay, "C2")
         shape = PulseShape(family="rrc", beta=0.5, w1_span=None)
         y_pilot = run_chain(pilot_frame(lay), p, shape, 4, paths=(path,))
-        h = estimate(y_pilot, lay, sup, 8.0)
-        const = Constellation.qam(4)
+        h = estimate(y_pilot, sup, 8.0)
+        const = Constellation(4)
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, size=lay.n_data_cells * const.bits_per_symbol)
         frame = map_bits(bits, const, lay, pilot_amp=8.0)
@@ -445,7 +446,7 @@ class TestPredictIo:
 
     def test_calibrated_prediction_matches_the_chain(self):
         """On-bin paths are predicted to a fraction of a percent."""
-        p = FrameParams(m=8, n=8, nu_p=NU_P, tau_p=1 / NU_P)
+        p = FrameParams(m=8, n=8, nu_p=NU_P)
         path = PathSpec(gain=0.9 * np.exp(0.3j), delay=1.0 / p.b,
                         doppler=2 * p.doppler_bin_hz)
         assert self._calibrated_error(path) < 5e-3
@@ -453,7 +454,7 @@ class TestPredictIo:
     def test_fractional_delay_leaks_past_the_support(self):
         """Off-bin delays spread slowly decaying interpolation tails
         beyond any finite support, so the error floor is far higher."""
-        p = FrameParams(m=8, n=8, nu_p=NU_P, tau_p=1 / NU_P)
+        p = FrameParams(m=8, n=8, nu_p=NU_P)
         path = PathSpec(gain=0.9 * np.exp(0.3j), delay=1.3 / p.b, doppler=0.0)
         err = self._calibrated_error(path)
         assert 1e-3 < err < 0.15
@@ -883,7 +884,7 @@ class TestImpairmentSignatures:
         sup = SupportRegion.from_layout(lay, kind)
         y = run_chain(pilot_frame(lay), p, PulseShape(family="rrc", beta=0.5, w1_span=None),
                       4, paths=(PathSpec(gain=1.0, delay=0.0, doppler=0.0),), imp=imp)
-        return estimate(y, lay, sup, 8.0), p
+        return estimate(y, sup, 8.0), p
 
     def test_cfo_of_one_doppler_bin_moves_the_peak(self):
         h0, p = self._estimate_for(None)

@@ -805,6 +805,21 @@ def test_readme_quick_start_config():
     assert set(README_CONFIG["run"]["snr_db"]) <= set(raw["run"]["snr_db"])
 
 
+@pytest.mark.parametrize("sync_on", [True, False])
+@pytest.mark.parametrize("tau_max_bins", [0, 1, 1.5, 2, 2.5])
+def test_layout_without_margin_reads_the_last_path_row(tau_max_bins, sync_on):
+    """With no timing margin, C1 still holds a path at tau_max_bins.
+
+    C1's top edge once came from the guard width, which counts the
+    margin, so a margin of 0 left the paths' last delay row outside it.
+    """
+    raw = copy.deepcopy(README_CONFIG)
+    raw["layout"] = {"tau_max_bins": tau_max_bins}
+    raw["channel"]["paths"][1]["delay_bins"] = tau_max_bins
+    raw["run"].update(snr_db=[None], sync=sync_on)
+    assert run_trial(config_from_dict(raw), 0).bit_errors == 0
+
+
 class TestHeapPolicy:
     """Trial temporaries come from a heap that stays resident between trials."""
 

@@ -119,7 +119,7 @@ class TestArguments:
 
 def equalizer_system(seed=5):
     """A 16x16 received grid and random taps on its C2 support."""
-    p = FrameParams(m=16, n=16, nu_p=30e3, tau_p=1 / 30e3)
+    p = FrameParams(m=16, n=16, nu_p=30e3)
     sup = SupportRegion.from_layout(build_layout(p, 2.5 / p.b, 1.0 / p.b), "C2")
     rng = np.random.default_rng(seed)
     h = manual_taps({(int(k), int(l)): complex(*rng.standard_normal(2))

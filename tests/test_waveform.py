@@ -26,7 +26,7 @@ T_P = 64 / B  # one Doppler period for an m=64 grid at 30 kHz
 
 def loopback_error(m, n, shape, q=4, seed=0):
     """Relative grid error through synthesize -> matched filter -> fold."""
-    params = FrameParams(m=m, n=n, nu_p=B / m, tau_p=m / B)
+    params = FrameParams(m=m, n=n, nu_p=B / m)
     rng = np.random.default_rng(seed)
     g = DDGrid(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
     analog = synthesize(idzt(g.values), shape, params.b, q)
@@ -287,14 +287,14 @@ class TestLoopback:
 
     def test_short_sinc_span_rejected(self):
         sh = PulseShape(family="sinc", w1_span=8)
-        params = FrameParams(m=8, n=8, nu_p=B / 8, tau_p=8 / B)
+        params = FrameParams(m=8, n=8, nu_p=B / 8)
         g = DDGrid(np.ones((8, 8), dtype=complex))
         with pytest.raises(ValueError, match="tap energy"):
             synthesize(idzt(g.values), sh, params.b, 4)
 
     def test_loopback_preserves_energy(self):
         m = n = 8
-        params = FrameParams(m=m, n=n, nu_p=B / m, tau_p=m / B)
+        params = FrameParams(m=m, n=n, nu_p=B / m)
         rng = np.random.default_rng(5)
         g = DDGrid(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
         sh = PulseShape(family="rrc", beta=0.5, w1_span=None)
@@ -345,7 +345,7 @@ class TestSamplingAlignment:
     """Rate and time-origin checks on the receive side."""
 
     def setup_method(self):
-        self.params = FrameParams(m=8, n=8, nu_p=B / 8, tau_p=8 / B)
+        self.params = FrameParams(m=8, n=8, nu_p=B / 8)
 
     def test_non_integer_rate_rejected(self):
         bad = AnalogSignal(samples=np.zeros(700), rate=2.5 * B, t0=0.0)
@@ -436,7 +436,7 @@ class TestSamplingAlignment:
 
 
 def frame_params(m, n):
-    return FrameParams(m=m, n=n, nu_p=B / m, tau_p=m / B)
+    return FrameParams(m=m, n=n, nu_p=B / m)
 
 
 class TestScatterFreeFolds:
