@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -38,7 +39,14 @@ class ConfigError(ValueError):
         self.field_name = field_name
 
 
-def _section(raw: dict, name: str, required: bool = True) -> dict:
+def _check_unknown(d: dict, allowed: set[str], section: str) -> None:
+    extra = sorted(set(d) - allowed)
+    if extra:
+        raise ConfigError(section, f"unknown keys: {', '.join(extra)}")
+
+
+def _section(raw: dict, name: str, keys: set[str], required: bool = True) -> dict:
+    """raw[name] as a mapping whose keys all lie in `keys`; {} when optional and absent."""
     value = raw.get(name)
     if value is None:
         if required:
@@ -46,13 +54,18 @@ def _section(raw: dict, name: str, required: bool = True) -> dict:
         return {}
     if not isinstance(value, dict):
         raise ConfigError(name, "section must be a mapping")
-    return dict(value)
+    _check_unknown(value, keys, name)
+    return value
 
 
-def _check_unknown(d: dict, allowed: set[str], section: str) -> None:
-    extra = sorted(set(d) - allowed)
-    if extra:
-        raise ConfigError(section, f"unknown keys: {', '.join(extra)}")
+def _build(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs); a ShapeError fails on shape.<field>, other ValueErrors on where."""
+    try:
+        return make(*args, **kwargs)
+    except ShapeError as e:
+        raise ConfigError(f"shape.{e.field}", str(e)) from e
+    except ValueError as e:
+        raise ConfigError(where, str(e)) from e
 
 
 def _get_number(d: dict, section: str, key: str, default=None, minimum=None, maximum=None,
@@ -158,45 +171,36 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("config_version",
                           f"expected {CONFIG_VERSION}, got {version!r}")
 
-    frame = _section(raw, "frame")
-    _check_unknown(frame, {"m", "n", "tau_p_s", "nu_p_hz", "pilot_amp"}, "frame")
+    frame = _section(raw, "frame", {"m", "n", "tau_p_s", "nu_p_hz", "pilot_amp"})
     m = _get_number(frame, "frame", "m", minimum=2, kind=int)
     n = _get_number(frame, "frame", "n", minimum=2, kind=int)
-    tau_p = _get_number(frame, "frame", "tau_p_s")
     nu_p = _get_number(frame, "frame", "nu_p_hz")
-    if tau_p <= 0 or nu_p <= 0:
-        raise ConfigError("frame.tau_p_s", "periods must be positive")
-    if abs(tau_p * nu_p - 1.0) > 1e-6:
-        raise ConfigError(
-            "frame.tau_p_s",
-            f"delay and Doppler periods must satisfy tau_p * nu_p = 1, "
-            f"got {tau_p * nu_p:.9g}",
-        )
     pilot_amp = _get_number(frame, "frame", "pilot_amp", default=8.0)
-    if pilot_amp <= 0:
-        raise ConfigError("frame.pilot_amp", "must be positive")
-    try:
-        # The Doppler period is authoritative; the written delay period
-        # only cross-checks it, and FrameParams derives tau_p as 1/nu_p.
-        params = FrameParams(m=m, n=n, nu_p=nu_p)
-    except ValueError as e:
-        raise ConfigError("frame", str(e)) from e
+    for key, v in (("nu_p_hz", nu_p), ("pilot_amp", pilot_amp)):
+        if v <= 0:
+            raise ConfigError(f"frame.{key}", "must be positive")
+    # The Doppler period is authoritative, and FrameParams derives tau_p as
+    # 1/nu_p; a written delay period only cross-checks it.
+    params = _build("frame", FrameParams, m=m, n=n, nu_p=nu_p)
+    if "tau_p_s" in frame:
+        tau_p = _get_number(frame, "frame", "tau_p_s")
+        if abs(tau_p * nu_p - 1.0) > 1e-6:
+            raise ConfigError(
+                "frame.tau_p_s",
+                f"delay and Doppler periods must satisfy tau_p * nu_p = 1, "
+                f"got {tau_p * nu_p:.9g}",
+            )
     b = params.b
 
-    lay = _section(raw, "layout")
-    _check_unknown(lay, {"tau_max_bins", "dt_margin_bins"}, "layout")
+    lay = _section(raw, "layout", {"tau_max_bins", "dt_margin_bins"})
     tau_max_bins = _get_number(lay, "layout", "tau_max_bins", minimum=0.0)
     dt_margin_bins = _get_number(lay, "layout", "dt_margin_bins",
                                  default=0.0, minimum=0.0)
     tau_max = tau_max_bins / b
     dt_margin = dt_margin_bins / b
-    try:
-        build_layout(params, tau_max, dt_margin)
-    except ValueError as e:
-        raise ConfigError("layout", str(e)) from e
+    _build("layout", build_layout, params, tau_max, dt_margin)
 
-    sh = _section(raw, "shape")
-    _check_unknown(sh, {"family", "beta", "w1_span", "oversampling"}, "shape")
+    sh = _section(raw, "shape", {"family", "beta", "w1_span", "oversampling"})
     family = _get_choice(sh, "shape", "family", ("rrc", "sinc"), default="rrc")
     beta = _get_number(sh, "shape", "beta", default=0.5)
     if "w1_span" in sh and sh["w1_span"] is None:
@@ -204,21 +208,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     else:
         span = _get_number(sh, "shape", "w1_span", default=16, minimum=1, kind=int)
     q = _get_number(sh, "shape", "oversampling", default=4, minimum=2, kind=int)
-    try:
-        shape = PulseShape(family=family, beta=beta, w1_span=span)
-        shape.check_truncation(b, q)
-    except ShapeError as e:
-        raise ConfigError(f"shape.{e.field}", str(e)) from e
+    shape = _build("shape", PulseShape, family=family, beta=beta, w1_span=span)
+    _build("shape", shape.check_truncation, b, q)
 
-    ch = _section(raw, "channel")
-    _check_unknown(ch, {"paths", "normalize_power", "cfo_hz",
-                        "timing_offset_bins", "phase_rad"}, "channel")
+    ch = _section(raw, "channel", {"paths", "normalize_power", "cfo_hz",
+                                   "timing_offset_bins", "phase_rad"})
     raw_paths = ch.get("paths")
     if not isinstance(raw_paths, list) or not raw_paths:
         raise ConfigError("channel.paths", "need a nonempty list of paths")
-    gains = []
-    delays = []
-    dopplers = []
+    gains, delays, dopplers = [], [], []
     for i, p in enumerate(raw_paths):
         where = f"channel.paths[{i}]"
         if not isinstance(p, dict):
@@ -242,29 +240,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if _get_bool(ch, "channel", "normalize_power", default=True):
         scale = math.sqrt(sum(abs(g) ** 2 for g in gains))
         gains = [g / scale for g in gains]
-    paths = []
-    for i, (g, d, v) in enumerate(zip(gains, delays, dopplers)):
-        try:
-            paths.append(PathSpec(gain=g, delay=d, doppler=v))
-        except ValueError as e:
-            raise ConfigError(f"channel.paths[{i}]", str(e)) from e
+    paths = tuple(_build(f"channel.paths[{i}]", PathSpec, gain=g, delay=d, doppler=v)
+                  for i, (g, d, v) in enumerate(zip(gains, delays, dopplers)))
     cfo = _get_number(ch, "channel", "cfo_hz", default=0.0)
     dt_bins = _get_number(ch, "channel", "timing_offset_bins",
                           default=0.0, minimum=0.0)
     phi = _get_number(ch, "channel", "phase_rad", default=0.0)
-    try:
-        impairments = ImpairmentSpec(dt=dt_bins / b, eps0=cfo, phi=phi)
-    except ValueError as e:
-        raise ConfigError("channel", str(e)) from e
+    # The first build tests the offset alone, which can overflow in seconds;
+    # eps0 is finite, so then only phi can fail.
+    _build("channel.timing_offset_bins", ImpairmentSpec, dt=dt_bins / b)
+    impairments = _build("channel.phase_rad", ImpairmentSpec,
+                         dt=dt_bins / b, eps0=cfo, phi=phi)
 
-    run = _section(raw, "run")
-    _check_unknown(run, {"constellation", "snr_db", "trials", "base_seed",
-                         "support", "sync", "cfo_correction", "workers"}, "run")
+    run = _section(raw, "run", {"constellation", "snr_db", "trials", "base_seed",
+                                "support", "sync", "cfo_correction", "workers"})
     order = _get_number(run, "run", "constellation", default=4, minimum=2, kind=int)
-    try:
-        Constellation(order)
-    except ValueError as e:
-        raise ConfigError("run.constellation", str(e)) from e
+    _build("run.constellation", Constellation, order)
     raw_snr = run.get("snr_db")
     if not isinstance(raw_snr, list) or not raw_snr:
         raise ConfigError("run.snr_db", "need a nonempty list of SNR points")
@@ -286,9 +277,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     workers = _get_number(run, "run", "workers", default=1, minimum=1, maximum=MAX_WORKERS,
                           kind=int)
 
-    sy = _section(raw, "sync", required=False)
-    _check_unknown(sy, {"preamble_length", "preamble_root", "gap_symbols",
-                        "threshold"}, "sync")
+    sy = _section(raw, "sync", {"preamble_length", "preamble_root", "gap_symbols",
+                                "threshold"}, required=False)
     pre_len = _get_number(sy, "sync", "preamble_length", default=DEFAULT_LENGTH, kind=int)
     pre_root = _get_number(sy, "sync", "preamble_root", default=DEFAULT_ROOT, minimum=1,
                            kind=int)
@@ -297,17 +287,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     threshold = _get_number(sy, "sync", "threshold", default=DEFAULT_THRESHOLD,
                             minimum=0.0, maximum=1.0)
     # Root 1 is coprime to every length, so the first build tests the length alone.
-    for key, root in (("preamble_length", 1), ("preamble_root", pre_root)):
-        try:
-            Preamble(pre_len, root)
-        except ValueError as e:
-            raise ConfigError(f"sync.{key}", str(e)) from e
+    _build("sync.preamble_length", Preamble, pre_len, 1)
+    _build("sync.preamble_root", Preamble, pre_len, pre_root)
     if cfo_mode == "time_domain" and pre_len < 2 * CFO_BLOCK_CHIPS:
         raise ConfigError("sync.preamble_length", f"time_domain CFO correction needs at least "
                           f"{2 * CFO_BLOCK_CHIPS} chips (two CFO blocks), got {pre_len}")
 
-    out = _section(raw, "output", required=False)
-    _check_unknown(out, {"csv", "curve_svg", "constellation_prefix"}, "output")
+    out = _section(raw, "output", {"csv", "curve_svg", "constellation_prefix"},
+                   required=False)
     out_csv = out.get("csv", "ber.csv")
     out_svg = out.get("curve_svg", "ber.svg")
     out_prefix = out.get("constellation_prefix", "constellation_")
@@ -323,7 +310,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         dt_margin=dt_margin,
         shape=shape,
         q=q,
-        paths=tuple(paths),
+        paths=paths,
         impairments=impairments,
         constellation_order=order,
         snr_db=tuple(snr_db),
@@ -343,11 +330,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 exponent floats (1e-20, .5e1), which
+    YAML 1.1 reads as strings; a quoted number stays a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse a YAML experiment file; raises ConfigError on any defect."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            raw = yaml.safe_load(f)
+            raw = yaml.load(f, Loader=_Loader)
     except OSError as e:
         raise ConfigError("config", f"cannot read {path}: {e}") from e
     except yaml.YAMLError as e:

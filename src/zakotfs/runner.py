@@ -29,7 +29,6 @@ class TrialReport:
     """Everything one end-to-end trial produced, including the burst it sent."""
 
     snr_db: float
-    trial_index: int
     seed_key: tuple[int, int]
     bit_errors: int
     bits_sent: int
@@ -224,7 +223,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
         if not sync_res.detected:
             # Counted as a decode of all-zero bits against what was sent.
             return TrialReport(
-                snr_db=snr_db, trial_index=trial_index, seed_key=seed_key,
+                snr_db=snr_db, seed_key=seed_key,
                 bit_errors=int(np.sum(bits)), bits_sent=nbits,
                 symbols=np.zeros(layout.n_data_cells, dtype=np.complex128),
                 taps=None, sync=sync_res, tx=burst,
@@ -245,9 +244,9 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
 
     rx_bits = demap_symbols(x_hat, layout, plan.constellation)
     errors = int(np.sum(rx_bits != bits))
-    symbols = x_hat.values[layout.data_rows, :].reshape(-1).copy()
+    symbols = x_hat.values[layout.data_rows, :].reshape(-1)
     return TrialReport(
-        snr_db=snr_db, trial_index=trial_index, seed_key=seed_key,
+        snr_db=snr_db, seed_key=seed_key,
         bit_errors=errors, bits_sent=nbits, symbols=symbols,
         taps=h_est, sync=sync_res, tx=burst,
     )

@@ -145,6 +145,56 @@ class TestConfigFromDict:
             config_from_dict(raw)
         assert info.value.field_name == field
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("frame", "nu_p_hz", 0),
+        ("frame", "nu_p_hz", -3e4),
+        ("channel", "phase_rad", 4.0),
+        ("channel", "phase_rad", -4.0),
+    ])
+    def test_field_name(self, section, key, value):
+        """The error names the field that is wrong, not a neighbour of it."""
+        raw = tiny_config_dict()
+        raw[section][key] = value
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert info.value.field_name == f"{section}.{key}"
+
+    def test_timing_offset_that_overflows_in_seconds(self):
+        raw = tiny_config_dict()
+        del raw["frame"]["tau_p_s"]
+        raw["frame"]["nu_p_hz"] = 1e-300
+        raw["channel"]["timing_offset_bins"] = 1e10
+        with pytest.raises(ConfigError, match="dt must be finite") as info:
+            config_from_dict(raw)
+        assert info.value.field_name == "channel.timing_offset_bins"
+
+    def test_delay_period_is_optional(self):
+        """nu_p_hz alone fixes the frame; tau_p_s, when written, only cross-checks it."""
+        raw = tiny_config_dict()
+        del raw["frame"]["tau_p_s"]
+        assert config_from_dict(raw) == config_from_dict(tiny_config_dict())
+        # A zero Doppler period is refused on its own field, not divided by.
+        raw["frame"]["nu_p_hz"] = 0
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert info.value.field_name == "frame.nu_p_hz"
+
+    @pytest.mark.parametrize("tau_p", [0, -1 / 30e3])
+    def test_non_positive_delay_period_fails_the_product(self, tau_p):
+        raw = tiny_config_dict()
+        raw["frame"]["tau_p_s"] = tau_p
+        with pytest.raises(ConfigError, match="tau_p \\* nu_p") as info:
+            config_from_dict(raw)
+        assert info.value.field_name == "frame.tau_p_s"
+
+    def test_impairment_keys_build_the_spec(self):
+        """Timing offset in delay bins becomes seconds; phase passes through in radians."""
+        raw = tiny_config_dict()
+        raw["channel"].update(cfo_hz=150.0, timing_offset_bins=2.5, phase_rad=-3.0)
+        cfg = config_from_dict(raw)
+        assert cfg.impairments == channel.ImpairmentSpec(
+            dt=2.5 / cfg.params.b, eps0=150.0, phi=-3.0)
+
     def test_snr_list_required(self):
         raw = tiny_config_dict(snr_db=[])
         with pytest.raises(ConfigError, match="run.snr_db"):
@@ -294,6 +344,43 @@ class TestLoadConfig:
         path.write_text(yaml.safe_dump(tiny_config_dict()))
         cfg = load_config(str(path))
         assert cfg.params.m == 8
+
+    @staticmethod
+    def _load_with(tmp_path, section, key, scalar):
+        """load_config on tiny_config_dict with section.key written as `scalar`."""
+        raw = tiny_config_dict()
+        raw[section][key] = "SCALAR_HERE"
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw).replace("SCALAR_HERE", scalar))
+        return load_config(str(path))
+
+    @pytest.mark.parametrize("scalar, value", [
+        ("1e-20", 1e-20), ("1E+3", 1e3), ("-2.5e3", -2.5e3), (".5e1", 5.0),
+        ("1.0e5", 1e5),
+    ])
+    def test_exponent_floats(self, tmp_path, scalar, value):
+        """YAML 1.2 floats need no decimal point and no exponent sign."""
+        cfg = self._load_with(tmp_path, "channel", "cfo_hz", scalar)
+        assert cfg.impairments.eps0 == value
+
+    def test_tiny_pilot_in_exponent_form_loads(self, tmp_path):
+        assert self._load_with(tmp_path, "frame", "pilot_amp", "1e-20").pilot_amp == 1e-20
+
+    @pytest.mark.parametrize("scalar", ['"8"', "'1e5'"])
+    def test_quoted_numbers_refused(self, tmp_path, scalar):
+        with pytest.raises(ConfigError) as info:
+            self._load_with(tmp_path, "frame", "pilot_amp", scalar)
+        assert info.value.field_name == "frame.pilot_amp"
+        assert "expected a number" in str(info.value)
+
+    def test_infinity_and_nan_unchanged(self, tmp_path):
+        assert self._load_with(tmp_path, "run", "snr_db", "[.inf, 20]").snr_db == (INF, 20.0)
+        for scalar in (".inf", "-.inf", ".nan"):
+            with pytest.raises(ConfigError, match="must be finite"):
+                self._load_with(tmp_path, "channel", "cfo_hz", scalar)
+
+    def test_safe_loader_untouched(self):
+        assert yaml.safe_load("v: 1e-20") == {"v": "1e-20"}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -585,7 +672,7 @@ class TestRunTrial:
 
     def test_report_validates_error_count(self):
         with pytest.raises(ValueError, match="more bit errors"):
-            TrialReport(snr_db=10.0, trial_index=0, seed_key=(0, 0),
+            TrialReport(snr_db=10.0, seed_key=(0, 0),
                         bit_errors=5, bits_sent=4, symbols=np.zeros(1),
                         taps=None, sync=None,
                         tx=AnalogSignal(samples=np.zeros(1), rate=1.0))
@@ -776,8 +863,7 @@ class TestMemos:
 # The README quick-start experiment at one SNR point.
 README_CONFIG = {
     "config_version": 1,
-    "frame": {"m": 64, "n": 64, "tau_p_s": 1 / 30e3, "nu_p_hz": 30e3,
-              "pilot_amp": 8.0},
+    "frame": {"m": 64, "n": 64, "nu_p_hz": 30e3, "pilot_amp": 8.0},
     "layout": {"tau_max_bins": 2.5, "dt_margin_bins": 1.0},
     "shape": {"family": "rrc", "beta": 0.5, "w1_span": 16, "oversampling": 4},
     "channel": {"paths": [
@@ -818,6 +904,26 @@ def test_layout_without_margin_reads_the_last_path_row(tau_max_bins, sync_on):
     raw["channel"]["paths"][1]["delay_bins"] = tau_max_bins
     raw["run"].update(snr_db=[None], sync=sync_on)
     assert run_trial(config_from_dict(raw), 0).bit_errors == 0
+
+
+@pytest.mark.parametrize("span", [16, None])
+@pytest.mark.parametrize("bins", [1, 7])
+@pytest.mark.parametrize("phase_rad", [1.0, -3.0])
+def test_timing_offset_and_phase_are_absorbed(span, bins, phase_rad):
+    """A receiver timing offset moves the preamble lock by q samples per
+    delay bin, and a noiseless frame with it and a phase still decodes."""
+    raw = copy.deepcopy(README_CONFIG)
+    raw["frame"].update(m=16, n=16)
+    raw["shape"]["w1_span"] = span
+    raw["run"]["snr_db"] = [None]
+    on_time = config_from_dict(raw)
+    raw["channel"].update(timing_offset_bins=bins, phase_rad=phase_rad)
+    cfg = config_from_dict(raw)
+    for t in range(3):
+        report = run_trial(cfg, t)
+        assert report.bit_errors == 0
+        assert report.sync.start_index == (run_trial(on_time, t).sync.start_index
+                                           + cfg.q * bins)
 
 
 class TestHeapPolicy:
