@@ -23,8 +23,8 @@ CONFIG_VERSION = 1
 MAX_TRIALS = 2 ** 32
 # sweep starts every pool worker at once, one process each.
 MAX_WORKERS = 256
-# A path gain's bound in dB: the squares of any few such gains, which
-# normalize_power sums, stay finite and nonzero.
+# A path gain's bound in dB: the squares of any few such gains, whose sum
+# scales the paths to unit total power, stay finite and nonzero.
 MAX_GAIN_DB = 300.0
 
 SUPPORT_KINDS = ("C1", "C2")
@@ -211,8 +211,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     shape = _build("shape", PulseShape, family=family, beta=beta, w1_span=span)
     _build("shape", shape.check_truncation, b, q)
 
-    ch = _section(raw, "channel", {"paths", "normalize_power", "cfo_hz",
-                                   "timing_offset_bins", "phase_rad"})
+    ch = _section(raw, "channel", {"paths", "cfo_hz", "timing_offset_bins",
+                                   "phase_rad"})
     raw_paths = ch.get("paths")
     if not isinstance(raw_paths, list) or not raw_paths:
         raise ConfigError("channel.paths", "need a nonempty list of paths")
@@ -237,9 +237,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         gains.append(10 ** (g_db / 20) * np.exp(1j * np.deg2rad(ph)))
         delays.append(d_bins / b)
         dopplers.append(v_bins * nu_p / n)
-    if _get_bool(ch, "channel", "normalize_power", default=True):
-        scale = math.sqrt(sum(abs(g) ** 2 for g in gains))
-        gains = [g / scale for g in gains]
+    scale = math.sqrt(sum(abs(g) ** 2 for g in gains))
+    gains = [g / scale for g in gains]
     paths = tuple(_build(f"channel.paths[{i}]", PathSpec, gain=g, delay=d, doppler=v)
                   for i, (g, d, v) in enumerate(zip(gains, delays, dopplers)))
     cfo = _get_number(ch, "channel", "cfo_hz", default=0.0)

@@ -15,8 +15,8 @@ from .config import MAX_TRIALS, ExperimentConfig
 from .dd_frame import Constellation, FrameLayout, demap_symbols, map_bits
 from .estimation import (EffectiveChannelEstimate, SupportRegion, dd_noise_var,
                          equalize_taps, estimate)
-from .sync import (Preamble, SyncResult, correct, detect_timing, estimate_cfo,
-                   make_preamble, shape_preamble)
+from .sync import (SyncResult, correct, detect_timing, estimate_cfo, make_preamble,
+                   shape_preamble)
 from .waveform import AnalogSignal, matched_filter, sample_and_periodize, synthesize
 from .zak import DDGrid, dzt, idzt, memo
 
@@ -95,7 +95,6 @@ class _Plan:
     layout: FrameLayout
     constellation: Constellation
     support: SupportRegion
-    preamble: Preamble | None
     template: AnalogSignal | None
 
 
@@ -133,16 +132,14 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     """
     _keep_heap()
     layout = cfg.layout()
-    preamble = template = None
+    template = None
     if cfg.sync_enabled:
-        preamble = make_preamble(cfg.preamble_length, cfg.preamble_root)
-        # At the b the receiver reads off the sample rate, so the sync
-        # memos find this very template.
-        b = cfg.q * cfg.params.b / cfg.q
-        template = shape_preamble(preamble, cfg.shape, b, cfg.q)
+        # The burst carries this template and the receiver correlates against it.
+        template = shape_preamble(make_preamble(cfg.preamble_length, cfg.preamble_root),
+                                  cfg.shape, cfg.params.b, cfg.q)
     return _Plan(layout=layout, constellation=cfg.constellation(),
                  support=SupportRegion.from_layout(layout, cfg.support_kind),
-                 preamble=preamble, template=template)
+                 template=template)
 
 
 def _compose_burst(cfg: ExperimentConfig, frame_sig: AnalogSignal,
@@ -190,7 +187,6 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     params = cfg.params
     plan = _plan(cfg)
     layout = plan.layout
-    preamble = plan.preamble
     snr_db = cfg.snr_db[snr_index]
     rng, seed_key = _trial_rng(cfg, snr_index, trial_index)
 
@@ -216,8 +212,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
         # frame's last symbol instant; it follows from the burst format.
         last_symbol = core_lo + (params.m * params.n - 1) * cfg.q
         last_start = chip0_nominal + rx.samples.size - 1 - last_symbol
-        sync_res = detect_timing(rx, preamble, cfg.q, shape=cfg.shape,
-                                 threshold=cfg.sync_threshold,
+        sync_res = detect_timing(rx, plan.template, threshold=cfg.sync_threshold,
                                  last_start=last_start)
         shift = max(sync_res.start_index - chip0_nominal, 0)
         if not sync_res.detected:
@@ -229,8 +224,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
                 taps=None, sync=sync_res, tx=burst,
             )
         if cfg.cfo_mode == "time_domain":
-            cfo_hat = estimate_cfo(rx, preamble, cfg.q, sync_res.start_index,
-                                   shape=cfg.shape)
+            cfo_hat = estimate_cfo(rx, plan.template, cfg.q, sync_res.start_index)
             sync_res = replace(sync_res, cfo_hat=cfo_hat)
             trimmed = correct(rx, shift, cfo_hat)
             rx = AnalogSignal.adopt(trimmed.samples, rate=rx.rate, t0=rx.t0)

@@ -31,7 +31,7 @@ CFO_BLOCK_CHIPS = 16
 
 @dataclass(frozen=True)
 class Preamble:
-    """Zadoff-Chu chips at the symbol rate; the acquisition memos key on (length, root)."""
+    """Zadoff-Chu chips at the symbol rate, a value given by (length, root)."""
 
     length: int
     root: int
@@ -71,93 +71,72 @@ def make_preamble(length: int = DEFAULT_LENGTH, root: int = DEFAULT_ROOT) -> Pre
     return Preamble(length=length, root=root)
 
 
-@memo(maxsize=8)
 def shape_preamble(pre: Preamble, shape: PulseShape, b: float, q: int) -> AnalogSignal:
-    """Pulse-shape the chips at rate q*B, once per process and key.
+    """Pulse-shape the chips at rate q*B.
 
     The returned signal places chip j at t = j/B; the leading and
     trailing filter tails are kept, so t0 is negative by the filter
     reach.  This doubles as the transmit burst segment and the matched
-    template for detect_timing.
+    template of detect_timing and estimate_cfo.
     """
     return AnalogSignal.adopt(shape_symbols(pre.samples, shape, b, q), rate=q * b,
                               t0=-shape.reach() / b)
 
 
 @memo(maxsize=8)
-def _reference(pre: Preamble, shape: PulseShape | None, b: float,
-               q: int) -> tuple[np.ndarray, int, float]:
-    """Matched reference at rate q*B: its samples, chip 0's index, its root energy.
-
-    With a shape this is the pulse-shaped preamble that shape_preamble
-    transmits, filter tails included; without one, the raw zero-stuffed
-    chip train, which starts at chip 0.
-    """
-    if shape is None:
-        samples = np.zeros(pre.length * q, dtype=np.complex128)
-        samples[::q] = pre.samples
-        chip0 = 0
-    else:
-        samples, chip0 = shape_preamble(pre, shape, b, q).samples, shape.reach() * q
-    return samples, chip0, np.sqrt(np.sum(np.abs(samples) ** 2))
+def _template_spectrum(template: AnalogSignal, nfft: int) -> tuple[np.ndarray, float]:
+    """nfft-point spectrum of the time-reversed conjugate template, and its root energy."""
+    samples = template.samples
+    return (np.fft.fft(np.conj(samples[::-1]), nfft),
+            float(np.sqrt(np.sum(np.abs(samples) ** 2))))
 
 
-@memo(maxsize=8)
-def _template_spectrum(pre: Preamble, shape: PulseShape | None, b: float, q: int,
-                       nfft: int) -> np.ndarray:
-    """nfft-point spectrum of the time-reversed conjugate reference."""
-    template = _reference(pre, shape, b, q)[0]
-    return np.fft.fft(np.conj(template[::-1]), nfft)
-
-
-def detect_timing(rx: AnalogSignal, preamble: Preamble, q: int,
-                  shape: PulseShape | None = None,
+def detect_timing(rx: AnalogSignal, template: AnalogSignal,
                   threshold: float = DEFAULT_THRESHOLD,
                   last_start: int | None = None) -> SyncResult:
     """Locate the preamble by normalized sliding cross-correlation.
 
-    With a shape, the template is the pulse-shaped preamble (matched to
-    what shape_preamble transmits); without one, the raw zero-stuffed
-    chip train.  peak_metric is |<rx_window, template>| normalized by
-    both energies, so it lives in [0, 1] and the threshold separates a
-    lock from noise.  cfo_hat is left at zero; see estimate_cfo.
+    template is the preamble as sent, on rx's sample grid, with chip 0
+    at its t = 0: shape_preamble's output, or a bare chip train with
+    t0 = 0.  peak_metric is |<rx_window, template>| normalized by both
+    energies, so it lives in [0, 1] and the threshold separates a lock
+    from noise.  cfo_hat is left at zero; see estimate_cfo.
 
     last_start, when given, is the latest chip-0 index the caller will
     accept: only the head of the buffer that such a lock reads is
     correlated, and the energy floor is taken over that head alone.  A
     bound that admits no lag is a miss (detected False), not an error.
     """
-    if q < 1:
-        raise ValueError("oversampling factor must be >= 1")
-    b = rx.rate / q
-    template, core_offset, tnorm = _reference(preamble, shape, b, q)
-    if rx.samples.size < template.size:
+    core_offset = int(round(-template.t0 * template.rate))
+    k = template.samples.size
+    if rx.samples.size < k:
         raise ValueError(
             f"buffer of {rx.samples.size} samples cannot hold a "
-            f"{template.size}-sample preamble"
+            f"{k}-sample preamble"
         )
     samples = rx.samples
     if last_start is not None:
-        samples = samples[:max(last_start - core_offset + template.size, 0)]
-    if samples.size < template.size:
+        samples = samples[:max(last_start - core_offset + k, 0)]
+    if samples.size < k:
         return SyncResult(start_index=core_offset, cfo_hat=0.0,
                           peak_metric=0.0, detected=False)
 
     # scipy.signal.fftconvolve(samples, conj(template[::-1]), 'valid'), bit
     # for bit: the same transform length, arithmetic and operand order.
-    n, k = samples.size, template.size
+    n = samples.size
     nfft = fast_len(n + k - 1)
-    spectrum = np.fft.fft(samples, nfft) * _template_spectrum(preamble, shape, b, q, nfft)
+    template_spectrum, tnorm = _template_spectrum(template, nfft)
+    spectrum = np.fft.fft(samples, nfft) * template_spectrum
     corr = np.fft.ifft(spectrum, nfft)[k - 1:n]
     # Window energies as differences of a running sum, O(n) for any length.
     # The metric is built in place, in the order of
     # |corr| / (tnorm * sqrt(max(power, floor))).
-    energy = np.empty(samples.size + 1)
+    energy = np.empty(n + 1)
     energy[0] = 0.0
     sq = np.abs(samples)
     np.square(sq, out=sq)
     np.cumsum(sq, out=energy[1:])
-    power = energy[template.size:] - energy[:-template.size]
+    power = energy[k:] - energy[:-k]
     peak_power = float(np.max(power))
     if peak_power <= 0.0:
         # Dead buffer: nothing to lock onto.
@@ -208,8 +187,8 @@ def _kay_window(length: int) -> np.ndarray:
     return w
 
 
-def estimate_cfo(rx: AnalogSignal, preamble: Preamble, q: int,
-                 start_index: int, shape: PulseShape | None = None) -> float:
+def estimate_cfo(rx: AnalogSignal, template: AnalogSignal, q: int,
+                 start_index: int) -> float:
     """CFO from the located preamble, by Kay's estimator on block sums.
 
     The received core is correlated against the template one block of
@@ -218,18 +197,20 @@ def estimate_cfo(rx: AnalogSignal, preamble: Preamble, q: int,
     register in these sums (a delayed copy of the sequence beats against
     the template as a fast chirp that a block integrates away), where a
     sample-by-sample product would hand Kay's estimator a strong
-    interfering ramp.  The preamble must hold two blocks.
-    start_index must point at chip 0, as detect_timing reports it.
+    interfering ramp.  The template is detect_timing's, at q samples
+    per chip; its core, chip 0 up to the trailing filter tail, must hold
+    two blocks.  start_index must point at chip 0, as detect_timing
+    reports it.
     """
-    if preamble.length < 2 * CFO_BLOCK_CHIPS:
-        raise ValueError(f"a {preamble.length}-chip preamble holds fewer than two CFO blocks")
-    reference, chip0, _ = _reference(preamble, shape, rx.rate / q, q)
-    template = reference[chip0:chip0 + preamble.length * q]
+    chip0 = int(round(-template.t0 * template.rate))
+    core = template.samples[chip0:template.samples.size - chip0]
+    if core.size < 2 * CFO_BLOCK_CHIPS * q:
+        raise ValueError(f"a {core.size // q}-chip preamble holds fewer than two CFO blocks")
     lo = start_index
-    hi = start_index + template.size
+    hi = start_index + core.size
     if lo < 0 or hi > rx.samples.size:
         raise ValueError("preamble window falls outside the buffer")
-    derotated = rx.samples[lo:hi] * np.conj(template)
+    derotated = rx.samples[lo:hi] * np.conj(core)
     width = CFO_BLOCK_CHIPS * q
     blocks = derotated.size // width
     sums = derotated[:blocks * width].reshape(blocks, width).sum(axis=1)

@@ -93,12 +93,13 @@ def rrc_w2(t: np.ndarray | float, t_period: float, beta: float) -> np.ndarray | 
     return float(out) if scalar else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalogSignal:
     """Oversampled baseband signal with an explicit time origin.
 
     samples[i] is the value at t = t0 + i/rate; t0 is always an integer
-    number of sample periods so decimation grids stay aligned.
+    number of sample periods so decimation grids stay aligned.  Equality
+    and hashing are by identity, so a signal can key a memo.
     """
 
     samples: np.ndarray

@@ -443,7 +443,7 @@ class TestSynchronizationQuality:
             buf = buf + np.sqrt(1.0 / (2 * Q)) * (
                 rng.standard_normal(6000) + 1j * rng.standard_normal(6000))
             res = detect_timing(AnalogSignal(samples=buf, rate=7.68e6, t0=0.0),
-                                pre, Q)
+                                AnalogSignal(samples=chips, rate=7.68e6, t0=0.0))
             hits += abs(res.start_index - 1000) <= 1
         assert hits >= 198
 
@@ -467,7 +467,9 @@ class TestSynchronizationQuality:
             rng = np.random.default_rng(5000 + trial)
             noise = rng.standard_normal(8192) + 1j * rng.standard_normal(8192)
             sig = AnalogSignal(samples=noise, rate=7.68e6, t0=0.0)
-            locks += detect_timing(sig, pre, Q, threshold=0.3).detected
+            locks += detect_timing(
+                sig, AnalogSignal(samples=np.kron(pre.samples, np.eye(Q)[0]), rate=7.68e6,
+                                  t0=0.0), threshold=0.3).detected
         assert locks == 0
 
 

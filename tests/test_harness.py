@@ -252,11 +252,12 @@ class TestConfigFromDict:
         assert total == pytest.approx(1.0, rel=1e-12)
         assert cfg.paths[1].gain.real == pytest.approx(0.0, abs=1e-12)
 
-    def test_normalization_can_be_disabled(self):
+    def test_normalize_power_is_refused(self):
+        """The noise follows the received power, so a gain scale is no knob."""
         raw = tiny_config_dict()
         raw["channel"]["normalize_power"] = False
-        cfg = config_from_dict(raw)
-        assert abs(cfg.paths[0].gain) == pytest.approx(1.0)
+        with pytest.raises(ConfigError, match="^channel: unknown keys: normalize_power$"):
+            config_from_dict(raw)
 
     def test_doppler_bins_convert_to_hz(self):
         raw = tiny_config_dict()
@@ -639,6 +640,26 @@ class TestRunTrial:
         assert report.sync.start_index == on_time.sync.start_index
         assert report.bit_errors == 0
 
+    def test_folded_receiver_counts(self):
+        """channel_folded CFO handling on a 16x16 sync link with a 200 Hz offset:
+        every burst locks, and the error counts are pinned per SNR point."""
+        cfg = config_from_dict({
+            "config_version": 1,
+            "frame": {"m": 16, "n": 16, "nu_p_hz": 30e3, "pilot_amp": 8.0},
+            "layout": {"tau_max_bins": 2.5, "dt_margin_bins": 1.0},
+            "shape": {"family": "rrc", "beta": 0.5, "w1_span": 16, "oversampling": 4},
+            "channel": {"paths": [{"delay_bins": 0},
+                                  {"delay_bins": 2, "doppler_bins": 1, "gain_db": -3}],
+                        "cfo_hz": 200.0},
+            "run": {"constellation": 4, "snr_db": [5, 15, 25], "trials": 4,
+                    "base_seed": 2024, "sync": True, "cfo_correction": "channel_folded"},
+        })
+        reports = [[run_trial(cfg, t, si) for t in range(4)] for si in range(3)]
+        assert all(r.sync.detected and r.sync.cfo_hat == 0.0
+                   for row in reports for r in row)
+        assert [sum(r.bits_sent for r in row) for row in reports] == [768] * 3
+        assert [sum(r.bit_errors for r in row) for row in reports] == [4, 0, 0]
+
     @pytest.mark.parametrize("span", [None, 16])
     def test_search_bound_is_the_last_start_that_holds_the_frame(self, span,
                                                                  monkeypatch):
@@ -704,19 +725,6 @@ def same_value(a, b):
     return np.array_equal(a, b)
 
 
-class _RootEnergy:
-    """The template's root energy, read off the memoized sync._reference."""
-
-    def __call__(self, *args):
-        return sync._reference(*args)[2]
-
-    def __wrapped__(self, *args):
-        return sync._reference.__wrapped__(*args)[2]
-
-    def cache_clear(self):
-        sync._reference.cache_clear()
-
-
 def same_report(a, b):
     return (a.bit_errors == b.bit_errors and a.bits_sent == b.bits_sent
             and np.array_equal(a.symbols, b.symbols)
@@ -756,8 +764,8 @@ class TestMemos:
         cfg = config_from_dict(linked_config_dict(16))
         b, q = cfg.params.b, cfg.q
         plan = runner._plan(cfg)
-        ref = (plan.preamble, cfg.shape, b, q)
-        other_root = (sync.Preamble(plan.preamble.length, plan.preamble.root + 2),) + ref[1:]
+        other_root = sync.shape_preamble(
+            sync.make_preamble(cfg.preamble_length, cfg.preamble_root + 2), cfg.shape, b, q)
         k = plan.template.samples.size
         nfft, wider = (fast_len(n + k - 1) for n in (400, 700))
         phases = (cfg.shape, b, q, False, 128)
@@ -769,19 +777,19 @@ class TestMemos:
                                         phases[:3] + (True, 128)),
             "phase_spectra.nfft": (waveform._phase_spectra, phases,
                                    phases[:4] + (160,)),
-            "reference.root": (sync._reference, ref, other_root),
-            "template_spectrum.nfft": (sync._template_spectrum, ref + (nfft,),
-                                       ref + (wider,)),
+            "template_spectrum.root": (sync._template_spectrum, (plan.template, nfft),
+                                       (other_root, nfft)),
+            "template_spectrum.nfft": (sync._template_spectrum, (plan.template, nfft),
+                                       (plan.template, wider)),
             "maps.kind": (estimation._maps, (c1,), (c2,)),
             "maps.grid": (estimation._maps, (c1,), (dataclasses.replace(c1, n=c1.n // 2),)),
             "kay_window.length": (sync._kay_window, (16,), (17,)),
-            "template_norm.root": (_RootEnergy(), ref, other_root),
         }
 
     @pytest.mark.parametrize("name", [
         "fold_slots.start", "phase_spectra.correlate", "phase_spectra.nfft",
-        "reference.root", "template_spectrum.nfft", "maps.kind", "maps.grid",
-        "kay_window.length", "template_norm.root"])
+        "template_spectrum.root", "template_spectrum.nfft", "maps.kind", "maps.grid",
+        "kay_window.length"])
     def test_memo_keys_are_complete(self, name):
         """Two calls differing in one argument each get their own result."""
         memo, first, second = self._memo_calls()[name]
@@ -799,7 +807,8 @@ class TestMemos:
         return {
             "layout.data_rows": plan.layout.data_rows,
             "plan.template": plan.template.samples,
-            "preamble.samples": plan.preamble.samples,
+            "preamble.samples": sync.make_preamble(cfg.preamble_length,
+                                                   cfg.preamble_root).samples,
             "w1_taps": cfg.shape.w1_taps(b, q),
             "w1_spectrum": waveform._w1_spectrum(exact, 64, b, q, False),
             "window_at": waveform._window_at(cfg.shape, -1e-5, q * b, 64, cfg.params.t, 0.0),
@@ -807,12 +816,9 @@ class TestMemos:
             "fold_slots": waveform._fold_slots(64, -3, 16),
             "doppler_ramp": channel._doppler_ramp(0.0, q * b, 64, 500.0, 1e-6),
             "carrier_ramp": channel._carrier_ramp(0.0, q * b, 64, 300.0, 0.1),
-            "reference": sync._reference(plan.preamble, cfg.shape, b, q)[0],
-            "chip_train": sync._reference(plan.preamble, None, b, q)[0],
             "phase_spectra": waveform._phase_spectra(cfg.shape, b, q, False, 128),
             "phase_spectra.correlate": waveform._phase_spectra(cfg.shape, b, q, True, 128),
-            "template_spectrum": sync._template_spectrum(plan.preamble, cfg.shape, b, q,
-                                                         nfft),
+            "template_spectrum": sync._template_spectrum(plan.template, nfft)[0],
             "kay_window": sync._kay_window(16),
             **{f"maps.{field}": arr for field, arr in
                estimation._maps(plan.support)._asdict().items()},
@@ -824,26 +830,47 @@ class TestMemos:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
 
-    def test_preamble_is_shaped_once(self):
-        """The plan's burst template and the sync reference are one array."""
+    @staticmethod
+    def _templates_used(cfg, monkeypatch):
+        """The template each of one trial's burst, timing and CFO steps got."""
+        seen = {}
+
+        def spy(name, original, at):
+            def wrapped(*args, **kwargs):
+                seen[name] = args[at]
+                return original(*args, **kwargs)
+            monkeypatch.setattr(runner, name, wrapped)
+        spy("_compose_burst", runner._compose_burst, 2)
+        spy("detect_timing", runner.detect_timing, 1)
+        spy("estimate_cfo", runner.estimate_cfo, 1)
+        report = run_trial(cfg, 0)
+        assert not report.sync_failed
+        return seen
+
+    def test_preamble_is_shaped_once(self, monkeypatch):
+        """The receiver correlates against the very template the burst was composed from."""
         cfg = config_from_dict(linked_config_dict(None))
         clear_memos()
-        plan = runner._plan(cfg)
-        reference = sync._reference(plan.preamble, cfg.shape, cfg.params.b, cfg.q)
-        assert reference[0] is plan.template.samples
-        assert reference[2] == np.sqrt(np.sum(np.abs(reference[0]) ** 2))
+        seen = self._templates_used(cfg, monkeypatch)
+        template = runner._plan(cfg).template
+        assert sorted(seen) == ["_compose_burst", "detect_timing", "estimate_cfo"]
+        assert all(t is template for t in seen.values())
+        # Its spectrum and root energy are computed once, not once per trial.
+        run_trial(cfg, 1)
+        assert sync._template_spectrum.cache_info().misses == 1
 
-    def test_preamble_is_shaped_once_when_the_rate_rounds(self):
-        """The burst and the receiver shape the preamble at one b, even
-        where q * b / q, the b the receiver reads off the rate, is not b."""
+    def test_preamble_is_shaped_once_when_the_rate_rounds(self, monkeypatch):
+        """One template and one b, even where q * b / q is not b."""
         raw = linked_config_dict(None)
         raw["frame"].update(m=16, n=16, nu_p_hz=30000.1, tau_p_s=1 / 30000.1)
         raw["shape"]["oversampling"] = 3
         cfg = config_from_dict(raw)
         assert cfg.q * cfg.params.b / cfg.q != cfg.params.b
         clear_memos()
-        run_trial(cfg, 0)
-        assert sync.shape_preamble.cache_info().misses == 1
+        seen = self._templates_used(cfg, monkeypatch)
+        template = runner._plan(cfg).template
+        assert all(t is template for t in seen.values()) and len(seen) == 3
+        assert template.rate == cfg.q * cfg.params.b
 
     def test_plan_is_built_once(self, monkeypatch):
         cfg = config_from_dict(linked_config_dict(None))

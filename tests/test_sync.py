@@ -36,6 +36,13 @@ def embed(template, offset, total, seed=None, noise=0.0):
     return AnalogSignal(samples=buf, rate=RATE, t0=0.0)
 
 
+def chip_train(pre, q=Q):
+    """The zero-stuffed chips at q samples per chip, as a template with chip 0 at t = 0."""
+    chips = np.zeros(pre.length * q, dtype=complex)
+    chips[::q] = pre.samples
+    return AnalogSignal(samples=chips, rate=RATE, t0=0.0)
+
+
 class TestMakePreamble:
     """Zadoff-Chu generation and its constraints."""
 
@@ -83,11 +90,9 @@ class TestDetectTiming:
     """Normalized cross-correlation peak search."""
 
     def test_raw_template_exact_offset(self):
-        pre = make_preamble()
-        chips = np.zeros(pre.length * Q, dtype=complex)
-        chips[::Q] = pre.samples
-        rx = embed(chips, 500, 4096)
-        res = detect_timing(rx, pre, Q)
+        template = chip_train(make_preamble())
+        rx = embed(template.samples, 500, 4096)
+        res = detect_timing(rx, template)
         assert res.start_index == 500
         assert res.detected
         assert res.peak_metric == pytest.approx(1.0, abs=1e-6)
@@ -99,50 +104,39 @@ class TestDetectTiming:
         shaped = shape_preamble(pre, shape, B, Q)
         offset = 777
         rx = embed(shaped.samples, offset, 6000)
-        res = detect_timing(rx, pre, Q, shape=shape)
+        res = detect_timing(rx, shaped)
         assert res.start_index == offset + shape.reach() * Q
 
     def test_shift_equivariance(self):
-        pre = make_preamble()
-        chips = np.zeros(pre.length * Q, dtype=complex)
-        chips[::Q] = pre.samples
-        a = detect_timing(embed(chips, 300, 4096), pre, Q)
-        b = detect_timing(embed(chips, 300 + 123, 4096), pre, Q)
+        template = chip_train(make_preamble())
+        a = detect_timing(embed(template.samples, 300, 4096), template)
+        b = detect_timing(embed(template.samples, 300 + 123, 4096), template)
         assert b.start_index - a.start_index == 123
 
     def test_noise_only_buffer_rejected_by_threshold(self):
-        pre = make_preamble()
+        template = chip_train(make_preamble())
         rng = np.random.default_rng(11)
         noise = rng.standard_normal(8192) + 1j * rng.standard_normal(8192)
         rx = AnalogSignal(samples=noise, rate=RATE, t0=0.0)
-        res = detect_timing(rx, pre, Q, threshold=0.3)
+        res = detect_timing(rx, template, threshold=0.3)
         assert not res.detected
         assert res.peak_metric < 0.3
 
     def test_low_snr_timing(self):
         """At 0 dB chip SNR the peak stays within one oversample."""
-        pre = make_preamble()
-        chips = np.zeros(pre.length * Q, dtype=complex)
-        chips[::Q] = pre.samples
+        template = chip_train(make_preamble())
         hits = 0
         for trial in range(50):
             # Chip energy 1 spread over Q samples; noise_psd 1/Q gives 0 dB.
-            rx = embed(chips, 1000, 6000, seed=trial, noise=1.0 / Q)
-            res = detect_timing(rx, pre, Q)
+            rx = embed(template.samples, 1000, 6000, seed=trial, noise=1.0 / Q)
+            res = detect_timing(rx, template)
             hits += abs(res.start_index - 1000) <= 1
         assert hits == 50
 
     def test_buffer_shorter_than_template_rejected(self):
-        pre = make_preamble()
         rx = AnalogSignal(samples=np.zeros(100), rate=RATE, t0=0.0)
         with pytest.raises(ValueError, match="cannot hold"):
-            detect_timing(rx, pre, Q)
-
-    def test_oversampling_validated(self):
-        pre = make_preamble()
-        rx = AnalogSignal(samples=np.zeros(2048), rate=RATE, t0=0.0)
-        with pytest.raises(ValueError, match="oversampling"):
-            detect_timing(rx, pre, 0)
+            detect_timing(rx, chip_train(make_preamble()))
 
 
 def convolve_timing_oracle(rx, template):
@@ -171,10 +165,8 @@ class TestTimingEnergyNormalizer:
                              max_size=3))
     def test_matches_convolution_oracle(self, seed, total, offset, amp, scale,
                                         silences):
-        pre = make_preamble(length=16, root=1)
-        q = 2
-        chips = np.zeros(pre.length * q, dtype=complex)
-        chips[::q] = pre.samples
+        template = chip_train(make_preamble(length=16, root=1), q=2)
+        chips = template.samples
         rng = np.random.default_rng(seed)
         buf = rng.standard_normal(total) + 1j * rng.standard_normal(total)
         at = int(offset * (total - chips.size))
@@ -183,15 +175,14 @@ class TestTimingEnergyNormalizer:
             lo = int(start * total)
             buf[lo:lo + int(width * total)] = 0.0
         buf *= scale
-        res = detect_timing(AnalogSignal(samples=buf, rate=RATE, t0=0.0), pre, q)
+        res = detect_timing(AnalogSignal(samples=buf, rate=RATE, t0=0.0), template)
         lag, peak = convolve_timing_oracle(buf, chips)
         assert res.start_index == lag
         assert res.peak_metric == pytest.approx(peak, rel=1e-9)
 
     def test_silent_buffer_is_not_detected(self):
-        pre = make_preamble(length=16, root=1)
         rx = AnalogSignal(samples=np.zeros(100), rate=RATE, t0=0.0)
-        res = detect_timing(rx, pre, 2)
+        res = detect_timing(rx, chip_train(make_preamble(length=16, root=1), q=2))
         assert not res.detected and res.peak_metric == 0.0
 
 
@@ -228,33 +219,29 @@ class TestTimingMetricInPlace:
            shaped=st.booleans(), amp=st.floats(0.05, 4.0))
     def test_matches_out_of_place_metric(self, seed, preamble, q, extra, shaped, amp):
         pre = make_preamble(*preamble)
-        shape = PulseShape(family="rrc", beta=0.5, w1_span=4) if shaped else None
-        if shaped:
-            template = shape_preamble(pre, shape, RATE / q, q).samples
-        else:
-            template = np.zeros(pre.length * q, dtype=complex)
-            template[::q] = pre.samples
+        shape = PulseShape(family="rrc", beta=0.5, w1_span=4)
+        signal = shape_preamble(pre, shape, RATE / q, q) if shaped else chip_train(pre, q)
+        template = signal.samples
         rng = np.random.default_rng(seed)
         total = template.size + extra
         buf = rng.standard_normal(total) + 1j * rng.standard_normal(total)
         at = int(rng.integers(0, extra + 1))
         buf[at:at + template.size] += amp * template
-        res = detect_timing(AnalogSignal(samples=buf, rate=RATE, t0=0.0), pre, q,
-                            shape=shape)
+        res = detect_timing(AnalogSignal(samples=buf, rate=RATE, t0=0.0), signal)
         lag, peak = running_sum_timing_oracle(buf, template)
         core = shape.reach() * q if shaped else 0
         assert (res.start_index, res.peak_metric) == (lag + core, peak)
 
 
 def short_template(shaped):
-    """A 16-chip preamble at q = 2, its reference and the reference's chip 0."""
+    """A 16-chip preamble at q = 2 as a template, its samples and its chip 0."""
     pre = make_preamble(length=16, root=1)
     if not shaped:
-        chips = np.zeros(pre.length * 2, dtype=complex)
-        chips[::2] = pre.samples
-        return pre, None, chips, 0
+        signal = chip_train(pre, q=2)
+        return signal, signal.samples, 0
     shape = PulseShape(family="rrc", beta=0.5, w1_span=4)
-    return pre, shape, shape_preamble(pre, shape, RATE / 2, 2).samples, shape.reach() * 2
+    signal = shape_preamble(pre, shape, RATE / 2, 2)
+    return signal, signal.samples, shape.reach() * 2
 
 
 class TestSearchBound:
@@ -269,13 +256,13 @@ class TestSearchBound:
              delta=-2, anywhere=0)
     def test_lock_is_the_best_start_within_the_bound(self, seed, extra, shaped, at,
                                                      noise, near, delta, anywhere):
-        pre, shape, template, core = short_template(shaped)
+        signal, template, core = short_template(shaped)
         offset = int(at * extra)
         rx = embed(template, offset, template.size + extra, seed=seed, noise=noise)
         # Half the bounds sit next to the embedded chip 0, where an
         # off-by-one shows; the rest fall anywhere, past the buffer too.
         last_start = offset + core + delta if near else anywhere
-        res = detect_timing(rx, pre, 2, shape=shape, last_start=last_start)
+        res = detect_timing(rx, signal, last_start=last_start)
         if last_start < core:
             assert not res.detected and res.peak_metric == 0.0
             return
@@ -290,25 +277,25 @@ class TestSearchBound:
         # reaches the lock or its energy floor.
         loud = rx.samples.copy()
         loud[head:] = 1e9 * np.random.default_rng(seed).standard_normal(loud[head:].size)
-        again = detect_timing(AnalogSignal(samples=loud, rate=RATE, t0=0.0), pre, 2,
-                              shape=shape, last_start=last_start)
+        again = detect_timing(AnalogSignal(samples=loud, rate=RATE, t0=0.0), signal,
+                              last_start=last_start)
         assert again == res
 
     @pytest.mark.parametrize("shaped", [False, True])
     def test_bound_is_inclusive(self, shaped):
-        pre, shape, template, core = short_template(shaped)
+        signal, template, core = short_template(shaped)
         rx = embed(template, 40, 200, seed=5, noise=1e-4)
         chip0 = 40 + core
-        at = detect_timing(rx, pre, 2, shape=shape, last_start=chip0)
+        at = detect_timing(rx, signal, last_start=chip0)
         assert at.start_index == chip0 and at.detected
-        before = detect_timing(rx, pre, 2, shape=shape, last_start=chip0 - 1)
+        before = detect_timing(rx, signal, last_start=chip0 - 1)
         assert before.start_index < chip0 and before.peak_metric < at.peak_metric
 
     def test_bound_before_chip_zero_of_any_lag_is_a_miss(self):
-        pre, shape, template, core = short_template(True)
+        signal, template, core = short_template(True)
         rx = embed(template, 0, 200)
-        assert detect_timing(rx, pre, 2, shape=shape, last_start=core).detected
-        res = detect_timing(rx, pre, 2, shape=shape, last_start=core - 1)
+        assert detect_timing(rx, signal, last_start=core).detected
+        res = detect_timing(rx, signal, last_start=core - 1)
         assert not res.detected and res.peak_metric == 0.0
 
 
@@ -363,11 +350,11 @@ class TestEstimateCfo:
         rng = np.random.default_rng(seed) if noise > 0 else None
         sig = add_noise(apply_impairments(sig, ImpairmentSpec(eps0=cfo)), noise, rng)
         chip0 = pad + shape.reach() * Q
-        return sig, pre, shape, chip0
+        return sig, shaped, chip0
 
     def test_single_path_noiseless(self):
-        sig, pre, shape, chip0 = self._received(cfo=300.0)
-        got = estimate_cfo(sig, pre, Q, chip0, shape=shape)
+        sig, shaped, chip0 = self._received(cfo=300.0)
+        got = estimate_cfo(sig, shaped, Q, chip0)
         assert got == pytest.approx(300.0, abs=0.5)
 
     def test_two_path_echo_tolerated(self):
@@ -375,8 +362,8 @@ class TestEstimateCfo:
         from zakotfs.channel import PathSpec
         paths = [PathSpec(gain=1.0, delay=0.0, doppler=0.0),
                  PathSpec(gain=0.7 * np.exp(0.4j), delay=2.0 / B, doppler=0.0)]
-        sig, pre, shape, chip0 = self._received(cfo=300.0, paths=paths)
-        got = estimate_cfo(sig, pre, Q, chip0, shape=shape)
+        sig, shaped, chip0 = self._received(cfo=300.0, paths=paths)
+        got = estimate_cfo(sig, shaped, Q, chip0)
         # A strong echo leaves a bias of a few percent of one Doppler
         # bin (469 Hz here), far inside the correction budget.
         assert got == pytest.approx(300.0, abs=25.0)
@@ -385,36 +372,33 @@ class TestEstimateCfo:
         """20 dB, 7.5 kHz offset: small mean relative error over trials."""
         errs = []
         for seed in range(20):
-            sig, pre, shape, chip0 = self._received(
+            sig, shaped, chip0 = self._received(
                 cfo=7500.0, noise=0.01 * Q, seed=seed)
-            got = estimate_cfo(sig, pre, Q, chip0, shape=shape)
+            got = estimate_cfo(sig, shaped, Q, chip0)
             errs.append(abs(got - 7500.0) / 7500.0)
         assert np.mean(errs) < 0.03
 
     def test_raw_template_variant(self):
-        pre = make_preamble()
-        chips = np.zeros(pre.length * Q, dtype=complex)
-        chips[::Q] = pre.samples
-        rx = embed(chips, 100, 3000)
+        template = chip_train(make_preamble())
+        rx = embed(template.samples, 100, 3000)
         t = rx.t0 + np.arange(rx.samples.size) / rx.rate
         rot = AnalogSignal(samples=rx.samples * np.exp(2j * np.pi * 500.0 * t),
                            rate=RATE, t0=0.0)
-        assert estimate_cfo(rot, pre, Q, 100) == pytest.approx(500.0, abs=1.0)
+        assert estimate_cfo(rot, template, Q, 100) == pytest.approx(500.0, abs=1.0)
 
     def test_window_bounds_checked(self):
-        pre = make_preamble()
         rx = AnalogSignal(samples=np.zeros(900), rate=RATE, t0=0.0)
         with pytest.raises(ValueError, match="outside the buffer"):
-            estimate_cfo(rx, pre, Q, 100)
+            estimate_cfo(rx, chip_train(make_preamble()), Q, 100)
 
     def test_short_preamble_rejected(self):
         """Kay's estimator needs two block sums: 2 * CFO_BLOCK_CHIPS chips."""
         rx = AnalogSignal(samples=np.zeros(2048), rate=RATE, t0=0.0)
         short = make_preamble(length=2 * sync.CFO_BLOCK_CHIPS - 2, root=1)
         with pytest.raises(ValueError, match="fewer than two CFO blocks"):
-            estimate_cfo(rx, short, Q, 0)
+            estimate_cfo(rx, chip_train(short), Q, 0)
         enough = make_preamble(length=2 * sync.CFO_BLOCK_CHIPS, root=1)
-        assert estimate_cfo(rx, enough, Q, 0) == 0.0
+        assert estimate_cfo(rx, chip_train(enough), Q, 0) == 0.0
 
 
 class TestCorrect:
