@@ -760,7 +760,10 @@ class TestMemos:
 
     @staticmethod
     def _memo_calls():
-        """Memo name -> (memo, args, args differing in one named argument)."""
+        """Memo name -> (memo, args, args differing in one named argument[, item]).
+
+        A trailing item index compares that item of a tuple result alone.
+        """
         cfg = config_from_dict(linked_config_dict(16))
         b, q = cfg.params.b, cfg.q
         plan = runner._plan(cfg)
@@ -777,8 +780,10 @@ class TestMemos:
                                         phases[:3] + (True, 128)),
             "phase_spectra.nfft": (waveform._phase_spectra, phases,
                                    phases[:4] + (160,)),
-            "template_spectrum.root": (sync._template_spectrum, (plan.template, nfft),
-                                       (other_root, nfft)),
+            "reference.root": (sync._template_spectrum, (plan.template, nfft),
+                               (other_root, nfft), 0),
+            "template_norm.root": (sync._template_spectrum, (plan.template, nfft),
+                                   (other_root, nfft), 1),
             "template_spectrum.nfft": (sync._template_spectrum, (plan.template, nfft),
                                        (plan.template, wider)),
             "maps.kind": (estimation._maps, (c1,), (c2,)),
@@ -788,15 +793,19 @@ class TestMemos:
 
     @pytest.mark.parametrize("name", [
         "fold_slots.start", "phase_spectra.correlate", "phase_spectra.nfft",
-        "template_spectrum.root", "template_spectrum.nfft", "maps.kind", "maps.grid",
-        "kay_window.length"])
+        "reference.root", "template_norm.root", "template_spectrum.nfft", "maps.kind",
+        "maps.grid", "kay_window.length"])
     def test_memo_keys_are_complete(self, name):
         """Two calls differing in one argument each get their own result."""
-        memo, first, second = self._memo_calls()[name]
+        memo, first, second, *item = self._memo_calls()[name]
+
+        def pick(result):
+            return result[item[0]] if item else result
+
         memo.cache_clear()
-        assert same_value(memo(*first), memo.__wrapped__(*first))
-        assert same_value(memo(*second), memo.__wrapped__(*second))
-        assert not same_value(memo(*first), memo(*second))
+        assert same_value(pick(memo(*first)), pick(memo.__wrapped__(*first)))
+        assert same_value(pick(memo(*second)), pick(memo.__wrapped__(*second)))
+        assert not same_value(pick(memo(*first)), pick(memo(*second)))
 
     def _cached_arrays(self):
         cfg = config_from_dict(linked_config_dict(16))
