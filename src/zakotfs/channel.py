@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waveform import AnalogSignal
+from .waveform import AnalogSignal, phase_ramp
 from .zak import memo
 
 __all__ = [
@@ -85,18 +85,8 @@ def _delay_samples(x: np.ndarray, shift: float) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(x) * np.exp(-2j * np.pi * f * shift))
 
 
-@memo(maxsize=16)
-def _doppler_ramp(t0: float, rate: float, n: int, doppler: float,
-                  delay: float) -> np.ndarray:
-    t = t0 + np.arange(n) / rate
-    return np.exp(2j * np.pi * doppler * (t - delay))
-
-
-@memo(maxsize=16)
-def _carrier_ramp(t0: float, rate: float, n: int, eps0: float,
-                  phi: float) -> np.ndarray:
-    t = t0 + np.arange(n) / rate
-    return np.exp(1j * (2 * np.pi * eps0 * t + phi))
+# A config's Doppler and carrier ramps are the same on every trial.
+_ramp = memo(maxsize=16)(phase_ramp)
 
 
 def apply_paths(sig: AnalogSignal, paths: tuple[PathSpec, ...] | list[PathSpec]) -> AnalogSignal:
@@ -116,9 +106,9 @@ def apply_paths(sig: AnalogSignal, paths: tuple[PathSpec, ...] | list[PathSpec])
             # The ramp is exactly 1 here, so skipping it changes no bit.
             out += p.gain * shifted
         else:
-            out += p.gain * shifted * _doppler_ramp(sig.t0, sig.rate, n,
-                                                    p.doppler, p.delay)
-    return AnalogSignal.adopt(out, rate=sig.rate, t0=sig.t0)
+            out += p.gain * shifted * _ramp(p.doppler, sig.start, sig.rate, n,
+                                            -2 * np.pi * p.doppler * p.delay)
+    return AnalogSignal.adopt(out, rate=sig.rate, start=sig.start)
 
 
 def apply_impairments(sig: AnalogSignal, imp: ImpairmentSpec) -> AnalogSignal:
@@ -128,8 +118,8 @@ def apply_impairments(sig: AnalogSignal, imp: ImpairmentSpec) -> AnalogSignal:
     # reuses a temporary operand as the output and swaps the factors, and
     # the copy keeps the last bit of every sample the same as multiplying
     # by a newly computed ramp.
-    x = x * _carrier_ramp(sig.t0, sig.rate, x.size, imp.eps0, imp.phi).copy()
-    return AnalogSignal.adopt(x, rate=sig.rate, t0=sig.t0)
+    x = x * _ramp(imp.eps0, sig.start, sig.rate, x.size, imp.phi).copy()
+    return AnalogSignal.adopt(x, rate=sig.rate, start=sig.start)
 
 
 def add_noise(sig: AnalogSignal, noise_psd: float,
@@ -150,7 +140,7 @@ def add_noise(sig: AnalogSignal, noise_psd: float,
     z.imag = rng.standard_normal(n)
     z *= np.sqrt(noise_psd / 2)
     z += sig.samples
-    return AnalogSignal.adopt(z, rate=sig.rate, t0=sig.t0)
+    return AnalogSignal.adopt(z, rate=sig.rate, start=sig.start)
 
 
 def fold_impairments(paths: tuple[PathSpec, ...] | list[PathSpec],

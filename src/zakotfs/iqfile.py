@@ -34,7 +34,7 @@ def write_iq(path: str, signal: AnalogSignal) -> None:
     """Store a complex signal as little-endian float32 I,Q pairs.
 
     Only the sample rate survives in the header; the time origin does
-    not, so a read-back signal starts at t = 0.
+    not, so a read-back signal starts at grid index 0, t = 0.
     """
     samples = np.asarray(signal.samples, dtype=np.complex64)
     header = _HEADER.pack(MAGIC, VERSION, float(signal.rate),
@@ -79,4 +79,4 @@ def read_iq(path: str) -> AnalogSignal:
         body = f.read()
     inter = np.frombuffer(body, dtype="<f4")
     samples = inter[0::2].astype(np.float64) + 1j * inter[1::2].astype(np.float64)
-    return AnalogSignal.adopt(samples, rate=header.rate, t0=0.0)
+    return AnalogSignal.adopt(samples, rate=header.rate, start=0)

@@ -146,19 +146,19 @@ def _compose_burst(cfg: ExperimentConfig, frame_sig: AnalogSignal,
                    template: AnalogSignal | None) -> tuple[AnalogSignal, int]:
     """Put preamble (optional), gap, and frame on one time axis.
 
-    The frame core keeps t = 0; the returned offset is the nominal index
-    of preamble chip 0 in the buffer (-1 without a preamble).  The tail
-    is padded out so channel delays never push content off the end.
+    The frame core keeps grid index 0; the returned offset is the nominal
+    index of preamble chip 0 in the buffer (-1 without a preamble).  The
+    tail is padded out so channel delays never push content off the end.
     """
     rate = frame_sig.rate
     q = cfg.q
-    frame_start = int(round(frame_sig.t0 * rate))
+    frame_start = frame_sig.start
 
     tail_pad = int(math.ceil((cfg.tau_max + cfg.impairments.dt) * rate)) + 4 * q
     if template is None:
         samples = np.concatenate(
             [frame_sig.samples, np.zeros(tail_pad, dtype=np.complex128)])
-        return AnalogSignal.adopt(samples, rate=rate, t0=frame_sig.t0), -1
+        return AnalogSignal.adopt(samples, rate=rate, start=frame_start), -1
 
     # The gap separates the template's last sample from the first frame
     # sample, which for a wide transmit window sits well before the
@@ -168,7 +168,7 @@ def _compose_burst(cfg: ExperimentConfig, frame_sig: AnalogSignal,
     buf = np.zeros(end - start, dtype=np.complex128)
     buf[:template.samples.size] += template.samples
     buf[frame_start - start:frame_start - start + frame_sig.samples.size] += frame_sig.samples
-    return AnalogSignal.adopt(buf, rate=rate, t0=start / rate), -int(round(template.t0 * rate))
+    return AnalogSignal.adopt(buf, rate=rate, start=start), -template.start
 
 
 def _make_tx(cfg: ExperimentConfig, plan: _Plan, rng: np.random.Generator):
@@ -199,7 +199,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     impaired = apply_impairments(faded, cfg.impairments)
     del faded
 
-    core_lo = int(round(-impaired.t0 * impaired.rate))
+    core_lo = -impaired.start
     core = impaired.samples[core_lo:core_lo + params.m * params.n * cfg.q]
     signal_power = float(np.mean(np.abs(core) ** 2))
     noise_psd = 0.0 if math.isinf(snr_db) else signal_power / 10 ** (snr_db / 10)
@@ -227,7 +227,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
             cfo_hat = estimate_cfo(rx, plan.template, cfg.q, sync_res.start_index)
             sync_res = replace(sync_res, cfo_hat=cfo_hat)
             trimmed = correct(rx, shift, cfo_hat)
-            rx = AnalogSignal.adopt(trimmed.samples, rate=rx.rate, t0=rx.t0)
+            rx = AnalogSignal.adopt(trimmed.samples, rate=rx.rate, start=rx.start)
             del trimmed
 
     folded = sample_and_periodize(matched_filter(rx, cfg.shape, params), params)

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .waveform import AnalogSignal, PulseShape, shape_symbols
+from .waveform import AnalogSignal, PulseShape, phase_ramp, shape_symbols
 from .zak import fast_len, memo
 
 __all__ = [
@@ -74,13 +74,14 @@ def make_preamble(length: int = DEFAULT_LENGTH, root: int = DEFAULT_ROOT) -> Pre
 def shape_preamble(pre: Preamble, shape: PulseShape, b: float, q: int) -> AnalogSignal:
     """Pulse-shape the chips at rate q*B.
 
-    The returned signal places chip j at t = j/B; the leading and
-    trailing filter tails are kept, so t0 is negative by the filter
-    reach.  This doubles as the transmit burst segment and the matched
-    template of detect_timing and estimate_cfo.
+    The returned signal places chip j at grid index j*q, t = j/B; the
+    leading and trailing filter tails are kept, so start is -reach*q,
+    reach = shape.reach(), and chip 0 is sample -start.  This doubles as
+    the transmit burst segment and the matched template of detect_timing
+    and estimate_cfo.
     """
     return AnalogSignal.adopt(shape_symbols(pre.samples, shape, b, q), rate=q * b,
-                              t0=-shape.reach() / b)
+                              start=-shape.reach() * q)
 
 
 @memo(maxsize=8)
@@ -97,17 +98,18 @@ def detect_timing(rx: AnalogSignal, template: AnalogSignal,
     """Locate the preamble by normalized sliding cross-correlation.
 
     template is the preamble as sent, on rx's sample grid, with chip 0
-    at its t = 0: shape_preamble's output, or a bare chip train with
-    t0 = 0.  peak_metric is |<rx_window, template>| normalized by both
-    energies, so it lives in [0, 1] and the threshold separates a lock
-    from noise.  cfo_hat is left at zero; see estimate_cfo.
+    at its grid index 0, which is sample -template.start: shape_preamble's
+    output, or a bare chip train with start = 0.  peak_metric is
+    |<rx_window, template>| normalized by both energies, so it lives in
+    [0, 1] and the threshold separates a lock from noise.  cfo_hat is
+    left at zero; see estimate_cfo.
 
     last_start, when given, is the latest chip-0 index the caller will
     accept: only the head of the buffer that such a lock reads is
     correlated, and the energy floor is taken over that head alone.  A
     bound that admits no lag is a miss (detected False), not an error.
     """
-    core_offset = int(round(-template.t0 * template.rate))
+    core_offset = -template.start
     k = template.samples.size
     if rx.samples.size < k:
         raise ValueError(
@@ -202,7 +204,7 @@ def estimate_cfo(rx: AnalogSignal, template: AnalogSignal, q: int,
     two blocks.  start_index must point at chip 0, as detect_timing
     reports it.
     """
-    chip0 = int(round(-template.t0 * template.rate))
+    chip0 = -template.start
     core = template.samples[chip0:template.samples.size - chip0]
     if core.size < 2 * CFO_BLOCK_CHIPS * q:
         raise ValueError(f"a {core.size // q}-chip preamble holds fewer than two CFO blocks")
@@ -215,22 +217,6 @@ def estimate_cfo(rx: AnalogSignal, template: AnalogSignal, q: int,
     blocks = derotated.size // width
     sums = derotated[:blocks * width].reshape(blocks, width).sum(axis=1)
     return kay_cfo(sums, rx.rate / width)
-
-
-def _derotation(freq: float, t0: float, rate: float, n: int) -> np.ndarray:
-    """exp(-2j*pi*freq*(t0 + i/rate)) for i < n, from 2*ceil(sqrt(n)) exponentials.
-
-    Sample i = r*k + c is the product of a coarse phasor at t0 + r*k/rate
-    and a fine one at c/rate, so the outer product of the two short ramps,
-    read row by row, is the whole ramp.  Each factor is within a rounding
-    of its exponential, so the product is within a few ulp of the direct
-    exp; with freq = 0 both factors, and so the ramp, are exactly 1.
-    """
-    k = math.isqrt(max(n - 1, 0)) + 1
-    rows = -(-n // k)
-    coarse = np.exp(-2j * np.pi * freq * (t0 + np.arange(rows) * k / rate))
-    fine = np.exp(-2j * np.pi * freq * (np.arange(k) / rate))
-    return np.multiply.outer(coarse, fine).reshape(-1)[:n]
 
 
 def correct(rx: AnalogSignal, start_index: int, cfo_hz: float) -> AnalogSignal:
@@ -246,7 +232,7 @@ def correct(rx: AnalogSignal, start_index: int, cfo_hz: float) -> AnalogSignal:
             f"start index {start_index} outside buffer of {rx.samples.size}"
         )
     trimmed = rx.samples[start_index:]
-    t0 = rx.t0 + start_index / rx.rate
-    ramp = _derotation(cfo_hz, t0, rx.rate, trimmed.size)
+    start = rx.start + start_index
+    ramp = phase_ramp(-cfo_hz, start, rx.rate, trimmed.size, 0.0)
     out = np.multiply(trimmed, ramp, out=ramp)
-    return AnalogSignal.adopt(out, rate=rx.rate, t0=t0)
+    return AnalogSignal.adopt(out, rate=rx.rate, start=start)

@@ -23,6 +23,7 @@ cascade of the clean chain is the identity:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "AnalogSignal",
     "rrc_w1",
     "rrc_w2",
+    "phase_ramp",
     "shape_symbols",
     "synthesize",
     "matched_filter",
@@ -93,18 +95,26 @@ def rrc_w2(t: np.ndarray | float, t_period: float, beta: float) -> np.ndarray | 
     return float(out) if scalar else out
 
 
+def _grid_index(start) -> int:
+    """start as an int; a float, even a whole one, is refused."""
+    if not isinstance(start, (int, np.integer)):
+        raise ValueError(f"start must be an integer sample index, got {start!r}")
+    return int(start)
+
+
 @dataclass(frozen=True, eq=False)
 class AnalogSignal:
-    """Oversampled baseband signal with an explicit time origin.
+    """Oversampled baseband signal on the sample grid t = i/rate.
 
-    samples[i] is the value at t = t0 + i/rate; t0 is always an integer
-    number of sample periods so decimation grids stay aligned.  Equality
-    and hashing are by identity, so a signal can key a memo.
+    samples[i] is the value at t = (start + i)/rate: start, an integer,
+    is the grid index of samples[0], so every signal of one rate shares
+    one grid and decimation grids stay aligned.  Equality and hashing
+    are by identity, so a signal can key a memo.
     """
 
     samples: np.ndarray
     rate: float
-    t0: float = 0.0
+    start: int = 0
 
     def __post_init__(self) -> None:
         s = frozen_complex(self.samples)
@@ -113,9 +123,10 @@ class AnalogSignal:
         object.__setattr__(self, "samples", s)
         if self.rate <= 0:
             raise ValueError("rate must be positive")
+        object.__setattr__(self, "start", _grid_index(self.start))
 
     @classmethod
-    def adopt(cls, samples: np.ndarray, rate: float, t0: float = 0.0) -> "AnalogSignal":
+    def adopt(cls, samples: np.ndarray, rate: float, start: int = 0) -> "AnalogSignal":
         """Wrap a 1-D complex128 array the caller just allocated, without a copy.
 
         The array is made read-only in place, so the caller must not keep
@@ -129,7 +140,7 @@ class AnalogSignal:
         sig = object.__new__(cls)
         object.__setattr__(sig, "samples", samples)
         object.__setattr__(sig, "rate", rate)
-        object.__setattr__(sig, "t0", t0)
+        object.__setattr__(sig, "start", _grid_index(start))
         return sig
 
 
@@ -352,17 +363,30 @@ def _tx_window(shape: PulseShape, t: np.ndarray, t_period: float,
 
 
 @memo(maxsize=16)
-def _window_at(shape: PulseShape, t0: float, rate: float, n: int,
+def _window_at(shape: PulseShape, start: int, rate: float, n: int,
                t_period: float, margin_s: float) -> np.ndarray:
-    """_tx_window on the n sample instants t0 + i/rate."""
-    return _tx_window(shape, t0 + np.arange(n) / rate, t_period, margin_s)
+    """_tx_window on the n sample instants (start + i)/rate."""
+    return _tx_window(shape, (start + np.arange(n)) / rate, t_period, margin_s)
 
 
-@memo(maxsize=16)
-def _symbol_window(shape: PulseShape, q_lo: int, q_hi: int, b: float,
-                   t_period: float, margin_s: float) -> np.ndarray:
-    """_tx_window on the symbol instants q/B for q in [q_lo, q_hi)."""
-    return _tx_window(shape, np.arange(q_lo, q_hi) / b, t_period, margin_s)
+def phase_ramp(freq: float, start: int, rate: float, n: int,
+               phase: float) -> np.ndarray:
+    """exp(j*(2*pi*freq*(start + i)/rate + phase)) for i < n, the one phase ramp.
+
+    It takes 2*ceil(sqrt(n)) exponentials: sample i = r*k + c is the
+    product of a coarse phasor at (start + r*k)/rate, which carries the
+    phase, and a fine one at c/rate, so the outer product of the two short
+    ramps, read row by row, is the whole ramp.  Each factor is within a
+    rounding of its exponential, so the product is within a few ulp of the
+    direct exp; with freq = 0 and phase = 0 both factors, and so the ramp,
+    are exactly 1.
+    """
+    k = math.isqrt(max(n - 1, 0)) + 1
+    rows = -(-n // k)
+    coarse = np.exp(1j * (2 * np.pi * freq * ((start + np.arange(rows) * k) / rate)
+                          + phase))
+    fine = np.exp(2j * np.pi * freq * (np.arange(k) / rate))
+    return np.multiply.outer(coarse, fine).reshape(-1)[:n]
 
 
 @memo(maxsize=16)
@@ -386,16 +410,13 @@ def _fold(x: np.ndarray, start: int, period: int) -> np.ndarray:
     return buf.reshape(rows, period).sum(axis=0)
 
 
-def _sample_grid(sig: AnalogSignal, b: float, q_min: int) -> tuple[int, int]:
-    """Oversampling factor q = rate/B (at least q_min) and the index of t = 0."""
+def _sample_grid(sig: AnalogSignal, b: float, q_min: int) -> int:
+    """Oversampling factor q = rate/B, at least q_min."""
     q = int(round(sig.rate / b))
     if abs(sig.rate - q * b) > 1e-6 * b or q < q_min:
         raise ValueError(f"rate {sig.rate} is not an integer multiple >= {q_min} "
                          f"of B={b}")
-    i_zero = -sig.t0 * sig.rate
-    if abs(i_zero - round(i_zero)) > 1e-6:
-        raise ValueError("signal time origin is not aligned to the sample grid")
-    return q, int(round(i_zero))
+    return q
 
 
 def _first_instant(i_zero: int, q: int, n: int, mn: int) -> int:
@@ -427,7 +448,7 @@ def synthesize(samples: np.ndarray, shape: PulseShape, b: float, q: int) -> Anal
         ext = margin
     q_lo, q_hi = -ext, mn + ext
     span_q = shape.reach() * q
-    t0 = (q_lo * q - span_q) / (q * b)
+    start = q_lo * q - span_q
     n_out = (q_hi - q_lo - 1) * q + 2 * span_q + 1
 
     if shape.exact:
@@ -436,14 +457,14 @@ def synthesize(samples: np.ndarray, shape: PulseShape, b: float, q: int) -> Anal
         period = np.zeros(mn * q, dtype=np.complex128)
         period[::q] = samples
         core = _exact_filter(period, shape, b, q)
-        slots = _fold_slots(n_out, q_lo * q - span_q, mn * q)
-        window = _window_at(shape, t0, q * b, n_out, t_period, margin / b)
-        return AnalogSignal.adopt(core[slots] * window, rate=q * b, t0=t0)
+        slots = _fold_slots(n_out, start, mn * q)
+        window = _window_at(shape, start, q * b, n_out, t_period, margin / b)
+        return AnalogSignal.adopt(core[slots] * window, rate=q * b, start=start)
 
-    window = _symbol_window(shape, q_lo, q_hi, b, t_period, margin / b)
+    window = _window_at(shape, q_lo, b, q_hi - q_lo, t_period, margin / b)
     vals = samples[_fold_slots(q_hi - q_lo, q_lo, mn)] * window
     return AnalogSignal.adopt(shape_symbols(vals, shape, b, q)[:n_out],
-                              rate=q * b, t0=t0)
+                              rate=q * b, start=start)
 
 
 def matched_filter(r: AnalogSignal, shape: PulseShape, params: FrameParams) -> AnalogSignal:
@@ -461,18 +482,18 @@ def matched_filter(r: AnalogSignal, shape: PulseShape, params: FrameParams) -> A
     instant 0 .. MN-1 in the buffer.
     """
     b = params.b
-    q, i_zero = _sample_grid(r, b, 2)
+    q = _sample_grid(r, b, 2)
     # A timing trim shortens the buffer, so the length is part of the key.
-    window = _window_at(shape, r.t0, r.rate, r.samples.size, params.t, 0.0)
+    window = _window_at(shape, r.start, r.rate, r.samples.size, params.t, 0.0)
     if shape.exact:
-        _first_instant(i_zero, q, r.samples.size, params.m * params.n)
-        folded = _fold(r.samples * np.conj(window), -i_zero, params.m * params.n * q)
+        _first_instant(-r.start, q, r.samples.size, params.m * params.n)
+        folded = _fold(r.samples * np.conj(window), r.start, params.m * params.n * q)
         z = _exact_filter(folded, shape, b, q, correlate=True)
-        return AnalogSignal.adopt(z[::q], rate=b, t0=0.0)
-    first = i_zero % q
+        return AnalogSignal.adopt(z[::q], rate=b)
+    first = -r.start % q
     z = _correlate_decimate(r.samples, shape, b, q, first)
     return AnalogSignal.adopt(z * np.conj(window[first::q]), rate=b,
-                              t0=-(i_zero // q) / b)
+                              start=(r.start + first) // q)
 
 
 def sample_and_periodize(y: AnalogSignal, params: FrameParams) -> np.ndarray:
@@ -485,7 +506,7 @@ def sample_and_periodize(y: AnalogSignal, params: FrameParams) -> np.ndarray:
     core.
     """
     mn = params.m * params.n
-    q, i_zero = _sample_grid(y, params.b, 1)
-    q_min = _first_instant(i_zero, q, y.samples.size, mn)
-    picked = y.samples[i_zero % q::q]
+    q = _sample_grid(y, params.b, 1)
+    q_min = _first_instant(-y.start, q, y.samples.size, mn)
+    picked = y.samples[-y.start % q::q]
     return _fold(picked, q_min, mn)

@@ -92,7 +92,7 @@ def run_chain(grid, params, shape, paths=(), imp=None, noise_psd=0.0, rng=None):
 
 def core_power(sig, params):
     """Mean power over the frame core, excluding the filter tails."""
-    i0 = int(round(-sig.t0 * sig.rate))
+    i0 = -sig.start
     core = sig.samples[i0:i0 + params.m * params.n * Q]
     return float(np.mean(np.abs(core) ** 2))
 
@@ -113,7 +113,7 @@ def band_limited_probe(n=4096, rate=7.68e6, seed=0):
     x = np.fft.ifft(spec)
     t = np.arange(n)
     env = np.exp(-0.5 * ((t - n / 2) / (n / 16)) ** 2)
-    return AnalogSignal(samples=x * env, rate=rate, t0=0.0)
+    return AnalogSignal(samples=x * env, rate=rate, start=0)
 
 
 def experiment(**overrides):
@@ -442,8 +442,8 @@ class TestSynchronizationQuality:
             # Chip energy 1 spread over Q samples; noise 1/Q is 0 dB.
             buf = buf + np.sqrt(1.0 / (2 * Q)) * (
                 rng.standard_normal(6000) + 1j * rng.standard_normal(6000))
-            res = detect_timing(AnalogSignal(samples=buf, rate=7.68e6, t0=0.0),
-                                AnalogSignal(samples=chips, rate=7.68e6, t0=0.0))
+            res = detect_timing(AnalogSignal(samples=buf, rate=7.68e6, start=0),
+                                AnalogSignal(samples=chips, rate=7.68e6, start=0))
             hits += abs(res.start_index - 1000) <= 1
         assert hits >= 198
 
@@ -466,10 +466,10 @@ class TestSynchronizationQuality:
         for trial in range(1000):
             rng = np.random.default_rng(5000 + trial)
             noise = rng.standard_normal(8192) + 1j * rng.standard_normal(8192)
-            sig = AnalogSignal(samples=noise, rate=7.68e6, t0=0.0)
+            sig = AnalogSignal(samples=noise, rate=7.68e6, start=0)
             locks += detect_timing(
                 sig, AnalogSignal(samples=np.kron(pre.samples, np.eye(Q)[0]), rate=7.68e6,
-                                  t0=0.0), threshold=0.3).detected
+                                  start=0), threshold=0.3).detected
         assert locks == 0
 
 

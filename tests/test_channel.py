@@ -13,7 +13,7 @@ from zakotfs.channel import (
     fold_impairments,
 )
 from zakotfs.dd_frame import FrameParams, build_layout, map_bits, Constellation
-from zakotfs.waveform import AnalogSignal, PulseShape, synthesize
+from zakotfs.waveform import AnalogSignal, PulseShape, phase_ramp, synthesize
 from zakotfs.zak import idzt
 
 RATE = 7.68e6  # 4x oversampled 1.92 MHz
@@ -37,7 +37,7 @@ def band_limited_probe(n=4096, rate=RATE, seed=0):
     # Keep the envelope below 1e-13 at the buffer edges or its circular
     # wrap becomes the error floor of the delay operator.
     env = np.exp(-0.5 * ((t - n / 2) / (n / 16)) ** 2)
-    return AnalogSignal(samples=x * env, rate=rate, t0=0.0)
+    return AnalogSignal(samples=x * env, rate=rate, start=0)
 
 
 class TestSpecsValidation:
@@ -63,7 +63,7 @@ class TestSpecsValidation:
     def test_negative_noise_rejected(self):
         """Neither the impairment spec nor its stage carries a noise level;
         add_noise is the one entry."""
-        sig = AnalogSignal(samples=np.zeros(16), rate=RATE, t0=0.0)
+        sig = AnalogSignal(samples=np.zeros(16), rate=RATE, start=0)
         with pytest.raises(TypeError, match="noise_psd"):
             ImpairmentSpec(noise_psd=-1.0)
         with pytest.raises(TypeError, match="noise_psd"):
@@ -104,7 +104,7 @@ class TestApplyPaths:
         n = 256
         x = np.zeros(n, dtype=complex)
         x[40] = 1.0
-        sig = AnalogSignal(samples=x, rate=RATE, t0=0.0)
+        sig = AnalogSignal(samples=x, rate=RATE, start=0)
         d, nu = 10, 3e3
         out = apply_paths(sig, [PathSpec(gain=1.0, delay=d / RATE, doppler=nu)])
         expect = np.exp(2j * np.pi * nu * (40 / RATE))
@@ -123,12 +123,11 @@ class TestApplyPaths:
     def test_identity_parts_match_ramp_and_roll(self, delay, doppler):
         """A zero shift or a zero Doppler skips its pass without moving a bit."""
         probe = band_limited_probe(seed=6)
-        sig = AnalogSignal(samples=probe.samples, rate=RATE, t0=-5 / RATE)
+        sig = AnalogSignal(samples=probe.samples, rate=RATE, start=-5)
         paths = [PathSpec(gain=0.8 - 0.3j, delay=delay / RATE, doppler=doppler),
                  PathSpec(gain=0.5, delay=3 / RATE, doppler=1e3)]
         out = apply_paths(sig, paths)
         n = sig.samples.size
-        t = sig.t0 + np.arange(n) / RATE
         want = np.zeros(n, dtype=complex)
         for p in paths:
             shift = p.delay * RATE
@@ -138,11 +137,12 @@ class TestApplyPaths:
                 f = scipy.fft.fftfreq(n)
                 shifted = scipy.fft.ifft(scipy.fft.fft(sig.samples)
                                          * np.exp(-2j * np.pi * f * shift))
-            want += p.gain * shifted * np.exp(2j * np.pi * p.doppler * (t - p.delay))
+            want += p.gain * shifted * phase_ramp(p.doppler, sig.start, RATE, n,
+                                                 -2 * np.pi * p.doppler * p.delay)
         assert out.samples.tobytes() == want.tobytes()
 
     def test_delay_beyond_extent_rejected(self):
-        sig = AnalogSignal(samples=np.zeros(64), rate=RATE, t0=0.0)
+        sig = AnalogSignal(samples=np.zeros(64), rate=RATE, start=0)
         with pytest.raises(ValueError, match="exceeds the signal extent"):
             apply_paths(sig, [PathSpec(gain=1.0, delay=100 / RATE, doppler=0.0)])
 
@@ -161,15 +161,15 @@ class TestApplyImpairments:
         assert np.max(np.abs(out.samples - sig.samples * np.exp(0.7j))) < 1e-12
 
     def test_cfo_ramp_uses_absolute_time(self):
-        """eps0 rotates against the signal's own t axis, t0 included."""
+        """eps0 rotates against the signal's own t axis, start included."""
         x = np.ones(128, dtype=complex)
-        sig = AnalogSignal(samples=x, rate=RATE, t0=-64 / RATE)
+        sig = AnalogSignal(samples=x, rate=RATE, start=-64)
         out = apply_impairments(sig, ImpairmentSpec(eps0=5e3))
-        expect = np.exp(2j * np.pi * 5e3 * (sig.t0 + np.arange(128) / RATE))
+        expect = np.exp(2j * np.pi * 5e3 * ((sig.start + np.arange(128)) / RATE))
         assert np.max(np.abs(out.samples - expect)) < 1e-12
 
     def test_noise_variance_calibrated(self):
-        sig = AnalogSignal(samples=np.zeros(200_000), rate=RATE, t0=0.0)
+        sig = AnalogSignal(samples=np.zeros(200_000), rate=RATE, start=0)
         rng = np.random.default_rng(8)
         out = add_noise(apply_impairments(sig, ImpairmentSpec()), 2.0, rng)
         var = np.mean(np.abs(out.samples) ** 2)
@@ -178,12 +178,12 @@ class TestApplyImpairments:
         assert np.mean(out.samples.real ** 2) == pytest.approx(1.0, rel=0.05)
 
     def test_noise_needs_rng(self):
-        sig = AnalogSignal(samples=np.zeros(16), rate=RATE, t0=0.0)
+        sig = AnalogSignal(samples=np.zeros(16), rate=RATE, start=0)
         with pytest.raises(ValueError, match="rng"):
             add_noise(apply_impairments(sig, ImpairmentSpec()), 1.0, None)
 
     def test_negative_noise_rejected(self):
-        sig = AnalogSignal(samples=np.zeros(16), rate=RATE, t0=0.0)
+        sig = AnalogSignal(samples=np.zeros(16), rate=RATE, start=0)
         with pytest.raises(ValueError, match="noise_psd"):
             add_noise(apply_impairments(sig, ImpairmentSpec()), -1.0, None)
 
@@ -197,7 +197,7 @@ class TestAddNoise:
         ref = np.random.default_rng(3)
         re, im = ref.standard_normal(64), ref.standard_normal(64)
         assert np.array_equal(out.samples, sig.samples + np.sqrt(0.25) * (re + 1j * im))
-        assert (out.rate, out.t0) == (sig.rate, sig.t0)
+        assert (out.rate, out.start) == (sig.rate, sig.start)
 
     def test_zero_noise_draws_nothing(self):
         sig = band_limited_probe(n=64, seed=9)
@@ -207,7 +207,7 @@ class TestAddNoise:
 
     @pytest.mark.parametrize("noise_psd", [-1.0, float("nan")])
     def test_bad_noise_level_rejected(self, noise_psd):
-        sig = AnalogSignal(samples=np.zeros(16), rate=RATE, t0=0.0)
+        sig = AnalogSignal(samples=np.zeros(16), rate=RATE, start=0)
         with pytest.raises(ValueError, match="noise_psd"):
             add_noise(sig, noise_psd, np.random.default_rng(0))
 

@@ -404,7 +404,7 @@ class TestIqFiles:
     def _signal(self, n=300, seed=0):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return AnalogSignal(samples=x, rate=7.68e6, t0=0.0)
+        return AnalogSignal(samples=x, rate=7.68e6, start=0)
 
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "cap.iq")
@@ -425,10 +425,10 @@ class TestIqFiles:
         x = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "cap.iq")
-            write_iq(path, AnalogSignal(samples=x, rate=rate, t0=0.0))
+            write_iq(path, AnalogSignal(samples=x, rate=rate, start=0))
             back = read_iq(path)
             assert read_iq_header(path).count == x.size
-        assert back.rate == rate and back.t0 == 0.0
+        assert back.rate == rate and back.start == 0
         assert np.array_equal(back.samples, x)
 
     @settings(max_examples=40, deadline=None)
@@ -440,7 +440,7 @@ class TestIqFiles:
         x = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "cap.iq")
-            write_iq(path, AnalogSignal(samples=x, rate=7.68e6, t0=0.0))
+            write_iq(path, AnalogSignal(samples=x, rate=7.68e6, start=0))
             back = read_iq(path)
         assert np.array_equal(back.samples, x.astype(np.complex64))
 
@@ -455,9 +455,9 @@ class TestIqFiles:
 
     def test_time_origin_not_stored(self, tmp_path):
         path = str(tmp_path / "cap.iq")
-        sig = AnalogSignal(samples=np.ones(8), rate=1e6, t0=-4 / 1e6)
+        sig = AnalogSignal(samples=np.ones(8), rate=1e6, start=-4)
         write_iq(path, sig)
-        assert read_iq(path).t0 == 0.0
+        assert read_iq(path).start == 0
 
     def test_truncated_body(self, tmp_path):
         path = str(tmp_path / "cap.iq")
@@ -619,7 +619,7 @@ class TestRunTrial:
         failed = run_trial(dataclasses.replace(cfg, sync_threshold=1.01), 0)
         assert failed.sync_failed and not locked.sync_failed
         assert np.array_equal(failed.tx.samples, locked.tx.samples)
-        assert failed.tx.t0 == locked.tx.t0
+        assert failed.tx.start == locked.tx.start
 
     def test_sync_mode_noiseless_still_clean(self):
         cfg = config_from_dict(tiny_config_dict(sync=True))
@@ -673,17 +673,17 @@ class TestRunTrial:
         monkeypatch.setattr(runner, "detect_timing", spy)
         run_trial(cfg, 0)
         rx = seen["rx"]
-        chip0_nominal = -round(runner._plan(cfg).template.t0 * rx.rate)
+        chip0_nominal = -runner._plan(cfg).template.start
         shift = seen["last_start"] - chip0_nominal
-        mn, b = cfg.params.m * cfg.params.n, cfg.params.b
+        mn = cfg.params.m * cfg.params.n
         # The trimmed buffer keeps rx's time axis, as run_trial's does.
-        last_symbol = round(((mn - 1) / b - rx.t0) * rx.rate)
+        last_symbol = (mn - 1) * cfg.q - rx.start
         assert last_symbol < rx.samples.size - shift
         assert not last_symbol < rx.samples.size - (shift + 1)
 
         def decode_window(trim):
             trimmed = sync.correct(rx, trim, 0.0)
-            kept = AnalogSignal(samples=trimmed.samples, rate=rx.rate, t0=rx.t0)
+            kept = AnalogSignal(samples=trimmed.samples, rate=rx.rate, start=rx.start)
             return waveform.sample_and_periodize(
                 waveform.matched_filter(kept, cfg.shape, cfg.params), cfg.params)
 
@@ -728,7 +728,7 @@ def same_value(a, b):
 def same_report(a, b):
     return (a.bit_errors == b.bit_errors and a.bits_sent == b.bits_sent
             and np.array_equal(a.symbols, b.symbols)
-            and np.array_equal(a.tx.samples, b.tx.samples) and a.tx.t0 == b.tx.t0
+            and np.array_equal(a.tx.samples, b.tx.samples) and a.tx.start == b.tx.start
             and a.sync == b.sync)
 
 
@@ -772,6 +772,8 @@ class TestMemos:
         k = plan.template.samples.size
         nfft, wider = (fast_len(n + k - 1) for n in (400, 700))
         phases = (cfg.shape, b, q, False, 128)
+        ramp = (500.0, -3, q * b, 64, 0.1)
+        window = (cfg.shape, -4, b, 72, cfg.params.t, 0.0)
         c1, c2 = (estimation.SupportRegion.from_layout(plan.layout, kind)
                   for kind in ("C1", "C2"))
         return {
@@ -786,6 +788,12 @@ class TestMemos:
                                    (other_root, nfft), 1),
             "template_spectrum.nfft": (sync._template_spectrum, (plan.template, nfft),
                                        (plan.template, wider)),
+            "ramp.start": (channel._ramp, ramp, ramp[:1] + (5,) + ramp[2:]),
+            "ramp.phase": (channel._ramp, ramp, ramp[:4] + (0.2,)),
+            "window_at.start": (waveform._window_at, window,
+                                window[:1] + (-20,) + window[2:]),
+            "window_at.rate": (waveform._window_at, window,
+                               window[:2] + (q * b,) + window[3:]),
             "maps.kind": (estimation._maps, (c1,), (c2,)),
             "maps.grid": (estimation._maps, (c1,), (dataclasses.replace(c1, n=c1.n // 2),)),
             "kay_window.length": (sync._kay_window, (16,), (17,)),
@@ -793,7 +801,8 @@ class TestMemos:
 
     @pytest.mark.parametrize("name", [
         "fold_slots.start", "phase_spectra.correlate", "phase_spectra.nfft",
-        "reference.root", "template_norm.root", "template_spectrum.nfft", "maps.kind",
+        "reference.root", "template_norm.root", "template_spectrum.nfft",
+        "ramp.start", "ramp.phase", "window_at.start", "window_at.rate", "maps.kind",
         "maps.grid", "kay_window.length"])
     def test_memo_keys_are_complete(self, name):
         """Two calls differing in one argument each get their own result."""
@@ -820,11 +829,12 @@ class TestMemos:
                                                    cfg.preamble_root).samples,
             "w1_taps": cfg.shape.w1_taps(b, q),
             "w1_spectrum": waveform._w1_spectrum(exact, 64, b, q, False),
-            "window_at": waveform._window_at(cfg.shape, -1e-5, q * b, 64, cfg.params.t, 0.0),
-            "symbol_window": waveform._symbol_window(cfg.shape, -4, 68, b, cfg.params.t, 0.0),
+            "window_at": waveform._window_at(cfg.shape, -20, q * b, 64, cfg.params.t, 0.0),
+            "window_at.symbol_rate": waveform._window_at(cfg.shape, -4, b, 72,
+                                                         cfg.params.t, 0.0),
             "fold_slots": waveform._fold_slots(64, -3, 16),
-            "doppler_ramp": channel._doppler_ramp(0.0, q * b, 64, 500.0, 1e-6),
-            "carrier_ramp": channel._carrier_ramp(0.0, q * b, 64, 300.0, 0.1),
+            "ramp.doppler": channel._ramp(500.0, 0, q * b, 64, -2 * np.pi * 500.0 * 1e-6),
+            "ramp.carrier": channel._ramp(300.0, 0, q * b, 64, 0.1),
             "phase_spectra": waveform._phase_spectra(cfg.shape, b, q, False, 128),
             "phase_spectra.correlate": waveform._phase_spectra(cfg.shape, b, q, True, 128),
             "template_spectrum": sync._template_spectrum(plan.template, nfft)[0],
@@ -1146,6 +1156,48 @@ class TestOutputBytes:
                 "698264cb4a475b6e934d5eebe03d6334c07be6519aeea8880f11d1e1176bd6ae",
         }
 
+    EVERY_RAMP_DIGESTS = {
+        "channel_folded": {
+            "ber.csv": "db3c5f87a510ffe6f529ab9525f296582fd249d34ac4763ad93a6088218e6333",
+            "ber.svg": "a3becb7f885bdf37c53f4df1703a4ab65ddd61a81358713f0623a89cade4df8a",
+            "const_snr_5dB.svg":
+                "cae781d174dff26bc68e6b97ecf3c62997d81648059954840eaccc440cb5bf5d",
+            "const_snr_25dB.svg":
+                "ca946c432b7e6f0dba661db1cf3c7ffda50360272e789b07bc2efab62c3f59e9",
+        },
+        "time_domain": {
+            "ber.csv": "d4ed663ec38e01a1d8be7ea25c95aa525205af552cb793a5ebbfd3397b9b12fc",
+            "ber.svg": "12338b46a1eaf02f2c075ec50e4bc897c1887b45293b2450465bb1cf3796e7e8",
+            "const_snr_5dB.svg":
+                "74ffcef2f3307bc1ef6cd3d7686756f35f7ea59d65ce644cec88a8f152bb836c",
+            "const_snr_25dB.svg":
+                "3ba0a8bac00552ef2926f3478381fbd61460bd500581469f9275fa42c3fa67a2",
+        },
+    }
+
+    @pytest.mark.parametrize("mode", sorted(EVERY_RAMP_DIGESTS))
+    def test_every_ramp_outputs(self, tmp_path, mode):
+        """A Doppler path, a carrier offset and phase, and a timing offset of
+        1.2 samples: every phase ramp and the fractional delay feed the bytes."""
+        raw = {
+            "config_version": 1,
+            "frame": {"m": 16, "n": 16, "nu_p_hz": 30e3, "pilot_amp": 8.0},
+            "layout": {"tau_max_bins": 2.5, "dt_margin_bins": 1.0},
+            "shape": {"family": "rrc", "beta": 0.5, "w1_span": 16, "oversampling": 4},
+            "channel": {"paths": [{"delay_bins": 0},
+                                  {"delay_bins": 2, "doppler_bins": 1, "gain_db": -3}],
+                        "cfo_hz": 200.0, "phase_rad": 0.7, "timing_offset_bins": 0.3},
+            "run": {"constellation": 4, "snr_db": [5, 25], "trials": 2,
+                    "base_seed": 2024, "sync": True, "cfo_correction": mode,
+                    "workers": 1},
+            "output": {"csv": str(tmp_path / "ber.csv"),
+                       "curve_svg": str(tmp_path / "ber.svg"),
+                       "constellation_prefix": str(tmp_path / "const_")},
+        }
+        sweep(config_from_dict(raw), emit=True)
+        digests = {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()}
+        assert digests == self.EVERY_RAMP_DIGESTS[mode]
+
     def test_line_chart_with_a_zero_ber_point(self):
         out = svg.line_chart("s", [(0.0, 1e-2, 1e-3), (5.0, 0.0, 0.0)], title="BER")
         assert sha256(out.encode()) == (
@@ -1290,7 +1342,7 @@ class TestCli:
 
     def test_iq_info_round_trip(self, tmp_path, capsys):
         path = str(tmp_path / "cap.iq")
-        write_iq(path, AnalogSignal(samples=np.ones(17), rate=2e6, t0=0.0))
+        write_iq(path, AnalogSignal(samples=np.ones(17), rate=2e6, start=0))
         assert main(["iq-info", path]) == 0
         out = capsys.readouterr().out
         assert "samples: 17" in out
@@ -1304,7 +1356,7 @@ class TestCli:
     def test_iq_info_truncated_capture_exits_two(self, tmp_path, capsys):
         """A body shorter than the header's count fails as read_iq does."""
         path = str(tmp_path / "cap.iq")
-        write_iq(path, AnalogSignal(samples=np.ones(100), rate=2e6, t0=0.0))
+        write_iq(path, AnalogSignal(samples=np.ones(100), rate=2e6, start=0))
         with open(path, "r+b") as f:
             f.truncate(32 + 8 * 10)
         assert main(["iq-info", path]) == 2

@@ -18,7 +18,7 @@ from zakotfs.sync import (
     make_preamble,
     shape_preamble,
 )
-from zakotfs.waveform import AnalogSignal, PulseShape
+from zakotfs.waveform import AnalogSignal, PulseShape, phase_ramp
 
 RATE = 7.68e6
 B = RATE / 4
@@ -33,14 +33,14 @@ def embed(template, offset, total, seed=None, noise=0.0):
         rng = np.random.default_rng(seed)
         buf = buf + np.sqrt(noise / 2) * (
             rng.standard_normal(total) + 1j * rng.standard_normal(total))
-    return AnalogSignal(samples=buf, rate=RATE, t0=0.0)
+    return AnalogSignal(samples=buf, rate=RATE, start=0)
 
 
 def chip_train(pre, q=Q):
     """The zero-stuffed chips at q samples per chip, as a template with chip 0 at t = 0."""
     chips = np.zeros(pre.length * q, dtype=complex)
     chips[::q] = pre.samples
-    return AnalogSignal(samples=chips, rate=RATE, t0=0.0)
+    return AnalogSignal(samples=chips, rate=RATE, start=0)
 
 
 class TestMakePreamble:
@@ -117,7 +117,7 @@ class TestDetectTiming:
         template = chip_train(make_preamble())
         rng = np.random.default_rng(11)
         noise = rng.standard_normal(8192) + 1j * rng.standard_normal(8192)
-        rx = AnalogSignal(samples=noise, rate=RATE, t0=0.0)
+        rx = AnalogSignal(samples=noise, rate=RATE, start=0)
         res = detect_timing(rx, template, threshold=0.3)
         assert not res.detected
         assert res.peak_metric < 0.3
@@ -134,7 +134,7 @@ class TestDetectTiming:
         assert hits == 50
 
     def test_buffer_shorter_than_template_rejected(self):
-        rx = AnalogSignal(samples=np.zeros(100), rate=RATE, t0=0.0)
+        rx = AnalogSignal(samples=np.zeros(100), rate=RATE, start=0)
         with pytest.raises(ValueError, match="cannot hold"):
             detect_timing(rx, chip_train(make_preamble()))
 
@@ -175,13 +175,13 @@ class TestTimingEnergyNormalizer:
             lo = int(start * total)
             buf[lo:lo + int(width * total)] = 0.0
         buf *= scale
-        res = detect_timing(AnalogSignal(samples=buf, rate=RATE, t0=0.0), template)
+        res = detect_timing(AnalogSignal(samples=buf, rate=RATE, start=0), template)
         lag, peak = convolve_timing_oracle(buf, chips)
         assert res.start_index == lag
         assert res.peak_metric == pytest.approx(peak, rel=1e-9)
 
     def test_silent_buffer_is_not_detected(self):
-        rx = AnalogSignal(samples=np.zeros(100), rate=RATE, t0=0.0)
+        rx = AnalogSignal(samples=np.zeros(100), rate=RATE, start=0)
         res = detect_timing(rx, chip_train(make_preamble(length=16, root=1), q=2))
         assert not res.detected and res.peak_metric == 0.0
 
@@ -227,7 +227,7 @@ class TestTimingMetricInPlace:
         buf = rng.standard_normal(total) + 1j * rng.standard_normal(total)
         at = int(rng.integers(0, extra + 1))
         buf[at:at + template.size] += amp * template
-        res = detect_timing(AnalogSignal(samples=buf, rate=RATE, t0=0.0), signal)
+        res = detect_timing(AnalogSignal(samples=buf, rate=RATE, start=0), signal)
         lag, peak = running_sum_timing_oracle(buf, template)
         core = shape.reach() * q if shaped else 0
         assert (res.start_index, res.peak_metric) == (lag + core, peak)
@@ -277,7 +277,7 @@ class TestSearchBound:
         # reaches the lock or its energy floor.
         loud = rx.samples.copy()
         loud[head:] = 1e9 * np.random.default_rng(seed).standard_normal(loud[head:].size)
-        again = detect_timing(AnalogSignal(samples=loud, rate=RATE, t0=0.0), signal,
+        again = detect_timing(AnalogSignal(samples=loud, rate=RATE, start=0), signal,
                               last_start=last_start)
         assert again == res
 
@@ -344,7 +344,7 @@ class TestEstimateCfo:
         pad = 256
         buf = np.zeros(shaped.samples.size + 2 * pad, dtype=complex)
         buf[pad:pad + shaped.samples.size] = shaped.samples
-        sig = AnalogSignal(samples=buf, rate=RATE, t0=shaped.t0 - pad / RATE)
+        sig = AnalogSignal(samples=buf, rate=RATE, start=shaped.start - pad)
         if paths:
             sig = apply_paths(sig, paths)
         rng = np.random.default_rng(seed) if noise > 0 else None
@@ -381,19 +381,19 @@ class TestEstimateCfo:
     def test_raw_template_variant(self):
         template = chip_train(make_preamble())
         rx = embed(template.samples, 100, 3000)
-        t = rx.t0 + np.arange(rx.samples.size) / rx.rate
+        t = (rx.start + np.arange(rx.samples.size)) / rx.rate
         rot = AnalogSignal(samples=rx.samples * np.exp(2j * np.pi * 500.0 * t),
-                           rate=RATE, t0=0.0)
+                           rate=RATE, start=0)
         assert estimate_cfo(rot, template, Q, 100) == pytest.approx(500.0, abs=1.0)
 
     def test_window_bounds_checked(self):
-        rx = AnalogSignal(samples=np.zeros(900), rate=RATE, t0=0.0)
+        rx = AnalogSignal(samples=np.zeros(900), rate=RATE, start=0)
         with pytest.raises(ValueError, match="outside the buffer"):
             estimate_cfo(rx, chip_train(make_preamble()), Q, 100)
 
     def test_short_preamble_rejected(self):
         """Kay's estimator needs two block sums: 2 * CFO_BLOCK_CHIPS chips."""
-        rx = AnalogSignal(samples=np.zeros(2048), rate=RATE, t0=0.0)
+        rx = AnalogSignal(samples=np.zeros(2048), rate=RATE, start=0)
         short = make_preamble(length=2 * sync.CFO_BLOCK_CHIPS - 2, root=1)
         with pytest.raises(ValueError, match="fewer than two CFO blocks"):
             estimate_cfo(rx, chip_train(short), Q, 0)
@@ -407,7 +407,7 @@ class TestCorrect:
     def test_noop_sync_is_identity(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        sig = AnalogSignal(samples=x, rate=RATE, t0=0.0)
+        sig = AnalogSignal(samples=x, rate=RATE, start=0)
         out = correct(sig, 0, 0.0)
         assert np.array_equal(out.samples, sig.samples)
 
@@ -415,22 +415,25 @@ class TestCorrect:
         """A 0 Hz ramp is exactly 1 for any length, trim and time origin."""
         rng = np.random.default_rng(14)
         x = rng.standard_normal(1001) + 1j * rng.standard_normal(1001)
-        sig = AnalogSignal(samples=x, rate=RATE, t0=-37 / RATE)
+        sig = AnalogSignal(samples=x, rate=RATE, start=-37)
         out = correct(sig, 5, 0.0)
         assert out.samples.tobytes() == x[5:].tobytes()
 
     @settings(max_examples=80, deadline=None)
-    @given(cfo=st.floats(-5e4, 5e4), n=st.integers(0, 30_000),
-           lead=st.integers(-40_000, 40_000))
-    def test_separable_ramp_matches_direct_exp(self, cfo, n, lead):
+    @example(freq=0.0, n=1001, start=-37, phase=0.0)
+    @given(freq=st.floats(-5e4, 5e4), n=st.integers(0, 30_000),
+           start=st.integers(-40_000, 40_000),
+           phase=st.floats(-np.pi, np.pi, exclude_max=True))
+    def test_phase_ramp_matches_direct_exp(self, freq, n, start, phase):
         """The outer-product ramp is within a few ulp of the largest phase."""
-        t0 = lead / RATE
-        got = sync._derotation(cfo, t0, RATE, n)
-        want = np.exp(-2j * np.pi * cfo * (t0 + np.arange(n) / RATE))
+        got = phase_ramp(freq, start, RATE, n, phase)
+        want = np.exp(1j * (2 * np.pi * freq * ((start + np.arange(n)) / RATE) + phase))
         assert got.shape == (n,)
         ulp = np.finfo(float).eps * (
-            1.0 + 2 * np.pi * abs(cfo) * max(abs(t0), abs(t0 + n / RATE)))
+            1.0 + abs(phase) + 2 * np.pi * abs(freq) * max(abs(start), abs(start + n)) / RATE)
         assert np.max(np.abs(got - want), initial=0.0) <= 4 * ulp
+        if freq == 0 and phase == 0:
+            assert np.all(got == 1.0)
 
     def test_exact_undo_of_synthetic_impairment(self):
         """Correcting with the true offset and CFO restores the signal."""
@@ -440,23 +443,23 @@ class TestCorrect:
         buf = np.concatenate([np.zeros(shift), clean])
         t = np.arange(buf.size) / RATE
         rx = AnalogSignal(samples=buf * np.exp(2j * np.pi * cfo * t),
-                          rate=RATE, t0=0.0)
+                          rate=RATE, start=0)
         out = correct(rx, shift, cfo)
         assert np.max(np.abs(out.samples - clean)) < 1e-10
 
     def test_time_origin_advances(self):
-        sig = AnalogSignal(samples=np.zeros(64), rate=RATE, t0=-8 / RATE)
+        sig = AnalogSignal(samples=np.zeros(64), rate=RATE, start=-8)
         out = correct(sig, 8, 0.0)
-        assert out.t0 == pytest.approx(0.0, abs=1e-15)
+        assert out.start == 0
 
     def test_partial_cfo_leaves_residual_ramp(self):
         n = np.arange(1024)
         rx = AnalogSignal(samples=np.exp(2j * np.pi * 1000.0 * n / RATE),
-                          rate=RATE, t0=0.0)
+                          rate=RATE, start=0)
         out = correct(rx, 0, 600.0)
         assert kay_cfo(out.samples, RATE) == pytest.approx(400.0, abs=1e-3)
 
     def test_start_index_bounds(self):
-        sig = AnalogSignal(samples=np.zeros(64), rate=RATE, t0=0.0)
+        sig = AnalogSignal(samples=np.zeros(64), rate=RATE, start=0)
         with pytest.raises(ValueError, match="outside buffer"):
             correct(sig, 65, 0.0)

@@ -71,8 +71,8 @@ def row_loop_correlation(x, shape, q, first):
 
 
 def times(sig):
-    """The instant of each sample of an AnalogSignal: t0 + i/rate."""
-    return sig.t0 + np.arange(sig.samples.size) / sig.rate
+    """The instant of each sample of an AnalogSignal: (start + i)/rate."""
+    return (sig.start + np.arange(sig.samples.size)) / sig.rate
 
 
 def relative_error(got, want):
@@ -261,6 +261,20 @@ class TestPolyphase:
         got = waveform._correlate_decimate(x, sh, B, q, 1)
         assert np.max(np.abs(got - manual[1::q])) < 1e-9 / B
 
+    @pytest.mark.parametrize("family", ["rrc", "sinc"])
+    def test_symbol_rate_window_keeps_its_bits(self, family):
+        """The transmit window synthesize takes from _window_at at rate B is
+        _tx_window on arange(q_lo, q_hi) / B, bit for bit, so the truncated
+        branch's bursts keep their bytes."""
+        params = FrameParams(m=64, n=64, nu_p=30e3)
+        mn, b = params.m * params.n, params.b
+        shape = PulseShape(family=family, beta=0.5, w1_span=16)
+        ext = int(np.ceil(shape.beta * mn / 2)) + 1 if family == "rrc" else 24
+        q_lo, q_hi = -ext, mn + ext
+        got = waveform._window_at(shape, q_lo, b, q_hi - q_lo, params.t, 24 / b)
+        want = waveform._tx_window(shape, np.arange(q_lo, q_hi) / b, params.t, 24 / b)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestLoopback:
     """Transmit -> matched filter -> fold with no channel in between."""
@@ -307,7 +321,7 @@ class TestAnalogSignal:
     """Container semantics for the oversampled signal."""
 
     def test_times_axis(self):
-        s = AnalogSignal(samples=np.zeros(4), rate=2.0, t0=-1.0)
+        s = AnalogSignal(samples=np.zeros(4), rate=2.0, start=-2)
         assert np.allclose(times(s), [-1.0, -0.5, 0.0, 0.5])
 
     def test_rate_positive(self):
@@ -327,10 +341,10 @@ class TestAnalogSignal:
 
     def test_adopt_shares_and_freezes(self):
         x = np.arange(4, dtype=np.complex128)
-        s = AnalogSignal.adopt(x, rate=2.0, t0=-1.0)
+        s = AnalogSignal.adopt(x, rate=2.0, start=-2)
         assert s.samples is x
         assert not x.flags.writeable
-        assert (s.rate, s.t0) == (2.0, -1.0)
+        assert (s.rate, s.start) == (2.0, -2)
 
     def test_adopt_checks(self):
         with pytest.raises(ValueError, match="complex128"):
@@ -348,17 +362,21 @@ class TestSamplingAlignment:
         self.params = FrameParams(m=8, n=8, nu_p=B / 8)
 
     def test_non_integer_rate_rejected(self):
-        bad = AnalogSignal(samples=np.zeros(700), rate=2.5 * B, t0=0.0)
+        bad = AnalogSignal(samples=np.zeros(700), rate=2.5 * B, start=0)
         with pytest.raises(ValueError, match="integer multiple"):
             sample_and_periodize(bad, self.params)
 
-    def test_misaligned_origin_rejected(self):
-        bad = AnalogSignal(samples=np.zeros(700), rate=4 * B, t0=0.3 / (4 * B))
-        with pytest.raises(ValueError, match="aligned"):
-            sample_and_periodize(bad, self.params)
+    def test_non_integer_start_rejected(self):
+        """A signal cannot sit off its own sample grid."""
+        for start in (0.3, 3.0):
+            with pytest.raises(ValueError, match="integer sample index"):
+                AnalogSignal(samples=np.zeros(700), rate=4 * B, start=start)
+            with pytest.raises(ValueError, match="integer sample index"):
+                AnalogSignal.adopt(np.zeros(700, dtype=np.complex128), rate=4 * B,
+                                   start=start)
 
     def test_short_signal_rejected(self):
-        short = AnalogSignal(samples=np.zeros(32), rate=4 * B, t0=0.0)
+        short = AnalogSignal(samples=np.zeros(32), rate=4 * B, start=0)
         with pytest.raises(ValueError, match="frame period"):
             sample_and_periodize(short, self.params)
 
@@ -370,45 +388,42 @@ class TestSamplingAlignment:
     def test_symbol_rate_accepted(self):
         """q = 1: the rate-B output of matched_filter folds as it is."""
         x = np.arange(80, dtype=np.complex128)
-        sig = AnalogSignal(samples=x, rate=B, t0=-8 / B)
+        sig = AnalogSignal(samples=x, rate=B, start=-8)
         folded = sample_and_periodize(sig, self.params)
         want = np.zeros(64, dtype=np.complex128)
         np.add.at(want, np.arange(-8, 72) % 64, x)
         assert np.array_equal(folded, want)
 
-    def test_symbol_rate_still_checks_rate_and_origin(self):
+    def test_symbol_rate_still_checks_rate(self):
         with pytest.raises(ValueError, match="integer multiple"):
             sample_and_periodize(AnalogSignal(samples=np.zeros(80), rate=1.5 * B),
                                  self.params)
-        with pytest.raises(ValueError, match="aligned"):
-            sample_and_periodize(AnalogSignal(samples=np.zeros(80), rate=B,
-                                              t0=0.3 / B), self.params)
 
     def test_matched_filter_needs_oversampled_input(self):
-        sig = AnalogSignal(samples=np.zeros(80), rate=B, t0=0.0)
+        sig = AnalogSignal(samples=np.zeros(80), rate=B, start=0)
         with pytest.raises(ValueError, match="integer multiple >= 2"):
             matched_filter(sig, PulseShape(), self.params)
 
     @pytest.mark.parametrize("span", [16, None])
     @pytest.mark.parametrize("lead", [0, 3, 37])
     def test_matched_filter_output_on_symbol_grid(self, span, lead):
-        """Rate B, t0 on the symbol grid, values the full-rate picks."""
+        """Rate B, start on the symbol grid, values the full-rate picks."""
         q = 4
         shape = PulseShape(family="rrc", beta=0.5, w1_span=span)
         rng = np.random.default_rng(lead)
         n = 64 * q + 200
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        sig = AnalogSignal(samples=x, rate=q * B, t0=-lead / (q * B))
+        sig = AnalogSignal(samples=x, rate=q * B, start=-lead)
         out = matched_filter(sig, shape, self.params)
         assert out.rate == B
-        assert out.t0 * B == pytest.approx(round(out.t0 * B), abs=1e-9)
+        assert isinstance(out.start, int)
         if span is None:
-            assert (out.t0, out.samples.size) == (0.0, 64)
+            assert (out.start, out.samples.size) == (0, 64)
             return
         first = lead % q
-        window = waveform._window_at(shape, sig.t0, sig.rate, n, self.params.t, 0.0)
+        window = waveform._window_at(shape, sig.start, sig.rate, n, self.params.t, 0.0)
         want = (full_rate_correlation(x, shape, q) * np.conj(window))[first::q]
-        assert out.t0 == pytest.approx((first - lead) / (q * B), abs=1e-15)
+        assert out.start * q == first - lead
         assert out.samples.size == want.size
         assert relative_error(out.samples, want) <= 1e-12
 
@@ -423,10 +438,10 @@ class TestSamplingAlignment:
         rng = np.random.default_rng(9)
         g = DDGrid(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
         tx = synthesize(idzt(g.values), shape, B, q)
-        last = round((63 / B - tx.t0) * tx.rate)
+        last = 63 * q - tx.start
 
         def decode(stop):
-            sig = AnalogSignal(samples=tx.samples[:stop], rate=tx.rate, t0=tx.t0)
+            sig = AnalogSignal(samples=tx.samples[:stop], rate=tx.rate, start=tx.start)
             return sample_and_periodize(matched_filter(sig, shape, self.params),
                                         self.params)
 
@@ -455,7 +470,7 @@ class TestScatterFreeFolds:
         n = lead + (mn - 1) * q + 1 + extra
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        sig = AnalogSignal(samples=x, rate=q * B, t0=-lead / (q * B))
+        sig = AnalogSignal(samples=x, rate=q * B, start=-lead)
         got = sample_and_periodize(sig, params)
         sym = np.arange(-(lead // q), (n - 1 - lead) // q + 1)
         want = np.zeros(mn, dtype=np.complex128)
@@ -476,9 +491,9 @@ class TestScatterFreeFolds:
         # requires, and runs on for up to `periods` more frame periods.
         n = lead + period - q + 1 + int(rng.integers(0, periods * period))
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        sig = AnalogSignal(samples=x, rate=q * B, t0=-lead / (q * B))
+        sig = AnalogSignal(samples=x, rate=q * B, start=-lead)
         got = matched_filter(sig, shape, params)
-        window = waveform._window_at(shape, sig.t0, sig.rate, n, params.t, 0.0)
+        window = waveform._window_at(shape, sig.start, sig.rate, n, params.t, 0.0)
         folded = np.zeros(period, dtype=np.complex128)
         np.add.at(folded, waveform._fold_slots(n, -lead, period), x * np.conj(window))
         want = waveform._exact_filter(folded, shape, B, q, correlate=True)[::q]
