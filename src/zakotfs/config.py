@@ -12,6 +12,7 @@ import yaml
 
 from .channel import ImpairmentSpec, PathSpec
 from .dd_frame import Constellation, FrameLayout, FrameParams, build_layout
+from .estimation import SUPPORT_KINDS
 from .sync import (CFO_BLOCK_CHIPS, DEFAULT_GAP, DEFAULT_LENGTH, DEFAULT_ROOT,
                    DEFAULT_THRESHOLD, Preamble)
 from .waveform import PulseShape, ShapeError
@@ -27,7 +28,6 @@ MAX_WORKERS = 256
 # scales the paths to unit total power, stay finite and nonzero.
 MAX_GAIN_DB = 300.0
 
-SUPPORT_KINDS = ("C1", "C2")
 CFO_MODES = ("time_domain", "channel_folded")
 
 
@@ -288,7 +288,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     # Root 1 is coprime to every length, so the first build tests the length alone.
     _build("sync.preamble_length", Preamble, pre_len, 1)
     _build("sync.preamble_root", Preamble, pre_len, pre_root)
-    if cfo_mode == "time_domain" and pre_len < 2 * CFO_BLOCK_CHIPS:
+    # Without sync no preamble is sent and no offset is estimated.
+    if sync_on and cfo_mode == "time_domain" and pre_len < 2 * CFO_BLOCK_CHIPS:
         raise ConfigError("sync.preamble_length", f"time_domain CFO correction needs at least "
                           f"{2 * CFO_BLOCK_CHIPS} chips (two CFO blocks), got {pre_len}")
 

@@ -20,6 +20,9 @@ from ._lapack import zpbsv
 from .dd_frame import FrameLayout
 from .zak import DDGrid, dzt, frozen_complex, idzt, memo
 
+# The support regions from_layout can build; see SupportRegion.
+SUPPORT_KINDS = ("C1", "C2")
+
 
 @dataclass(frozen=True)
 class SupportRegion:
@@ -51,7 +54,7 @@ class SupportRegion:
 
     @classmethod
     def from_layout(cls, layout: FrameLayout, kind: str) -> "SupportRegion":
-        if kind not in ("C1", "C2"):
+        if kind not in SUPPORT_KINDS:
             raise ValueError(f"unknown support kind {kind!r}")
         lo, hi = ((layout.kappa2, layout.kappa3) if kind == "C1"
                   else (layout.kappa1, layout.kappa4))

@@ -151,24 +151,19 @@ def _compose_burst(cfg: ExperimentConfig, frame_sig: AnalogSignal,
     tail is padded out so channel delays never push content off the end.
     """
     rate = frame_sig.rate
-    q = cfg.q
-    frame_start = frame_sig.start
-
-    tail_pad = int(math.ceil((cfg.tau_max + cfg.impairments.dt) * rate)) + 4 * q
-    if template is None:
-        samples = np.concatenate(
-            [frame_sig.samples, np.zeros(tail_pad, dtype=np.complex128)])
-        return AnalogSignal.adopt(samples, rate=rate, start=frame_start), -1
-
+    n_frame = frame_sig.samples.size
+    tail_pad = int(math.ceil((cfg.tau_max + cfg.impairments.dt) * rate)) + 4 * cfg.q
     # The gap separates the template's last sample from the first frame
     # sample, which for a wide transmit window sits well before the
     # frame core, so the preamble clears the frame's rolloff flank.
-    start = frame_start - cfg.gap_symbols * q - template.samples.size
-    end = frame_start + frame_sig.samples.size + tail_pad
-    buf = np.zeros(end - start, dtype=np.complex128)
-    buf[:template.samples.size] += template.samples
-    buf[frame_start - start:frame_start - start + frame_sig.samples.size] += frame_sig.samples
-    return AnalogSignal.adopt(buf, rate=rate, start=start), -template.start
+    lead = 0 if template is None else template.samples.size + cfg.gap_symbols * cfg.q
+    buf = np.zeros(lead + n_frame + tail_pad, dtype=np.complex128)
+    buf[lead:lead + n_frame] = frame_sig.samples
+    chip0_nominal = -1
+    if template is not None:
+        buf[:template.samples.size] = template.samples
+        chip0_nominal = -template.start
+    return AnalogSignal.adopt(buf, rate=rate, start=frame_sig.start - lead), chip0_nominal
 
 
 def _make_tx(cfg: ExperimentConfig, plan: _Plan, rng: np.random.Generator):
@@ -191,7 +186,6 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     rng, seed_key = _trial_rng(cfg, snr_index, trial_index)
 
     bits, burst, chip0_nominal = _make_tx(cfg, plan, rng)
-    nbits = bits.size
 
     # Each buffer of the chain is dropped once its successor exists, so
     # the trial's peak, which the kept heap holds resident, stays low.
@@ -214,34 +208,29 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
         last_start = chip0_nominal + rx.samples.size - 1 - last_symbol
         sync_res = detect_timing(rx, plan.template, threshold=cfg.sync_threshold,
                                  last_start=last_start)
-        shift = max(sync_res.start_index - chip0_nominal, 0)
-        if not sync_res.detected:
-            # Counted as a decode of all-zero bits against what was sent.
-            return TrialReport(
-                snr_db=snr_db, seed_key=seed_key,
-                bit_errors=int(np.sum(bits)), bits_sent=nbits,
-                symbols=np.zeros(layout.n_data_cells, dtype=np.complex128),
-                taps=None, sync=sync_res, tx=burst,
-            )
-        if cfg.cfo_mode == "time_domain":
+        if sync_res.detected and cfg.cfo_mode == "time_domain":
             cfo_hat = estimate_cfo(rx, plan.template, cfg.q, sync_res.start_index)
             sync_res = replace(sync_res, cfo_hat=cfo_hat)
-            trimmed = correct(rx, shift, cfo_hat)
+            trimmed = correct(rx, max(sync_res.start_index - chip0_nominal, 0), cfo_hat)
             rx = AnalogSignal.adopt(trimmed.samples, rate=rx.rate, start=rx.start)
             del trimmed
 
-    folded = sample_and_periodize(matched_filter(rx, cfg.shape, params), params)
-    y_dd = DDGrid(values=dzt(folded, params.m, params.n))
-    del rx, folded
-    h_est = estimate(y_dd, plan.support, cfg.pilot_amp)
-    x_hat = equalize_taps(y_dd, h_est, dd_noise_var(noise_psd, cfg.q, params.b))
-
-    rx_bits = demap_symbols(x_hat, layout, plan.constellation)
-    errors = int(np.sum(rx_bits != bits))
-    symbols = x_hat.values[layout.data_rows, :].reshape(-1)
+    if sync_res is not None and not sync_res.detected:
+        # A lost frame counts as a decode of all-zero bits against what was sent.
+        rx_bits = np.zeros_like(bits)
+        symbols = np.zeros(layout.n_data_cells, dtype=np.complex128)
+        h_est = None
+    else:
+        folded = sample_and_periodize(matched_filter(rx, cfg.shape, params), params)
+        y_dd = DDGrid(values=dzt(folded, params.m, params.n))
+        del rx, folded
+        h_est = estimate(y_dd, plan.support, cfg.pilot_amp)
+        x_hat = equalize_taps(y_dd, h_est, dd_noise_var(noise_psd, cfg.q, params.b))
+        rx_bits = demap_symbols(x_hat, layout, plan.constellation)
+        symbols = x_hat.values[layout.data_rows, :].reshape(-1)
     return TrialReport(
         snr_db=snr_db, seed_key=seed_key,
-        bit_errors=errors, bits_sent=nbits, symbols=symbols,
+        bit_errors=int(np.sum(rx_bits != bits)), bits_sent=bits.size, symbols=symbols,
         taps=h_est, sync=sync_res, tx=burst,
     )
 
@@ -297,41 +286,29 @@ def sweep(cfg: ExperimentConfig, emit: bool = True
     return curve, scatters
 
 
-def _ensure_parent(path: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-
-
 def write_outputs(cfg: ExperimentConfig, curve: BerCurve,
                   scatters: dict[float, np.ndarray]) -> list[str]:
     """Emit the CSV, the BER curve SVG, and one scatter SVG per SNR."""
     written = []
+
+    def write(path: str, text: str) -> None:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+        written.append(path)
+
     name = f"{cfg.shape.family} {cfg.constellation_order}-QAM"
     try:
-        _ensure_parent(cfg.out_csv)
-        with open(cfg.out_csv, "w", encoding="utf-8", newline="\n") as f:
-            f.write(curve.to_csv())
-        written.append(cfg.out_csv)
-
+        write(cfg.out_csv, curve.to_csv())
         finite = [(p.snr_db, p.ber, p.ci95) for p in curve.points
                   if not math.isinf(p.snr_db)]
         if finite:
-            _ensure_parent(cfg.out_curve_svg)
-            with open(cfg.out_curve_svg, "w", encoding="utf-8", newline="\n") as f:
-                f.write(svg.line_chart(name, finite, title=f"BER, {name}"))
-            written.append(cfg.out_curve_svg)
-
+            write(cfg.out_curve_svg, svg.line_chart(name, finite, title=f"BER, {name}"))
         reference = cfg.constellation().points
         for snr_db in sorted(scatters):
-            chart = svg.scatter_chart(
-                scatters[snr_db], title=f"{name}, SNR {snr_db:g} dB",
-                reference=reference)
-            path = f"{cfg.out_constellation_prefix}snr_{snr_db:g}dB.svg"
-            _ensure_parent(path)
-            with open(path, "w", encoding="utf-8", newline="\n") as f:
-                f.write(chart)
-            written.append(path)
+            write(f"{cfg.out_constellation_prefix}snr_{snr_db:g}dB.svg",
+                  svg.scatter_chart(scatters[snr_db], title=f"{name}, SNR {snr_db:g} dB",
+                                    reference=reference))
     except OSError as e:
         raise RuntimeError(f"cannot write output {e.filename or ''}: {e}") from e
     return written

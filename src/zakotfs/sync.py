@@ -116,12 +116,13 @@ def detect_timing(rx: AnalogSignal, template: AnalogSignal,
             f"buffer of {rx.samples.size} samples cannot hold a "
             f"{k}-sample preamble"
         )
+    miss = SyncResult(start_index=core_offset, cfo_hat=0.0, peak_metric=0.0,
+                      detected=False)
     samples = rx.samples
     if last_start is not None:
         samples = samples[:max(last_start - core_offset + k, 0)]
     if samples.size < k:
-        return SyncResult(start_index=core_offset, cfo_hat=0.0,
-                          peak_metric=0.0, detected=False)
+        return miss
 
     # scipy.signal.fftconvolve(samples, conj(template[::-1]), 'valid'), bit
     # for bit: the same transform length, arithmetic and operand order.
@@ -142,8 +143,7 @@ def detect_timing(rx: AnalogSignal, template: AnalogSignal,
     peak_power = float(np.max(power))
     if peak_power <= 0.0:
         # Dead buffer: nothing to lock onto.
-        return SyncResult(start_index=core_offset, cfo_hat=0.0,
-                          peak_metric=0.0, detected=False)
+        return miss
     # Exactly silent stretches leave only FFT rounding noise in corr; a
     # relative power floor keeps that noise from masquerading as a peak.
     floor = 1e-12 * peak_power

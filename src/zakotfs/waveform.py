@@ -117,13 +117,16 @@ class AnalogSignal:
     start: int = 0
 
     def __post_init__(self) -> None:
-        s = frozen_complex(self.samples)
-        if s.ndim != 1:
+        self._set(frozen_complex(self.samples), self.rate, self.start)
+
+    def _set(self, samples: np.ndarray, rate: float, start: int) -> None:
+        if samples.ndim != 1:
             raise ValueError("AnalogSignal samples must be 1-D")
-        object.__setattr__(self, "samples", s)
-        if self.rate <= 0:
+        if rate <= 0:
             raise ValueError("rate must be positive")
-        object.__setattr__(self, "start", _grid_index(self.start))
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "start", _grid_index(start))
 
     @classmethod
     def adopt(cls, samples: np.ndarray, rate: float, start: int = 0) -> "AnalogSignal":
@@ -134,13 +137,9 @@ class AnalogSignal:
         """
         if samples.dtype != np.complex128 or samples.ndim != 1:
             raise ValueError("adopt needs a 1-D complex128 array")
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        samples.setflags(write=False)
         sig = object.__new__(cls)
-        object.__setattr__(sig, "samples", samples)
-        object.__setattr__(sig, "rate", rate)
-        object.__setattr__(sig, "start", _grid_index(start))
+        sig._set(samples, rate, start)
+        samples.setflags(write=False)
         return sig
 
 

@@ -332,6 +332,17 @@ class TestConfigFromDict:
         raw["sync"] = {"preamble_length": 16, "preamble_root": 1}
         assert config_from_dict(raw).preamble_length == 16
 
+    def test_short_preamble_allowed_without_sync(self):
+        """With sync off no preamble is sent and no offset is estimated;
+        turning sync on brings the two-block rule back."""
+        raw = tiny_config_dict(cfo_correction="time_domain")
+        raw["sync"] = {"preamble_length": 16}
+        assert config_from_dict(raw).preamble_length == 16
+        raw["run"]["sync"] = True
+        with pytest.raises(ConfigError, match="needs at least 32 chips") as info:
+            config_from_dict(raw)
+        assert info.value.field_name == "sync.preamble_length"
+
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError, match="mapping"):
             config_from_dict([1, 2, 3])
@@ -1121,6 +1132,50 @@ class TestSweep:
                                       trials=1, errors=1, bits=1),))
 
 
+class TestWriteOutputs:
+    """Where write_outputs puts each file, in what order, and how it fails."""
+
+    def _raw(self, csv, curve_svg, prefix, **run_overrides):
+        raw = tiny_config_dict(**run_overrides)
+        raw["output"] = {"csv": str(csv), "curve_svg": str(curve_svg),
+                         "constellation_prefix": str(prefix)}
+        return raw
+
+    def _write(self, raw):
+        cfg = config_from_dict(raw)
+        return runner.write_outputs(cfg, *sweep(cfg, emit=False))
+
+    def test_missing_parents_are_made_and_files_listed_in_write_order(self, tmp_path):
+        written = self._write(self._raw(
+            tmp_path / "a" / "b" / "ber.csv", tmp_path / "c" / "d" / "ber.svg",
+            tmp_path / "e" / "f" / "const_", snr_db=[None, 25]))
+        assert written == [str(tmp_path / "a" / "b" / "ber.csv"),
+                           str(tmp_path / "c" / "d" / "ber.svg"),
+                           str(tmp_path / "e" / "f" / "const_snr_25dB.svg"),
+                           str(tmp_path / "e" / "f" / "const_snr_infdB.svg")]
+        assert all(Path(p).stat().st_size > 0 for p in written)
+
+    def test_noiseless_sweep_writes_no_curve(self, tmp_path):
+        written = self._write(self._raw(tmp_path / "ber.csv", tmp_path / "ber.svg",
+                                        tmp_path / "const_"))
+        assert written == [str(tmp_path / "ber.csv"), str(tmp_path / "const_snr_infdB.svg")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ber.csv",
+                                                              "const_snr_infdB.svg"]
+
+    @pytest.mark.parametrize("under", ["", "sub/"])
+    def test_path_under_a_file_fails_and_names_it(self, tmp_path, capsys, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        raw = self._raw(tmp_path / "ber.csv", tmp_path / "ber.svg",
+                        f"{blocker}/{under}const_", snr_db=[25])
+        with pytest.raises(RuntimeError, match=f"cannot write output {blocker}"):
+            self._write(raw)
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert f"error: cannot write output {blocker}" in capsys.readouterr().err
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -1175,28 +1230,57 @@ class TestOutputBytes:
         },
     }
 
-    @pytest.mark.parametrize("mode", sorted(EVERY_RAMP_DIGESTS))
-    def test_every_ramp_outputs(self, tmp_path, mode):
+    @staticmethod
+    def _ramp_link_outputs(tmp_path, span=16, **run_overrides):
         """A Doppler path, a carrier offset and phase, and a timing offset of
-        1.2 samples: every phase ramp and the fractional delay feed the bytes."""
+        1.2 samples on a 16x16 frame; the sweep's output digests by name."""
         raw = {
             "config_version": 1,
             "frame": {"m": 16, "n": 16, "nu_p_hz": 30e3, "pilot_amp": 8.0},
             "layout": {"tau_max_bins": 2.5, "dt_margin_bins": 1.0},
-            "shape": {"family": "rrc", "beta": 0.5, "w1_span": 16, "oversampling": 4},
+            "shape": {"family": "rrc", "beta": 0.5, "w1_span": span, "oversampling": 4},
             "channel": {"paths": [{"delay_bins": 0},
                                   {"delay_bins": 2, "doppler_bins": 1, "gain_db": -3}],
                         "cfo_hz": 200.0, "phase_rad": 0.7, "timing_offset_bins": 0.3},
             "run": {"constellation": 4, "snr_db": [5, 25], "trials": 2,
-                    "base_seed": 2024, "sync": True, "cfo_correction": mode,
-                    "workers": 1},
+                    "base_seed": 2024, "workers": 1, **run_overrides},
             "output": {"csv": str(tmp_path / "ber.csv"),
                        "curve_svg": str(tmp_path / "ber.svg"),
                        "constellation_prefix": str(tmp_path / "const_")},
         }
         sweep(config_from_dict(raw), emit=True)
-        digests = {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()}
-        assert digests == self.EVERY_RAMP_DIGESTS[mode]
+        return {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()}
+
+    @pytest.mark.parametrize("mode", sorted(EVERY_RAMP_DIGESTS))
+    def test_every_ramp_outputs(self, tmp_path, mode):
+        """Every phase ramp and the fractional delay feed the bytes."""
+        assert (self._ramp_link_outputs(tmp_path, sync=True, cfo_correction=mode)
+                == self.EVERY_RAMP_DIGESTS[mode])
+
+    NO_PREAMBLE_DIGESTS = {
+        16: {
+            "ber.csv": "d4ed663ec38e01a1d8be7ea25c95aa525205af552cb793a5ebbfd3397b9b12fc",
+            "ber.svg": "12338b46a1eaf02f2c075ec50e4bc897c1887b45293b2450465bb1cf3796e7e8",
+            "const_snr_5dB.svg":
+                "7d5f4c8c98da9de61ef543f94cb2961e0829be8556ffa3672edf711cd9710d72",
+            "const_snr_25dB.svg":
+                "23519e84be78d7a117f2659c071b89d421e975b43a7655cfc20aa34162c9010e",
+        },
+        None: {
+            "ber.csv": "ac5e43b09b98cdb4c351e6d86b47dd3a1a8e6de0ac25ea1e9fe25a6a296058e1",
+            "ber.svg": "5148e1b7ef50fdf79fc7fc5ba5168d9a4ef884d7a5971e91074a7397d73b1c12",
+            "const_snr_5dB.svg":
+                "d4cb43974c0290dc39d6470bc208607dd08e8bdea2627e533c6dce332c927c96",
+            "const_snr_25dB.svg":
+                "d51d2894766b3e1fbbfa8d19d088d6fad1df5488066f2a361f3dadb062f8ea08",
+        },
+    }
+
+    @pytest.mark.parametrize("span", [16, None])
+    def test_no_preamble_outputs(self, tmp_path, span):
+        """Sync off: the burst is the frame alone, and the receiver decodes
+        through the carrier offset, phase and timing offset uncorrected."""
+        assert self._ramp_link_outputs(tmp_path, span) == self.NO_PREAMBLE_DIGESTS[span]
 
     def test_line_chart_with_a_zero_ber_point(self):
         out = svg.line_chart("s", [(0.0, 1e-2, 1e-3), (5.0, 0.0, 0.0)], title="BER")
