@@ -15,13 +15,13 @@ from .sync import (Preamble, SyncResult, correct, detect_timing, estimate_cfo,
                    kay_cfo, make_preamble, shape_preamble)
 from .waveform import (AnalogSignal, PulseShape, matched_filter, rrc_w1, rrc_w2,
                        sample_and_periodize, synthesize)
-from .zak import DDGrid, dzt, idzt
+from .zak import dzt, idzt
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalogSignal", "BerCurve", "BerPoint", "ConfigError",
-    "Constellation", "DDGrid", "EffectiveChannelEstimate",
+    "Constellation", "EffectiveChannelEstimate",
     "ExperimentConfig", "FrameLayout", "FrameParams", "ImpairmentSpec",
     "IqFormatError", "PathSpec", "Preamble", "PulseShape", "SolverDivergence",
     "SupportRegion", "SyncResult", "TrialReport", "add_noise", "apply_impairments",

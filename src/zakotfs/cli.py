@@ -18,7 +18,7 @@ from .estimation import SupportRegion, equalize_taps, manual_taps, predict_io
 from .iqfile import IqFormatError, read_iq_header, write_iq
 from .runner import run_trial, sweep
 from .sync import make_preamble
-from .zak import DDGrid, dzt, idzt
+from .zak import dzt, idzt
 
 __all__ = ["main"]
 
@@ -109,12 +109,12 @@ def _selftest_checks():
         pilot, want = np.zeros((2, 8, 8), dtype=complex)
         pilot[k_p, l_p] = want[k_p, l_p] = 1.0
         want[k_p + 1, l_p - 2] = 0.4j * np.exp(2j * np.pi * k_p * -2 / 64)
-        err = np.max(np.abs(predict_io(DDGrid(values=pilot), h).values - want))
+        err = np.max(np.abs(predict_io(pilot, h) - want))
         assert err < 1e-12, f"closed-form error {err:.2e}"
         vals = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        y = predict_io(DDGrid(values=vals), h)
+        y = predict_io(vals, h)
         x = equalize_taps(y, h, 0.0)
-        err = np.max(np.abs(x.values - vals))
+        err = np.max(np.abs(x - vals))
         assert err < 1e-9, f"inversion error {err:.2e}"
 
     def loopback():

@@ -15,8 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .zak import DDGrid
-
 __all__ = [
     "FrameParams",
     "FrameLayout",
@@ -237,8 +235,8 @@ class Constellation:
 
 
 def map_bits(bits: np.ndarray, constellation: Constellation, layout: FrameLayout,
-             pilot_amp: float) -> DDGrid:
-    """Assemble a transmit grid: data symbols, pilot amplitude, zero guards."""
+             pilot_amp: float) -> np.ndarray:
+    """Assemble an (M, N) transmit grid: data symbols, pilot amplitude, zero guards."""
     if pilot_amp <= 0:
         raise ValueError("pilot_amp must be positive")
     bits = np.asarray(bits)
@@ -250,10 +248,12 @@ def map_bits(bits: np.ndarray, constellation: Constellation, layout: FrameLayout
     rows = layout.data_rows
     values[rows, :] = symbols.reshape(rows.size, layout.n)
     values[layout.k_p, layout.l_p] = pilot_amp
-    return DDGrid(values=values)
+    return values
 
 
-def demap_symbols(grid: DDGrid, layout: FrameLayout,
+def demap_symbols(grid: np.ndarray, layout: FrameLayout,
                   constellation: Constellation) -> np.ndarray:
-    """Hard-decision bits from the data cells of an equalized grid."""
-    return constellation.demodulate(grid.values[layout.data_rows, :].reshape(-1))
+    """Hard-decision bits from the data cells of an equalized (M, N) grid."""
+    if grid.shape != (layout.m, layout.n):
+        raise ValueError("layout and grid dimensions disagree")
+    return constellation.demodulate(grid[layout.data_rows, :].reshape(-1))

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._lapack import zpbsv
 from .dd_frame import FrameLayout
-from .zak import DDGrid, dzt, frozen_complex, idzt, memo
+from .zak import dzt, frozen_complex, idzt, memo
 
 # The support regions from_layout can build; see SupportRegion.
 SUPPORT_KINDS = ("C1", "C2")
@@ -113,7 +113,7 @@ class EffectiveChannelEstimate:
         return int(maps.delays[i]), int(maps.dopplers[j])
 
 
-def estimate(y_dd: DDGrid, support: SupportRegion,
+def estimate(y_dd: np.ndarray, support: SupportRegion,
              pilot_amp: float) -> EffectiveChannelEstimate:
     """Read the effective channel from the received pilot neighbourhood.
 
@@ -125,9 +125,9 @@ def estimate(y_dd: DDGrid, support: SupportRegion,
     """
     if pilot_amp <= 0:
         raise ValueError("pilot_amp must be positive")
-    if (support.m, support.n) != (y_dd.m, y_dd.n):
+    if y_dd.shape != (support.m, support.n):
         raise ValueError("support was built for a different grid size")
-    block = y_dd.values[support.k_lo:support.k_hi] * _maps(support).phase / pilot_amp
+    block = y_dd[support.k_lo:support.k_hi] * _maps(support).phase / pilot_amp
     return EffectiveChannelEstimate(block=block, support=support)
 
 
@@ -142,7 +142,7 @@ def manual_taps(entries: dict[tuple[int, int], complex],
     return EffectiveChannelEstimate(block=block, support=support)
 
 
-def predict_io(s_dd: DDGrid, h: EffectiveChannelEstimate) -> DDGrid:
+def predict_io(s_dd: np.ndarray, h: EffectiveChannelEstimate) -> np.ndarray:
     """Twisted convolution of the channel taps with the extended frame.
 
     y[k, l] = sum over taps (k', l') of
@@ -151,20 +151,20 @@ def predict_io(s_dd: DDGrid, h: EffectiveChannelEstimate) -> DDGrid:
     quasi-periodic.  It is applied in time as the H that equalize_taps
     inverts: dzt(sum_d roll(g_d * idzt(s), d)) over the gain profiles.
     """
-    if (s_dd.m, s_dd.n) != (h.support.m, h.support.n):
+    if s_dd.shape != (h.support.m, h.support.n):
         raise ValueError("tap support and grid dimensions disagree")
-    x = idzt(s_dd.values)
+    x = idzt(s_dd)
     # The roll map's first MN columns are H's shifts, one row per delay.
     y = np.take(_delay_gain_profiles(h) * x, _maps(h.support).roll[:, :x.size]).sum(axis=0)
-    return DDGrid(values=dzt(y, s_dd.m, s_dd.n))
+    return dzt(y, *s_dd.shape)
 
 
 class SolverDivergence(RuntimeError):
-    """The regularized normal matrix H H^H + noise_var I is singular.
+    """equalize_taps found no finite solution.
 
-    Only an unregularized solve (noise_var = 0) on taps whose operator is
-    rank deficient gets here: its banded Cholesky factorization meets a
-    pivot that is not positive to working precision.
+    Its regularized normal matrix H H^H + noise_var I is singular, which
+    only an unregularized solve (noise_var = 0) on rank-deficient taps
+    meets, or the solve overflowed on taps too large for the float range.
     """
 
 
@@ -279,8 +279,8 @@ def _normal_band(profiles: np.ndarray, noise_var: float, maps: _Maps) -> np.ndar
     return band
 
 
-def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
-                  noise_var: float) -> DDGrid:
+def equalize_taps(y_dd: np.ndarray, h: EffectiveChannelEstimate,
+                  noise_var: float) -> np.ndarray:
     """Linear MMSE inversion x = H^H (H H^H + noise_var I)^{-1} y.
 
     H is the twisted convolution of predict_io, applied in the time
@@ -288,15 +288,16 @@ def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
     time-varying gain.  The normal matrix is then a ring band that
     _ring_fold turns into a plain band, solved exactly by a banded
     Cholesky factorization in O(MN * span^2) for a delay span of span
-    bins.  Raises SolverDivergence when that matrix is singular.
+    bins.  Raises SolverDivergence when that matrix is singular or the
+    solution is not finite.
     """
     if noise_var < 0:
         raise ValueError("noise_var must be nonnegative")
-    if (y_dd.m, y_dd.n) != (h.support.m, h.support.n):
+    if y_dd.shape != (h.support.m, h.support.n):
         raise ValueError("tap support and grid dimensions disagree")
     maps = _maps(h.support)
     profiles = _delay_gain_profiles(h)
-    y = idzt(y_dd.values)
+    y = idzt(y_dd)
     band = _normal_band(profiles, noise_var, maps)
     y_folded = np.empty_like(y)
     y_folded[maps.pos] = y
@@ -312,8 +313,11 @@ def equalize_taps(y_dd: DDGrid, h: EffectiveChannelEstimate,
             f"(noise_var={noise_var:g}); the taps do not determine the frame")
     z = y_folded[maps.pos]
     # H^H z = sum_d conj(g_d) * roll(z, -d), the rows summed in order.
-    x = (np.conj(profiles) * z[maps.adjoint]).sum(axis=0)
-    return DDGrid(values=dzt(x, y_dd.m, y_dd.n))
+    x = dzt((np.conj(profiles) * z[maps.adjoint]).sum(axis=0), *y_dd.shape)
+    if not np.isfinite(x).all():
+        raise SolverDivergence(f"equalized frame is not finite (noise_var={noise_var:g}); "
+                               "the taps overflow the solve")
+    return x
 
 
 def dd_noise_var(noise_psd: float, q: int, b: float) -> float:
@@ -326,9 +330,11 @@ def dd_noise_var(noise_psd: float, q: int, b: float) -> float:
     return noise_psd / (q * b)
 
 
-def guard_noise_var(y_dd: DDGrid, layout: FrameLayout,
+def guard_noise_var(y_dd: np.ndarray, layout: FrameLayout,
                     support: SupportRegion) -> float:
     """Estimate noise variance from guard cells outside the support."""
+    if y_dd.shape != (layout.m, layout.n):
+        raise ValueError("layout and grid dimensions disagree")
     guard = np.zeros((layout.m, layout.n), dtype=bool)
     guard[layout.kappa1:layout.kappa4] = True
     guard[support.k_lo:support.k_hi] = False
@@ -337,4 +343,4 @@ def guard_noise_var(y_dd: DDGrid, layout: FrameLayout,
         raise ValueError("support covers every guard cell; no noise-only "
                          "region is left to measure")
     # A boolean mask reads the cells row by row, delay then Doppler.
-    return float(np.mean(np.abs(y_dd.values[guard]) ** 2))
+    return float(np.mean(np.abs(y_dd[guard]) ** 2))

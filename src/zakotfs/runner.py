@@ -18,7 +18,7 @@ from .estimation import (EffectiveChannelEstimate, SupportRegion, dd_noise_var,
 from .sync import (SyncResult, correct, detect_timing, estimate_cfo, make_preamble,
                    shape_preamble)
 from .waveform import AnalogSignal, matched_filter, sample_and_periodize, synthesize
-from .zak import DDGrid, dzt, idzt, memo
+from .zak import dzt, idzt, memo
 
 __all__ = ["TrialReport", "BerPoint", "BerCurve", "run_trial", "sweep",
            "write_outputs"]
@@ -171,7 +171,7 @@ def _make_tx(cfg: ExperimentConfig, plan: _Plan, rng: np.random.Generator):
     nbits = plan.layout.n_data_cells * plan.constellation.bits_per_symbol
     bits = rng.integers(0, 2, size=nbits)
     tx_grid = map_bits(bits, plan.constellation, plan.layout, cfg.pilot_amp)
-    frame_sig = synthesize(idzt(tx_grid.values), cfg.shape, cfg.params.b, cfg.q)
+    frame_sig = synthesize(idzt(tx_grid), cfg.shape, cfg.params.b, cfg.q)
     burst, chip0_nominal = _compose_burst(cfg, frame_sig, plan.template)
     return bits, burst, chip0_nominal
 
@@ -222,12 +222,12 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
         h_est = None
     else:
         folded = sample_and_periodize(matched_filter(rx, cfg.shape, params), params)
-        y_dd = DDGrid(values=dzt(folded, params.m, params.n))
+        y_dd = dzt(folded, params.m, params.n)
         del rx, folded
         h_est = estimate(y_dd, plan.support, cfg.pilot_amp)
         x_hat = equalize_taps(y_dd, h_est, dd_noise_var(noise_psd, cfg.q, params.b))
         rx_bits = demap_symbols(x_hat, layout, plan.constellation)
-        symbols = x_hat.values[layout.data_rows, :].reshape(-1)
+        symbols = x_hat[layout.data_rows, :].reshape(-1)
     return TrialReport(
         snr_db=snr_db, seed_key=seed_key,
         bit_errors=int(np.sum(rx_bits != bits)), bits_sent=bits.size, symbols=symbols,
@@ -289,26 +289,25 @@ def sweep(cfg: ExperimentConfig, emit: bool = True
 def write_outputs(cfg: ExperimentConfig, curve: BerCurve,
                   scatters: dict[float, np.ndarray]) -> list[str]:
     """Emit the CSV, the BER curve SVG, and one scatter SVG per SNR."""
-    written = []
-
-    def write(path: str, text: str) -> None:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
-        written.append(path)
-
     name = f"{cfg.shape.family} {cfg.constellation_order}-QAM"
+    outputs = [("CSV", cfg.out_csv, curve.to_csv())]
+    finite = [(p.snr_db, p.ber, p.ci95) for p in curve.points if not math.isinf(p.snr_db)]
+    if finite:
+        outputs.append(("curve SVG", cfg.out_curve_svg,
+                        svg.line_chart(name, finite, title=f"BER, {name}")))
+    reference = cfg.constellation().points
+    for snr_db in sorted(scatters):
+        outputs.append((f"scatter SVG at {snr_db:g} dB",
+                        f"{cfg.out_constellation_prefix}snr_{snr_db:g}dB.svg",
+                        svg.scatter_chart(scatters[snr_db], title=f"{name}, SNR {snr_db:g} dB",
+                                          reference=reference)))
     try:
-        write(cfg.out_csv, curve.to_csv())
-        finite = [(p.snr_db, p.ber, p.ci95) for p in curve.points
-                  if not math.isinf(p.snr_db)]
-        if finite:
-            write(cfg.out_curve_svg, svg.line_chart(name, finite, title=f"BER, {name}"))
-        reference = cfg.constellation().points
-        for snr_db in sorted(scatters):
-            write(f"{cfg.out_constellation_prefix}snr_{snr_db:g}dB.svg",
-                  svg.scatter_chart(scatters[snr_db], title=f"{name}, SNR {snr_db:g} dB",
-                                    reference=reference))
+        # Every directory first: a path that cannot be made leaves no file behind.
+        for what, path, _ in outputs:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        for what, path, text in outputs:
+            with open(path, "w", encoding="utf-8", newline="\n") as f:
+                f.write(text)
     except OSError as e:
-        raise RuntimeError(f"cannot write output {e.filename or ''}: {e}") from e
-    return written
+        raise RuntimeError(f"cannot write output {e.filename or ''} ({what}): {e}") from e
+    return [path for _, path, _ in outputs]

@@ -124,10 +124,10 @@ def detect_timing(rx: AnalogSignal, template: AnalogSignal,
     if samples.size < k:
         return miss
 
-    # scipy.signal.fftconvolve(samples, conj(template[::-1]), 'valid'), bit
-    # for bit: the same transform length, arithmetic and operand order.
+    # Only the valid lags k - 1 .. n - 1 are kept, and a circular correlation
+    # over any length >= n gives them: its wrap-around lands below k - 1.
     n = samples.size
-    nfft = fast_len(n + k - 1)
+    nfft = fast_len(n)
     template_spectrum, tnorm = _template_spectrum(template, nfft)
     spectrum = np.fft.fft(samples, nfft) * template_spectrum
     corr = np.fft.ifft(spectrum, nfft)[k - 1:n]

@@ -1,8 +1,9 @@
 """Discrete Zak transforms between time and delay-Doppler domains.
 
 A frame lives on an M x N delay-Doppler grid: M delay bins spaced 1/B and
-N Doppler bins spaced nu_p/N.  The inverse discrete Zak transform (IDZT)
-turns a grid into one period of an MN-periodic time sequence,
+N Doppler bins spaced nu_p/N, held as an (M, N) complex array indexed
+[delay, Doppler].  The inverse discrete Zak transform (IDZT) turns a
+grid into one period of an MN-periodic time sequence,
 
     s[k + nM] = (1/sqrt(N)) * sum_l s_dd[k, l] * exp(+j 2 pi n l / N),
 
@@ -18,12 +19,11 @@ M x N window the grid continues quasi-periodically:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 import numpy as np
 
-__all__ = ["DDGrid", "idzt", "dzt", "fast_len", "frozen_complex", "memo"]
+__all__ = ["idzt", "dzt", "fast_len", "frozen_complex", "memo"]
 
 
 def frozen_complex(values: np.ndarray) -> np.ndarray:
@@ -75,36 +75,6 @@ def fast_len(n: int) -> int:
         if rest == 1:
             return size
         size += 1
-
-
-@dataclass(frozen=True)
-class DDGrid:
-    """Immutable M x N complex delay-Doppler grid.
-
-    Index order is [delay, Doppler]: values[k, l] is delay bin k in
-    [0, M) and Doppler bin l in [0, N).
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values)
-        if v.ndim != 2:
-            raise ValueError(f"DDGrid wants a 2-D array, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("DDGrid entries must be finite")
-        object.__setattr__(self, "values", frozen_complex(v))
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2))
 
 
 def idzt(values: np.ndarray) -> np.ndarray:

@@ -259,7 +259,7 @@ class TestFoldImpairments:
         rng = np.random.default_rng(9)
         bits = rng.integers(0, 2, size=layout.n_data_cells * const.bits_per_symbol)
         grid = map_bits(bits, const, layout, pilot_amp=8.0)
-        return synthesize(idzt(grid.values), shape, params.b, 4)
+        return synthesize(idzt(grid), shape, params.b, 4)
 
     @pytest.mark.parametrize("family,span,bound", [
         ("rrc", 16, 2e-5),

@@ -302,11 +302,11 @@ class TestFrameMapping:
         nbits = self.layout.n_data_cells * self.const.bits_per_symbol
         grid = map_bits(np.zeros(nbits, dtype=int), self.const, self.layout,
                         pilot_amp=6.0)
-        assert grid.values[self.layout.k_p, self.layout.l_p] == 6.0
+        assert grid[self.layout.k_p, self.layout.l_p] == 6.0
         for k in range(self.layout.kappa1, self.layout.kappa4):
             for l in range(self.layout.n):
                 if (k, l) != (self.layout.k_p, self.layout.l_p):
-                    assert grid.values[k, l] == 0.0
+                    assert grid[k, l] == 0.0
 
     def test_mapping_order_is_row_major(self):
         """The first symbol lands on the first listed data cell."""
@@ -315,7 +315,7 @@ class TestFrameMapping:
         bits[:2] = [0, 1]
         grid = map_bits(bits, self.const, self.layout, pilot_amp=1.0)
         k0, l0 = data_cells(self.layout)[0]
-        assert grid.values[k0, l0] == pytest.approx(self.const.modulate([0, 1])[0])
+        assert grid[k0, l0] == pytest.approx(self.const.modulate([0, 1])[0])
 
     def test_wrong_bit_count_rejected(self):
         with pytest.raises(ValueError, match="bits per frame"):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from zakotfs import _lapack, estimation, runner
 from zakotfs.config import config_from_dict
 from zakotfs.channel import ImpairmentSpec, PathSpec, apply_impairments, apply_paths
-from zakotfs.dd_frame import FrameParams, build_layout, map_bits, Constellation
+from zakotfs.dd_frame import (Constellation, FrameParams, build_layout, demap_symbols,
+                               map_bits)
 from zakotfs.estimation import (
     EffectiveChannelEstimate,
     SolverDivergence,
@@ -22,7 +23,7 @@ from zakotfs.estimation import (
     predict_io,
 )
 from zakotfs.waveform import PulseShape, matched_filter, sample_and_periodize, synthesize
-from zakotfs.zak import DDGrid, dzt, idzt
+from zakotfs.zak import dzt, idzt
 
 NU_P = 30e3
 
@@ -36,7 +37,7 @@ def pilot_frame(layout, pilot_amp=8.0):
     """A frame with zeroed data cells, pilot only."""
     v = np.zeros((layout.m, layout.n), dtype=complex)
     v[layout.k_p, layout.l_p] = pilot_amp
-    return DDGrid(values=v)
+    return v
 
 
 def twisted_convolution(s_dd, h):
@@ -47,7 +48,7 @@ def twisted_convolution(s_dd, h):
         h[k', l'] * s_ext[k - k', l - l'] * exp(j*2*pi*(k - k')*l'/(M*N))
     where s_ext[k + M, l] = s[k, l] * exp(j*2*pi*l/N) is the
     quasi-periodic extension."""
-    m, n = s_dd.m, s_dd.n
+    m, n = s_dd.shape
     kk = np.arange(m)[:, None]
     ll = np.arange(n)[None, :]
     out = np.zeros((m, n), dtype=np.complex128)
@@ -60,7 +61,7 @@ def twisted_convolution(s_dd, h):
             dl = ll - l
             wrap = np.exp(2j * np.pi * (dk // m) * dl / n)
             twist = np.exp(2j * np.pi * dk * l / (m * n))
-            out += val * s_dd.values[dk % m, dl % n] * wrap * twist
+            out += val * s_dd[dk % m, dl % n] * wrap * twist
     return out
 
 
@@ -75,7 +76,7 @@ def dense_io_matrix(h):
     """Oracle matrix H with vec(twisted_convolution(s, h)) = H @ vec(s),
     one column per unit grid, row-major over (delay, Doppler)."""
     m, n = h.support.m, h.support.n
-    return np.stack([twisted_convolution(DDGrid(values=e.reshape(m, n)), h).ravel()
+    return np.stack([twisted_convolution(e.reshape(m, n), h).ravel()
                      for e in np.eye(m * n)], axis=1)
 
 
@@ -83,7 +84,7 @@ def dense_mmse(y, h, noise_var):
     """Oracle x = H^H (H H^H + noise_var I)^{-1} y by a dense solve."""
     hd = dense_io_matrix(h)
     gram = hd @ hd.conj().T + noise_var * np.eye(hd.shape[0])
-    return (hd.conj().T @ np.linalg.solve(gram, y.values.ravel())).reshape(y.m, y.n)
+    return (hd.conj().T @ np.linalg.solve(gram, y.ravel())).reshape(y.shape)
 
 
 @st.composite
@@ -98,13 +99,13 @@ def supports(draw):
 
 def run_chain(grid, params, shape, q, paths=(), imp=None):
     """Transmit, fade, impair, matched-filter, fold back to the grid."""
-    sig = synthesize(idzt(grid.values), shape, params.b, q)
+    sig = synthesize(idzt(grid), shape, params.b, q)
     if paths:
         sig = apply_paths(sig, paths)
     if imp is not None:
         sig = apply_impairments(sig, imp)
-    return DDGrid(values=dzt(sample_and_periodize(matched_filter(sig, shape, params), params),
-                             params.m, params.n))
+    return dzt(sample_and_periodize(matched_filter(sig, shape, params), params),
+               params.m, params.n)
 
 
 class TestSupportRegion:
@@ -175,7 +176,7 @@ class TestEstimate:
         amp = 4.0
         v = np.zeros((16, 8), dtype=complex)
         v[lay.k_p + 1, (lay.l_p + 2) % 8] = 0.5 - 0.25j
-        h = estimate(DDGrid(values=v), sup, amp)
+        h = estimate(v, sup, amp)
         got = tap(h, 1, 2)
         expect = (0.5 - 0.25j) * np.exp(-1j * np.pi * 2 / 8) / amp
         assert got == pytest.approx(expect, abs=1e-14)
@@ -184,7 +185,7 @@ class TestEstimate:
         _, lay = make_layout(m=16, n=8, c_bins=2.0)
         sup = SupportRegion.from_layout(lay, "C1")
         rng = np.random.default_rng(0)
-        y = DDGrid(values=rng.standard_normal((16, 8)))
+        y = rng.standard_normal((16, 8))
         h = estimate(y, sup, 1.0)
         # The block holds the support's taps and nothing else.
         assert h.block.shape == (sup.k_hi - sup.k_lo, 8)
@@ -220,26 +221,26 @@ class TestEstimate:
         _, lay = make_layout(m=m, n=n, c_bins=2.0, margin_bins=1.0)
         sup = SupportRegion.from_layout(lay, kind)
         rng = np.random.default_rng(m + n)
-        y = DDGrid(values=rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        y = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         got = estimate(y, sup, 8.0).block
         want = np.zeros((sup.k_hi - sup.k_lo, n), dtype=np.complex128)
         ls = sup.doppler_taps()
         phase = np.exp(-1j * np.pi * ls / n)
         for i, k_abs in enumerate(range(sup.k_lo, sup.k_hi)):
-            want[i] = y.values[k_abs, (ls + n // 2) % n] * phase / 8.0
+            want[i] = y[k_abs, (ls + n // 2) % n] * phase / 8.0
         assert got.tobytes() == want.tobytes()
 
     def test_pilot_amp_positive(self):
         _, lay = make_layout(m=16, n=8, c_bins=2.0)
         sup = SupportRegion.from_layout(lay, "C1")
-        y = DDGrid(values=np.zeros((16, 8)))
+        y = np.zeros((16, 8))
         with pytest.raises(ValueError, match="pilot_amp"):
             estimate(y, sup, 0.0)
 
     def test_support_grid_must_match(self):
         _, lay = make_layout(m=16, n=8, c_bins=2.0)
         sup = SupportRegion(k_lo=3, k_hi=5, m=8, n=8)
-        y = DDGrid(values=np.zeros((16, 8)))
+        y = np.zeros((16, 8))
         with pytest.raises(ValueError, match="different grid"):
             estimate(y, sup, 1.0)
 
@@ -273,7 +274,7 @@ class TestManualTapsAndEstimate:
         _, lay = make_layout(m=16, n=8, c_bins=2.0)
         sup = SupportRegion.from_layout(lay, "C2" if seed % 2 else "C1")
         rng = np.random.default_rng(seed)
-        y = DDGrid(values=rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8)))
+        y = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
         h = estimate(y, sup, 1.0)
         assert h.peak() == self.loop_peak(h)
 
@@ -329,7 +330,7 @@ class TestPredictIo:
         The frame continues quasi-periodically off its grid:
         s[k + M, l] = exp(j 2 pi l / N) s[k, l], plain-periodic in l.
         """
-        m, n = s.m, s.n
+        m, n = s.shape
         out = np.zeros((m, n), dtype=complex)
         for k in range(m):
             for l in range(n):
@@ -338,7 +339,7 @@ class TestPredictIo:
                     if val == 0:
                         continue
                     kk, ll = k - kp, l - lp
-                    s_ext = np.exp(2j * np.pi * (kk // m) * ll / n) * s.values[kk % m, ll % n]
+                    s_ext = np.exp(2j * np.pi * (kk // m) * ll / n) * s[kk % m, ll % n]
                     acc += val * s_ext * np.exp(2j * np.pi * kk * lp / (m * n))
                 out[k, l] = acc
         return out
@@ -347,10 +348,10 @@ class TestPredictIo:
         _, lay = make_layout(m=8, n=8, c_bins=1.0)
         sup = SupportRegion.from_layout(lay, "C1")
         rng = np.random.default_rng(1)
-        s = DDGrid(values=rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        s = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         h = manual_taps({(0, 0): 1.0}, sup)
         y = predict_io(s, h)
-        assert np.max(np.abs(y.values - s.values)) < 1e-14
+        assert np.max(np.abs(y - s)) < 1e-14
 
     def test_single_tap_shift_phase_by_hand(self):
         """One tap moves the pilot and twists it by exp(j 2 pi k_p l0 / MN)."""
@@ -362,7 +363,7 @@ class TestPredictIo:
         h = manual_taps({(1, 2): g}, sup)
         y = predict_io(s, h)
         expect = g * amp * np.exp(2j * np.pi * lay.k_p * 2 / 64)
-        assert y.values[lay.k_p + 1, lay.l_p + 2] == pytest.approx(expect, abs=1e-13)
+        assert y[lay.k_p + 1, lay.l_p + 2] == pytest.approx(expect, abs=1e-13)
 
     @pytest.mark.parametrize("m,n", [(8, 8), (8, 4), (16, 8)])
     def test_matches_naive_double_sum(self, m, n):
@@ -370,7 +371,7 @@ class TestPredictIo:
         lay = build_layout(p, tau_max=1.0 / p.b, dt_margin=0.0)
         sup = SupportRegion.from_layout(lay, "C2")
         rng = np.random.default_rng(m + n)
-        s = DDGrid(values=rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        s = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         entries = {}
         for k in sup.delay_taps():
             for l in sup.doppler_taps():
@@ -378,7 +379,7 @@ class TestPredictIo:
                     entries[(int(k), int(l))] = complex(rng.standard_normal(),
                                                         rng.standard_normal())
         h = manual_taps(entries, sup)
-        fast = predict_io(s, h).values
+        fast = predict_io(s, h)
         slow = self.naive_predict(s, h)
         assert np.max(np.abs(fast - slow)) < 1e-12
 
@@ -395,9 +396,9 @@ class TestPredictIo:
                    for k in sup.delay_taps() for l in sup.doppler_taps()
                    if rng.random() < density}
         h = manual_taps(entries, sup)
-        s = DDGrid(values=rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        s = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         want = twisted_convolution(s, h)
-        got = predict_io(s, h).values
+        got = predict_io(s, h)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want), initial=0.0)
 
     @settings(max_examples=60, deadline=None)
@@ -411,20 +412,19 @@ class TestPredictIo:
                    for k in sup.delay_taps() for l in sup.doppler_taps()
                    if rng.random() < 0.5}
         h = manual_taps(entries, sup)
-        s = DDGrid(values=rng.standard_normal((sup.m, sup.n))
-                   + 1j * rng.standard_normal((sup.m, sup.n)))
-        x = idzt(s.values)
+        s = rng.standard_normal((sup.m, sup.n)) + 1j * rng.standard_normal((sup.m, sup.n))
+        x = idzt(s)
         mn = x.size
         gather = (np.arange(mn) - sup.delay_taps()[:, None]) % mn
         profiles = estimation._delay_gain_profiles(h)
         y = np.take_along_axis(profiles * x, gather, axis=-1).sum(axis=0)
-        assert predict_io(s, h).values.tobytes() == dzt(y, sup.m, sup.n).tobytes()
+        assert predict_io(s, h).tobytes() == dzt(y, sup.m, sup.n).tobytes()
 
     def test_grid_mismatch_rejected(self):
         """Taps on a 16x8 support cannot act on an 8x8 frame."""
         sup = SupportRegion(k_lo=7, k_hi=10, m=16, n=8)
         h = manual_taps({(0, 0): 1.0, (1, 2): 0.5j}, sup)
-        s = DDGrid(values=np.ones((8, 8), dtype=complex))
+        s = np.ones((8, 8), dtype=complex)
         with pytest.raises(ValueError, match="tap support and grid dimensions disagree"):
             predict_io(s, h)
 
@@ -441,8 +441,7 @@ class TestPredictIo:
         frame = map_bits(bits, const, lay, pilot_amp=8.0)
         y_true = run_chain(frame, p, shape, 4, paths=(path,))
         y_pred = predict_io(frame, h)
-        return (np.linalg.norm(y_pred.values - y_true.values)
-                / np.linalg.norm(y_true.values))
+        return np.linalg.norm(y_pred - y_true) / np.linalg.norm(y_true)
 
     def test_calibrated_prediction_matches_the_chain(self):
         """On-bin paths are predicted to a fraction of a percent."""
@@ -467,9 +466,9 @@ class TestMmseEqualize:
         _, lay = make_layout(m=16, n=8, c_bins=2.0)
         sup = SupportRegion.from_layout(lay, "C2")
         rng = np.random.default_rng(5)
-        y = DDGrid(values=rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8)))
+        y = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
         x = equalize_taps(y, manual_taps({(0, 0): 1.0}, sup), 0.0)
-        assert np.max(np.abs(x.values - y.values)) < 1e-10
+        assert np.max(np.abs(x - y)) < 1e-10
 
     def test_diagonal_channel_closed_form(self):
         """Zero-delay taps act in time as one gain g[t] = sum_l h_l
@@ -482,11 +481,11 @@ class TestMmseEqualize:
         h = manual_taps({(0, l): g for l, g in gains.items()}, sup)
         t = np.arange(64)
         g = sum(v * np.exp(2j * np.pi * l * t / 64) for l, v in gains.items())
-        y = DDGrid(values=rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        y = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         var = 0.3
         x = equalize_taps(y, h, var)
-        expect = dzt(np.conj(g) * idzt(y.values) / (np.abs(g) ** 2 + var), 8, 8)
-        assert np.max(np.abs(x.values - expect)) < 1e-10
+        expect = dzt(np.conj(g) * idzt(y) / (np.abs(g) ** 2 + var), 8, 8)
+        assert np.max(np.abs(x - expect)) < 1e-10
 
     def test_noiseless_two_tap_channel_inverts(self):
         """y built by the oracle matrix, not by predict_io itself."""
@@ -495,17 +494,17 @@ class TestMmseEqualize:
         h = manual_taps({(0, 0): 1.0, (1, -2): 0.4j}, sup)
         rng = np.random.default_rng(7)
         s = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        y = DDGrid(values=(dense_io_matrix(h) @ s).reshape(8, 8))
+        y = (dense_io_matrix(h) @ s).reshape(8, 8)
         x = equalize_taps(y, h, 0.0)
-        assert np.max(np.abs(x.values.ravel() - s)) < 1e-9
+        assert np.max(np.abs(x.ravel() - s)) < 1e-9
 
     def test_heavy_noise_shrinks_output(self):
         _, lay = make_layout(m=8, n=8, c_bins=1.0)
         sup = SupportRegion.from_layout(lay, "C1")
         rng = np.random.default_rng(8)
-        y = DDGrid(values=rng.standard_normal((8, 8)))
+        y = rng.standard_normal((8, 8))
         x = equalize_taps(y, manual_taps({(0, 0): 1.0}, sup), 1e9)
-        assert np.linalg.norm(x.values) < 1e-6 * np.linalg.norm(y.values)
+        assert np.linalg.norm(x) < 1e-6 * np.linalg.norm(y)
 
     def test_singular_system_raises_divergence(self):
         """Rank-deficient taps without regularization: the operators below
@@ -513,7 +512,7 @@ class TestMmseEqualize:
         sequence, so H H^H has a null direction."""
         _, lay = make_layout(m=16, n=16, c_bins=2.0)
         sup = SupportRegion.from_layout(lay, "C1")
-        y = DDGrid(values=np.ones((16, 16)))
+        y = np.ones((16, 16))
         for entries in ({(0, 0): 1.0, (1, 0): -1.0},
                         {(0, 0): 1.0, (1, 0): 1.0},
                         {(0, 0): 1.0, (0, 1): -1.0},
@@ -521,17 +520,17 @@ class TestMmseEqualize:
             h = manual_taps(entries, sup)
             with pytest.raises(SolverDivergence, match="singular"):
                 equalize_taps(y, h, 0.0)
-            assert np.all(np.isfinite(equalize_taps(y, h, 1e-3).values))
+            assert np.all(np.isfinite(equalize_taps(y, h, 1e-3)))
 
     def test_negative_noise_rejected(self):
         sup = SupportRegion(k_lo=2, k_hi=3, m=4, n=4)
-        y = DDGrid(values=np.zeros((4, 4)))
+        y = np.zeros((4, 4))
         with pytest.raises(ValueError, match="noise_var"):
             equalize_taps(y, manual_taps({(0, 0): 1.0}, sup), -1.0)
 
     def test_shape_mismatch_rejected(self):
         sup = SupportRegion(k_lo=2, k_hi=3, m=4, n=4)
-        y = DDGrid(values=np.zeros((6, 6)))
+        y = np.zeros((6, 6))
         with pytest.raises(ValueError, match="disagree"):
             equalize_taps(y, manual_taps({(0, 0): 1.0}, sup), 0.0)
 
@@ -643,12 +642,11 @@ class TestEqualizeTaps:
         sup = SupportRegion.from_layout(lay, kind)
         h = self._random_estimate(sup, seed=m * 10 + n)
         rng = np.random.default_rng(3)
-        y = DDGrid(values=rng.standard_normal((m, n))
-                   + 1j * rng.standard_normal((m, n)))
+        y = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         via_matrix = dense_mmse(y, h, 0.05)
         via_solver = equalize_taps(y, h, 0.05)
         scale = np.max(np.abs(via_matrix))
-        assert np.max(np.abs(via_solver.values - via_matrix)) / scale < 1e-9
+        assert np.max(np.abs(via_solver - via_matrix)) / scale < 1e-9
 
     @settings(max_examples=50, deadline=None)
     @given(sup=supports(), seed=st.integers(0, 2 ** 32 - 1),
@@ -667,10 +665,9 @@ class TestEqualizeTaps:
                    for k in sup.delay_taps() for l in sup.doppler_taps()
                    if rng.random() < 0.5}
         h = manual_taps(entries, sup)
-        y = DDGrid(values=rng.standard_normal((m, n))
-                   + 1j * rng.standard_normal((m, n)))
+        y = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         want = dense_mmse(y, h, noise_var)
-        got = equalize_taps(y, h, noise_var).values
+        got = equalize_taps(y, h, noise_var)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     @staticmethod
@@ -679,13 +676,13 @@ class TestEqualizeTaps:
         cho_solve_banded: the zpbtrf and zpbtrs calls zpbsv makes in one."""
         maps = estimation._maps(h.support)
         profiles = estimation._delay_gain_profiles(h)
-        s = idzt(y.values)
+        s = idzt(y)
         band = estimation._normal_band(profiles, noise_var, maps)
         folded = np.empty_like(s)
         folded[maps.pos] = s
         factor = scipy.linalg.cholesky_banded(band, check_finite=False)
         z = scipy.linalg.cho_solve_banded((factor, False), folded, check_finite=False)[maps.pos]
-        return DDGrid(values=dzt((np.conj(profiles) * z[maps.adjoint]).sum(axis=0), y.m, y.n))
+        return dzt((np.conj(profiles) * z[maps.adjoint]).sum(axis=0), *y.shape)
 
     @settings(max_examples=60, deadline=None)
     @given(sup=supports(), seed=st.integers(0, 2 ** 32 - 1),
@@ -698,11 +695,10 @@ class TestEqualizeTaps:
                    for k in sup.delay_taps() for l in sup.doppler_taps()
                    if rng.random() < 0.5}
         h = manual_taps(entries, sup)
-        y = DDGrid(values=rng.standard_normal((sup.m, sup.n))
-                   + 1j * rng.standard_normal((sup.m, sup.n)))
+        y = rng.standard_normal((sup.m, sup.n)) + 1j * rng.standard_normal((sup.m, sup.n))
         got = equalize_taps(y, h, noise_var)
         want = self._two_call_solve(y, h, noise_var)
-        assert got.values.tobytes() == want.values.tobytes()
+        assert got.tobytes() == want.tobytes()
 
     def test_failed_factorization_raises_divergence(self):
         """Zero taps without noise give an all-zero band: zpbtrf itself
@@ -716,7 +712,7 @@ class TestEqualizeTaps:
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.cholesky_banded(band)
         assert _lapack.zpbsv(band, np.ones(32, dtype=complex)) == 1
-        y = DDGrid(values=np.ones((8, 4)))
+        y = np.ones((8, 4))
         with pytest.raises(SolverDivergence, match="singular"):
             equalize_taps(y, h, 0.0)
 
@@ -731,34 +727,32 @@ class TestEqualizeTaps:
         _, lay = make_layout(m=8, n=8, c_bins=1.0)
         h = manual_taps({(0, 0): 1.0}, SupportRegion.from_layout(lay, "C1"))
         with pytest.raises(SolverDivergence, match="singular"):
-            equalize_taps(DDGrid(values=np.ones((8, 8))), h, 0.1)
+            equalize_taps(np.ones((8, 8)), h, 0.1)
 
     def test_noiseless_two_tap_channel_inverts(self):
         _, lay = make_layout(m=8, n=8, c_bins=2.0)
         sup = SupportRegion.from_layout(lay, "C1")
         h = manual_taps({(0, 0): 1.0, (1, -2): 0.4j}, sup)
         rng = np.random.default_rng(17)
-        s = DDGrid(values=rng.standard_normal((8, 8))
-                   + 1j * rng.standard_normal((8, 8)))
+        s = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         y = predict_io(s, h)
         x = equalize_taps(y, h, 0.0)
-        assert np.max(np.abs(x.values - s.values)) < 1e-9
+        assert np.max(np.abs(x - s)) < 1e-9
 
     def test_identity_taps_pass_through(self):
         _, lay = make_layout(m=8, n=8, c_bins=1.0)
         sup = SupportRegion.from_layout(lay, "C1")
         h = manual_taps({(0, 0): 1.0}, sup)
         rng = np.random.default_rng(18)
-        y = DDGrid(values=rng.standard_normal((8, 8))
-                   + 1j * rng.standard_normal((8, 8)))
+        y = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         x = equalize_taps(y, h, 0.0)
-        assert np.max(np.abs(x.values - y.values)) < 1e-10
+        assert np.max(np.abs(x - y)) < 1e-10
 
     def test_all_zero_taps_without_noise_diverge(self):
         _, lay = make_layout(m=4, n=4, c_bins=0.0)
         sup = SupportRegion.from_layout(lay, "C1")
         h = manual_taps({}, sup)
-        y = DDGrid(values=np.ones((4, 4)))
+        y = np.ones((4, 4))
         with pytest.raises(SolverDivergence, match="singular"):
             equalize_taps(y, h, 0.0)
 
@@ -767,14 +761,26 @@ class TestEqualizeTaps:
         sup = SupportRegion.from_layout(lay, "C1")
         h = manual_taps({(0, 0): 1.0}, sup)
         with pytest.raises(ValueError, match="noise_var"):
-            equalize_taps(DDGrid(values=np.zeros((8, 8))), h, -0.5)
+            equalize_taps(np.zeros((8, 8)), h, -0.5)
 
     def test_grid_mismatch_rejected(self):
         _, lay = make_layout(m=8, n=8, c_bins=1.0)
         sup = SupportRegion.from_layout(lay, "C1")
         h = manual_taps({(0, 0): 1.0}, sup)
         with pytest.raises(ValueError, match="disagree"):
-            equalize_taps(DDGrid(values=np.zeros((4, 4))), h, 0.0)
+            equalize_taps(np.zeros((4, 4)), h, 0.0)
+
+    def test_overflowing_taps_raise_divergence(self):
+        """Taps read off with a vanishing pilot amplitude overflow the band;
+        the solution that is not finite is a failure, not a frame."""
+        _, lay = make_layout(m=16, n=16, c_bins=2.0, margin_bins=1.0)
+        sup = SupportRegion.from_layout(lay, "C1")
+        rng = np.random.default_rng(1)
+        y = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        h = estimate(y, sup, 1e-160)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverDivergence, match="not finite"):
+                equalize_taps(y, h, 1e-3)
 
     def test_delay_span_wider_than_half_the_ring_rejected(self):
         """With N = 1 a full delay support would fold the band onto itself,
@@ -811,6 +817,33 @@ def readme_10db_system():
     return seen[0]
 
 
+class TestGridEntryChecks:
+    """Every function that takes a DD grid refuses one of another shape."""
+
+    @staticmethod
+    def _calls():
+        _, lay = make_layout(m=16, n=8, c_bins=2.0, margin_bins=1.0)
+        sup = SupportRegion.from_layout(lay, "C1")
+        h = manual_taps({(0, 0): 1.0}, sup)
+        return {
+            "demap_symbols": lambda g: demap_symbols(g, lay, Constellation(4)),
+            "estimate": lambda g: estimate(g, sup, 1.0),
+            "predict_io": lambda g: predict_io(g, h),
+            "equalize_taps": lambda g: equalize_taps(g, h, 0.1),
+            "guard_noise_var": lambda g: guard_noise_var(g, lay, sup),
+        }
+
+    @pytest.mark.parametrize("name", ["demap_symbols", "estimate", "predict_io",
+                                      "equalize_taps", "guard_noise_var"])
+    @pytest.mark.parametrize("bad", ["1-D", "transposed"])
+    def test_grid_of_another_shape_rejected(self, name, bad):
+        call = self._calls()[name]
+        grid = np.ones((16, 8), dtype=complex)
+        call(grid)
+        with pytest.raises(ValueError, match="disagree|different grid"):
+            call(grid.ravel() if bad == "1-D" else grid.T)
+
+
 class TestBandZeroSeed:
     """Seeded structural zeros keep the band factor free of subnormals."""
 
@@ -827,7 +860,7 @@ class TestBandZeroSeed:
         got = equalize_taps(y, h, noise_var)
         monkeypatch.setattr(estimation, "_ZERO_SEED", 0.0)
         want = equalize_taps(y, h, noise_var)
-        assert got.values.tobytes() == want.values.tobytes()
+        assert got.tobytes() == want.tobytes()
 
 
 class TestNoiseCalibration:
@@ -843,7 +876,7 @@ class TestNoiseCalibration:
         var = 0.25
         noise = np.sqrt(var / 2) * (rng.standard_normal((64, 64))
                                     + 1j * rng.standard_normal((64, 64)))
-        got = guard_noise_var(DDGrid(values=noise), lay, sup)
+        got = guard_noise_var(noise, lay, sup)
         assert got == pytest.approx(var, rel=0.25)
 
     @pytest.mark.parametrize("pilot_row", [True, False])
@@ -859,19 +892,19 @@ class TestNoiseCalibration:
         if not pilot_row:
             sup = SupportRegion(k_lo=sup.k_lo, k_hi=lay.k_p, m=m, n=n)
         rng = np.random.default_rng(m * n)
-        y = DDGrid(values=rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        y = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         cells = [(k, l)
                  for k in range(lay.kappa1, lay.kappa4)
                  for l in range(lay.n)
                  if not (k == lay.k_p and l == lay.l_p)
                  and not sup.k_lo <= k < sup.k_hi]
-        vals = np.array([y.values[k, l] for k, l in cells])
+        vals = np.array([y[k, l] for k, l in cells])
         assert guard_noise_var(y, lay, sup) == float(np.mean(np.abs(vals) ** 2))
 
     def test_c2_support_leaves_no_probe_cells(self):
         _, lay = make_layout(c_bins=3.0)
         sup = SupportRegion.from_layout(lay, "C2")
-        y = DDGrid(values=np.zeros((64, 64)))
+        y = np.zeros((64, 64))
         with pytest.raises(ValueError, match="noise-only"):
             guard_noise_var(y, lay, sup)
 

@@ -1168,8 +1168,12 @@ class TestWriteOutputs:
         blocker.write_text("")
         raw = self._raw(tmp_path / "ber.csv", tmp_path / "ber.svg",
                         f"{blocker}/{under}const_", snr_db=[25])
-        with pytest.raises(RuntimeError, match=f"cannot write output {blocker}"):
+        with pytest.raises(RuntimeError, match=f"cannot write output {blocker}.*"
+                           r"\(scatter SVG at 25 dB\)"):
             self._write(raw)
+        # Every directory is made before any file is written.
+        assert not (tmp_path / "ber.csv").exists()
+        assert not (tmp_path / "ber.svg").exists()
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(raw))
         assert main(["sweep", "--config", str(path)]) == 2

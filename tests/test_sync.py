@@ -19,6 +19,7 @@ from zakotfs.sync import (
     shape_preamble,
 )
 from zakotfs.waveform import AnalogSignal, PulseShape, phase_ramp
+from zakotfs.zak import fast_len
 
 RATE = 7.68e6
 B = RATE / 4
@@ -187,8 +188,14 @@ class TestTimingEnergyNormalizer:
 
 
 def running_sum_metric(rx, template):
-    """detect_timing's metric over every lag, built out of place from a running sum."""
-    corr = fftconvolve(rx, np.conj(template[::-1]), mode="valid")
+    """detect_timing's metric over every lag, built out of place from a running sum.
+
+    The correlation is circular over fast_len(rx.size) points, as there,
+    and keeps the valid lags.
+    """
+    nfft = fast_len(rx.size)
+    spectrum = np.fft.fft(rx, nfft) * np.fft.fft(np.conj(template[::-1]), nfft)
+    corr = np.fft.ifft(spectrum, nfft)[template.size - 1:rx.size]
     energy = np.concatenate(([0.0], np.cumsum(np.abs(rx) ** 2)))
     power = energy[template.size:] - energy[:-template.size]
     tnorm = np.sqrt(np.sum(np.abs(template) ** 2))
@@ -211,7 +218,7 @@ def even_preambles():
 
 
 class TestTimingMetricInPlace:
-    """The in-place metric repeats the out-of-place one, fftconvolve's included, bit for bit."""
+    """The in-place metric repeats the out-of-place one, correlation included, bit for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), preamble=even_preambles(),
