@@ -65,9 +65,9 @@ def _check(band, rhs) -> None:
 def zpbsv(band: np.ndarray, rhs: np.ndarray) -> int:
     """Solve A x = rhs in place for a Hermitian positive-definite band A.
 
-    band holds A's upper band in LAPACK's layout, (kd + 1, n) in column
-    major order with band[kd + i - j, j] = A[i, j] for j - kd <= i <= j.
-    On return band holds the Cholesky factor U of A = U^H U in the same
+    band holds A's lower band in LAPACK's layout, (kd + 1, n) in column
+    major order with band[i - j, j] = A[i, j] for j <= i <= j + kd.
+    On return band holds the Cholesky factor L of A = L L^H in the same
     layout, and rhs holds x.  Returns LAPACK's info: 0 on success, k > 0
     when the leading minor of order k is not positive definite.  Raises
     ValueError on a malformed argument, before any foreign call.
@@ -77,9 +77,9 @@ def zpbsv(band: np.ndarray, rhs: np.ndarray) -> int:
     if solve is None:
         from scipy.linalg.lapack import zpbsv as f2py_zpbsv
         # f2py solves in place on the layouts _check admits.
-        *_, info = f2py_zpbsv(band, rhs, lower=0, overwrite_ab=1, overwrite_b=1)
+        *_, info = f2py_zpbsv(band, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
         return int(info)
     kd, n = band.shape[0] - 1, band.shape[1]
     n_, kd_, nrhs, ldab, ldb, info = (ctypes.c_int64(v) for v in (n, kd, 1, kd + 1, n, 0))
-    solve(b"U", n_, kd_, nrhs, band.ctypes.data, ldab, rhs.ctypes.data, ldb, info, 1)
+    solve(b"L", n_, kd_, nrhs, band.ctypes.data, ldab, rhs.ctypes.data, ldb, info, 1)
     return info.value

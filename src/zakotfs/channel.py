@@ -114,11 +114,7 @@ def apply_paths(sig: AnalogSignal, paths: tuple[PathSpec, ...] | list[PathSpec])
 def apply_impairments(sig: AnalogSignal, imp: ImpairmentSpec) -> AnalogSignal:
     """Apply the timing, carrier and phase impairments; add_noise adds the noise."""
     x = _delay_samples(sig.samples, imp.dt * sig.rate)
-    # Multiply by a fresh copy of the ramp: above a size threshold numpy
-    # reuses a temporary operand as the output and swaps the factors, and
-    # the copy keeps the last bit of every sample the same as multiplying
-    # by a newly computed ramp.
-    x = x * _ramp(imp.eps0, sig.start, sig.rate, x.size, imp.phi).copy()
+    x = x * _ramp(imp.eps0, sig.start, sig.rate, x.size, imp.phi)
     return AnalogSignal.adopt(x, rate=sig.rate, start=sig.start)
 
 

@@ -183,17 +183,6 @@ def _delay_gain_profiles(h: EffectiveChannelEstimate) -> np.ndarray:
     return mn * np.fft.ifft(spec, axis=-1)
 
 
-def _ring_fold(mn: int) -> np.ndarray:
-    """Band position of each sample of a length-mn ring.
-
-    Sample i goes to 2i in the first half and to 2(mn-1-i)+1 in the
-    second, so the two ends interleave: samples within ring distance d,
-    across the wrap-around included, sit within 2d positions.
-    """
-    i = np.arange(mn)
-    return np.where(2 * i < mn, 2 * i, 2 * (mn - 1 - i) + 1)
-
-
 class _Maps(NamedTuple):
     """Index maps of a support's tap operator; the arrays are read-only."""
 
@@ -201,10 +190,8 @@ class _Maps(NamedTuple):
     dopplers: np.ndarray  # signed Doppler taps
     phase: np.ndarray     # exp(-j*pi*l/N) over the signed Doppler taps
     spectrum_cols: np.ndarray  # dopplers % MN, the gain profiles' DFT bins
-    pos: np.ndarray       # band position of each ring sample, _ring_fold
     roll: np.ndarray      # (D, MN + span) flat gather into the (D, MN) profiles
-    dest: np.ndarray      # (span + 1, MN) flat band destinations, per offset
-    conj: np.ndarray      # (span + 1, MN) mask of the entries stored conjugated
+    band: np.ndarray      # (MN, 2*span + 1) flat gather of the band's columns
     adjoint: np.ndarray   # (D, MN): row r holds (t + delays[r]) mod MN
 
 
@@ -215,25 +202,29 @@ def _maps(support: SupportRegion) -> _Maps:
     Row r of the roll map reads profile r rolled by delays[r], which is H's
     shift, and runs span samples past the ring's end, so that every
     offset's products in _normal_band are slices of one gathered array.
-    For each offset off = 0..span, dest and conj hold the flat
-    destinations in the (2*span + 1, MN) band stored column by column, as
-    LAPACK reads it, and the entries stored conjugated.  Row r of adjoint
-    is np.roll(z, -delays[r]) as a gather, H^H's shift.
+    The fold puts ring sample t at band position min(2t, 2(MN-1-t) + 1),
+    so samples within ring distance d, across the wrap-around too, sit
+    within 2d positions.  Row j of band reads column j of the folded lower
+    band, as LAPACK stores it, from _normal_band's [entries | conj(entries)
+    | seed], taking the conjugate where the entry's first sample folds
+    first.  Row r of adjoint is np.roll(z, -delays[r]) as a gather, H^H's
+    shift.
     """
     mn = support.m * support.n
     d, ls = support.delay_taps(), support.doppler_taps()
     span = d.size - 1
-    u = 2 * span
     t = np.arange(mn)
-    pos = _ring_fold(mn)
+    pos = np.minimum(2 * t, 2 * (mn - 1 - t) + 1)
     # Band positions of the ring pairs (t, t + off), one row per offset.
     q = pos[(t + np.arange(span + 1)[:, None]) % mn]
-    row, col = np.minimum(pos, q), np.maximum(pos, q)
+    col = np.minimum(pos, q)
+    size = (span + 1) * mn
+    band = np.full((mn, 2 * span + 1), 2 * size)
+    band[col, np.maximum(pos, q) - col] = np.arange(size).reshape(q.shape) + size * (pos < q)
     return _Maps(delays=d, dopplers=ls, phase=np.exp(-1j * np.pi * ls / support.n),
-                 spectrum_cols=ls % mn, pos=pos,
+                 spectrum_cols=ls % mn,
                  roll=(np.arange(mn + span) - d[:, None]) % mn + mn * np.arange(d.size)[:, None],
-                 dest=(u + row - col) + (u + 1) * col, conj=pos > q,
-                 adjoint=(t + d[:, None]) % mn)
+                 band=band, adjoint=(t + d[:, None]) % mn)
 
 
 # Relative value of the band's structural zeros: 2**-300 sits about 250
@@ -243,16 +234,16 @@ _ZERO_SEED = 2.0 ** -300
 
 
 def _normal_band(profiles: np.ndarray, noise_var: float, maps: _Maps) -> np.ndarray:
-    """Upper band storage of the folded H H^H + noise_var I.
+    """Lower band storage of the folded H H^H + noise_var I.
 
     H v = sum_d roll(g_d * v, d), so entry (t, t+off) of H H^H is
     sum_d g_d[t-d] conj(g_{d+off}[t-d]) over the contiguous delays, and
     only ring offsets up to span = max(delays) - min(delays) are nonzero.
     With the profiles rolled by their delays, g_{d+off}[t-d] is row
     d + off of the rolled array at t + off, so each offset multiplies two
-    slices of it.  Folding by _ring_fold turns that ring band into a
-    plain band of half-width 2*span, returned in the upper layout
-    LAPACK's zpbsv reads, in Fortran order; maps is _maps's.
+    slices of it.  The fold of _maps turns that ring band into a plain
+    band of half-width 2*span, gathered by maps.band into the lower
+    layout LAPACK's zpbsv reads, in Fortran order, diagonal in row 0.
 
     The fold interleaves two chains that couple only at the ring's ends,
     so the Cholesky fill between them decays geometrically.  Started from
@@ -263,7 +254,7 @@ def _normal_band(profiles: np.ndarray, noise_var: float, maps: _Maps) -> np.ndar
     """
     d_count, mn = profiles.shape
     rolled = np.take(profiles, maps.roll)
-    entries = np.empty(maps.dest.shape, dtype=np.complex128)
+    entries = np.empty((d_count, mn), dtype=np.complex128)
     for off, entry in enumerate(entries):
         # Kept as one expression: numpy may multiply a large temporary in
         # place with the factors swapped, and complex products round by
@@ -271,12 +262,14 @@ def _normal_band(profiles: np.ndarray, noise_var: float, maps: _Maps) -> np.ndar
         prod = rolled[:d_count - off, :mn] * np.conj(rolled[off:, off:off + mn])
         np.sum(prod, axis=0, out=entry)
     del rolled, prod
-    np.conjugate(entries, out=entries, where=maps.conj)
-    seed = _ZERO_SEED * (np.max(entries[0].real) + noise_var)
-    band = np.full((2 * d_count - 1, mn), seed, dtype=np.complex128, order="F")
-    band.reshape(-1, order="F")[maps.dest] = entries
-    band[-1] += noise_var
-    return band
+    entries[0] += noise_var
+    seed = _ZERO_SEED * np.max(entries[0].real)
+    return np.take(np.concatenate((entries, np.conj(entries), [[seed]]), axis=None), maps.band).T
+
+
+def _overflow(noise_var: float) -> SolverDivergence:
+    return SolverDivergence(f"equalized frame is not finite (noise_var={noise_var:g}); "
+                            "the taps overflow the solve")
 
 
 def equalize_taps(y_dd: np.ndarray, h: EffectiveChannelEstimate,
@@ -285,11 +278,11 @@ def equalize_taps(y_dd: np.ndarray, h: EffectiveChannelEstimate,
 
     H is the twisted convolution of predict_io, applied in the time
     domain, where each supported delay is one circular shift under a
-    time-varying gain.  The normal matrix is then a ring band that
-    _ring_fold turns into a plain band, solved exactly by a banded
+    time-varying gain.  The normal matrix is then a ring band that the
+    fold of _maps turns into a plain band, solved exactly by a banded
     Cholesky factorization in O(MN * span^2) for a delay span of span
-    bins.  Raises SolverDivergence when that matrix is singular or the
-    solution is not finite.
+    bins.  Raises SolverDivergence when that matrix is singular, or when
+    the band or the solution is not finite.
     """
     if noise_var < 0:
         raise ValueError("noise_var must be nonnegative")
@@ -299,24 +292,27 @@ def equalize_taps(y_dd: np.ndarray, h: EffectiveChannelEstimate,
     profiles = _delay_gain_profiles(h)
     y = idzt(y_dd)
     band = _normal_band(profiles, noise_var, maps)
-    y_folded = np.empty_like(y)
-    y_folded[maps.pos] = y
+    # _maps's fold: first half forward at even positions, second half backward at odd.
+    half = (y.size + 1) // 2
+    folded = np.empty_like(y)
+    folded[0::2], folded[1::2] = y[:half], y[half:][::-1]
     # Rounding leaves a null direction a pivot near eps rather than zero, so
     # pivots are judged against the largest diagonal entry, not against 0.
-    floor = y.size * np.finfo(float).eps * np.max(band[-1].real)
+    floor = y.size * np.finfo(float).eps * np.max(band[0].real)
+    if not np.isfinite(floor):
+        raise _overflow(noise_var)
     # One LAPACK call, in place: zpbtrf factors the band, zpbtrs solves
-    # with the factor, and y_folded becomes the folded solution.
-    info = zpbsv(band, y_folded)
-    if info != 0 or np.min(band[-1].real) ** 2 <= floor:
+    # with the factor, and folded becomes the folded solution.
+    info = zpbsv(band, folded)
+    if info != 0 or np.min(band[0].real) ** 2 <= floor:
         raise SolverDivergence(
             "regularized normal matrix H H^H + noise_var I is singular "
             f"(noise_var={noise_var:g}); the taps do not determine the frame")
-    z = y_folded[maps.pos]
+    z = np.concatenate((folded[0::2], folded[1::2][::-1]))
     # H^H z = sum_d conj(g_d) * roll(z, -d), the rows summed in order.
     x = dzt((np.conj(profiles) * z[maps.adjoint]).sum(axis=0), *y_dd.shape)
     if not np.isfinite(x).all():
-        raise SolverDivergence(f"equalized frame is not finite (noise_var={noise_var:g}); "
-                               "the taps overflow the solve")
+        raise _overflow(noise_var)
     return x
 
 

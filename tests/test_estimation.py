@@ -539,30 +539,30 @@ def gather_normal_band(profiles, noise_var, delays):
     """_normal_band as it was built from per-offset gather maps: the
     (rows, mn) profile products of each offset gathered back onto the ring
     by flat index and summed over rows, then scattered one offset at a
-    time into the Fortran-ordered band."""
+    time into the Fortran-ordered lower band."""
     d_count, mn = profiles.shape
     span = d_count - 1
     u = 2 * span
     d = np.array(delays)
     t = np.arange(mn)
-    pos = estimation._ring_fold(mn)
+    pos = np.where(2 * t < mn, 2 * t, 2 * (mn - 1 - t) + 1)
     entries, dests = [], []
     for off in range(span + 1):
         rows = d_count - off
         gather = (t - d[:rows, None]) % mn + mn * np.arange(rows)[:, None]
         p, q = pos, pos[(t + off) % mn]
-        row, col = np.minimum(p, q), np.maximum(p, q)
+        row, col = np.maximum(p, q), np.minimum(p, q)
         prod = profiles[:d_count - off] * np.conj(profiles[off:])
         entry = np.take(prod, gather).sum(axis=0)
-        np.conjugate(entry, out=entry, where=p > q)
+        np.conjugate(entry, out=entry, where=p < q)
         entries.append(entry)
-        dests.append((u + row - col) + (u + 1) * col)
+        dests.append((row - col) + (u + 1) * col)
     seed = estimation._ZERO_SEED * (np.max(entries[0].real) + noise_var)
     band = np.full((2 * d_count - 1, mn), seed, dtype=np.complex128, order="F")
     flat = band.reshape(-1, order="F")
     for dest, entry in zip(dests, entries):
         flat[dest] = entry
-    band[-1] += noise_var
+    band[0] += noise_var
     return band
 
 
@@ -678,10 +678,12 @@ class TestEqualizeTaps:
         profiles = estimation._delay_gain_profiles(h)
         s = idzt(y)
         band = estimation._normal_band(profiles, noise_var, maps)
+        half = (s.size + 1) // 2
         folded = np.empty_like(s)
-        folded[maps.pos] = s
-        factor = scipy.linalg.cholesky_banded(band, check_finite=False)
-        z = scipy.linalg.cho_solve_banded((factor, False), folded, check_finite=False)[maps.pos]
+        folded[0::2], folded[1::2] = s[:half], s[half:][::-1]
+        factor = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
+        z = scipy.linalg.cho_solve_banded((factor, True), folded, check_finite=False)
+        z = np.concatenate((z[0::2], z[1::2][::-1]))
         return dzt((np.conj(profiles) * z[maps.adjoint]).sum(axis=0), *y.shape)
 
     @settings(max_examples=60, deadline=None)
@@ -710,7 +712,7 @@ class TestEqualizeTaps:
         profiles = estimation._delay_gain_profiles(h)
         band = estimation._normal_band(profiles, 0.0, estimation._maps(sup))
         with pytest.raises(np.linalg.LinAlgError):
-            scipy.linalg.cholesky_banded(band)
+            scipy.linalg.cholesky_banded(band, lower=True)
         assert _lapack.zpbsv(band, np.ones(32, dtype=complex)) == 1
         y = np.ones((8, 4))
         with pytest.raises(SolverDivergence, match="singular"):
@@ -782,6 +784,19 @@ class TestEqualizeTaps:
             with pytest.raises(SolverDivergence, match="not finite"):
                 equalize_taps(y, h, 1e-3)
 
+    @pytest.mark.parametrize("gain", [1e155, 1e160])
+    def test_overflowing_band_is_reported_as_overflow(self, gain):
+        """Taps whose squares pass the float range make the band's diagonal
+        infinite; that is an overflow, not a singular matrix."""
+        _, lay = make_layout(m=16, n=16, c_bins=2.0, margin_bins=1.0)
+        h = manual_taps({(0, 0): gain, (1, -2): 0.5 * gain},
+                        SupportRegion.from_layout(lay, "C1"))
+        rng = np.random.default_rng(2)
+        y = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverDivergence, match="not finite"):
+                equalize_taps(y, h, 0.1)
+
     def test_delay_span_wider_than_half_the_ring_rejected(self):
         """With N = 1 a full delay support would fold the band onto itself,
         so no such support is built."""
@@ -851,7 +866,7 @@ class TestBandZeroSeed:
         y, h, noise_var = readme_10db_system
         profiles = estimation._delay_gain_profiles(h)
         band = estimation._normal_band(profiles, noise_var, estimation._maps(h.support))
-        factor = scipy.linalg.cholesky_banded(band, check_finite=False)
+        factor = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
         parts = np.abs(np.concatenate([factor.real.ravel(), factor.imag.ravel()]))
         assert not np.any((parts > 0) & (parts < np.finfo(float).tiny))
 

@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zakotfs import channel, estimation, runner, svg, sync, waveform
+from zakotfs import channel, cli, estimation, runner, svg, sync, waveform
 from zakotfs.cli import main
 from zakotfs.config import MAX_WORKERS, ConfigError, config_from_dict, load_config
 from zakotfs.iqfile import IqFormatError, read_iq, read_iq_header, write_iq
@@ -346,6 +346,26 @@ class TestConfigFromDict:
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError, match="mapping"):
             config_from_dict([1, 2, 3])
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda raw: raw.pop("frame"), "frame"),
+        (lambda raw: raw.update(layout=[1.5]), "layout"),
+        (lambda raw: raw["run"].update(sync="yes"), "run.sync"),
+        (lambda raw: raw["run"].update(snr_db=[10, "20"]), "run.snr_db[1]"),
+        (lambda raw: raw["channel"].update(paths=[]), "channel.paths"),
+        (lambda raw: raw["channel"].update(paths={"delay_bins": 0}), "channel.paths"),
+        (lambda raw: raw["channel"]["paths"].append(0.5), "channel.paths[1]"),
+        (lambda raw: raw.update(output={"csv": ""}), "output.csv"),
+    ])
+    def test_malformed_field_named(self, edit, field):
+        """A missing or misshapen section, a non-bool flag, a string SNR,
+        an unusable path list and an empty output path each name their
+        field."""
+        raw = tiny_config_dict()
+        edit(raw)
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert info.value.field_name == field
 
 
 class TestLoadConfig:
@@ -1321,6 +1341,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("ok - ") == 4
 
+    def test_selftest_failure_exits_two(self, capsys, monkeypatch):
+        checks = cli._selftest_checks()
+
+        def failing():
+            raise AssertionError("forced")
+        checks[1] = (checks[1][0], failing)
+        monkeypatch.setattr(cli, "_selftest_checks", lambda: checks)
+        assert main(["selftest"]) == 2
+        out = capsys.readouterr().out
+        assert out.count("ok - ") == 3
+        assert f"FAIL - {checks[1][0]}: forced" in out
+        assert out.endswith("1 check(s) failed\n")
+
     def test_sweep_writes_and_prints_csv(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path)
         assert main(["sweep", "--config", cfg_path]) == 0
@@ -1381,6 +1414,16 @@ class TestCli:
         assert main(argv[:1] + ["--config", path] + argv[1:]) == 1
         assert f"config error: {flag}: must lie in" in capsys.readouterr().err
 
+    def test_worker_flag_overrides_the_config(self, tmp_path):
+        """--workers 2 runs the pool and writes the serial run's CSV bytes."""
+        path = self._write_config(tmp_path, tiny_config_dict(snr_db=[0, 5], trials=2))
+        csv = tmp_path / "ber.csv"
+        assert main(["sweep", "--config", path, "--workers", "1"]) == 0
+        serial = csv.read_bytes()
+        csv.unlink()
+        assert main(["sweep", "--config", path, "--workers", "2"]) == 0
+        assert csv.read_bytes() == serial
+
     def test_too_many_workers_exit_one_before_any_pool(self, tmp_path, capsys,
                                                        monkeypatch):
         """workers: 100000 fails when the config is read; a pool stand-in
@@ -1435,6 +1478,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "samples: 17" in out
         assert "rate_hz: 2e+06" in out
+
+    def test_iq_info_zero_rate_exits_two(self, tmp_path, capsys):
+        path = str(tmp_path / "cap.iq")
+        write_iq(path, AnalogSignal(samples=np.ones(4), rate=2e6, start=0))
+        with open(path, "r+b") as f:
+            f.seek(6)  # the rate field follows the magic and the version
+            f.write(np.float64(0.0).astype("<f8").tobytes())
+        assert main(["iq-info", path]) == 2
+        captured = capsys.readouterr()
+        assert "rate_hz:" not in captured.out
+        assert "nonpositive sample rate 0.0" in captured.err
 
     def test_iq_info_garbage_exits_two(self, tmp_path, capsys):
         path = tmp_path / "junk.iq"

@@ -13,7 +13,7 @@ from zakotfs.estimation import SolverDivergence, SupportRegion, equalize_taps, m
 
 
 def random_band(n, kd, seed, definite):
-    """A random Hermitian band in LAPACK's upper layout, and a right-hand side.
+    """A random Hermitian band in LAPACK's lower layout, and a right-hand side.
 
     A definite band's diagonal exceeds 2*kd times its largest off-diagonal
     entry, so every row is strictly dominant; an indefinite one has a
@@ -23,10 +23,10 @@ def random_band(n, kd, seed, definite):
     band = np.asfortranarray(rng.standard_normal((kd + 1, n))
                              + 1j * rng.standard_normal((kd + 1, n)))
     if definite:
-        band[kd] = (2 * kd * np.abs(band[:kd]).max(initial=0.0) + 1
-                    + np.abs(rng.standard_normal(n)))
+        band[0] = (2 * kd * np.abs(band[1:]).max(initial=0.0) + 1
+                   + np.abs(rng.standard_normal(n)))
     else:
-        band[kd] = rng.standard_normal(n)
+        band[0] = rng.standard_normal(n)
     return band, rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
@@ -51,7 +51,7 @@ class TestScipyBits:
         band, rhs = random_band(n, kd, seed, definite)
         ours_band, ours_rhs = band.copy(order="F"), rhs.copy()
         info = _lapack.zpbsv(ours_band, ours_rhs)
-        factor, x, want_info = scipy.linalg.lapack.zpbsv(band, rhs, lower=0)
+        factor, x, want_info = scipy.linalg.lapack.zpbsv(band, rhs, lower=1)
         assert info == want_info
         if definite:
             assert info == 0
@@ -111,7 +111,7 @@ class TestArguments:
         band, rhs = random_band(6, 2, 0, True)
         assert _lapack.zpbsv(band, rhs) == 0
         (uplo, n, kd, nrhs, ab, ldab, b, ldb, info, uplo_len), = calls
-        assert (uplo, uplo_len) == (b"U", 1)
+        assert (uplo, uplo_len) == (b"L", 1)
         assert [v.value for v in (n, kd, nrhs, ldab, ldb, info)] == [6, 2, 1, 3, 6, 0]
         assert (ab, b) == (band.ctypes.data, rhs.ctypes.data)
 
@@ -156,7 +156,7 @@ class TestScipyFallback:
     @pytest.mark.usefixtures("no_symbol")
     def test_solves_in_place(self):
         band, rhs = random_band(40, 3, 9, True)
-        factor, x, _ = scipy.linalg.lapack.zpbsv(band, rhs, lower=0)
+        factor, x, _ = scipy.linalg.lapack.zpbsv(band, rhs, lower=1)
         assert _lapack.zpbsv(band, rhs) == 0
         assert band.tobytes(order="F") == factor.tobytes(order="F")
         assert rhs.tobytes() == x.tobytes()

@@ -136,6 +136,11 @@ class TestRrcW2:
         with pytest.raises(ValueError, match="t_period"):
             rrc_w2(0.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize("beta", [0.0, 1.5])
+    def test_beta_range_enforced(self, beta):
+        with pytest.raises(ValueError, match=f"beta must be in \\(0, 1\\], got {beta}"):
+            rrc_w2(0.0, T_P, beta)
+
 
 class TestPulseShape:
     """Parameter validation, tap normalization, and the spectrum form."""
