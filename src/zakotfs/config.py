@@ -13,8 +13,7 @@ import yaml
 from .channel import ImpairmentSpec, PathSpec
 from .dd_frame import Constellation, FrameLayout, FrameParams, build_layout
 from .estimation import SUPPORT_KINDS
-from .sync import (CFO_BLOCK_CHIPS, DEFAULT_GAP, DEFAULT_LENGTH, DEFAULT_ROOT,
-                   DEFAULT_THRESHOLD, Preamble)
+from .sync import CFO_BLOCK_CHIPS, DEFAULT_LENGTH, DEFAULT_ROOT, DEFAULT_THRESHOLD, Preamble
 from .waveform import PulseShape, ShapeError
 
 __all__ = ["ConfigError", "ExperimentConfig", "config_from_dict", "load_config"]
@@ -147,7 +146,6 @@ class ExperimentConfig:
     workers: int
     preamble_length: int
     preamble_root: int
-    gap_symbols: int
     sync_threshold: float
     out_csv: str
     out_curve_svg: str
@@ -276,12 +274,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     workers = _get_number(run, "run", "workers", default=1, minimum=1, maximum=MAX_WORKERS,
                           kind=int)
 
-    sy = _section(raw, "sync", {"preamble_length", "preamble_root", "gap_symbols",
-                                "threshold"}, required=False)
+    sy = _section(raw, "sync", {"preamble_length", "preamble_root", "threshold"},
+                  required=False)
     pre_len = _get_number(sy, "sync", "preamble_length", default=DEFAULT_LENGTH, kind=int)
     pre_root = _get_number(sy, "sync", "preamble_root", default=DEFAULT_ROOT, minimum=1,
                            kind=int)
-    gap = _get_number(sy, "sync", "gap_symbols", default=DEFAULT_GAP, minimum=0, kind=int)
     # The peak metric lies in [0, 1]; a threshold above 1 rejects every frame.
     threshold = _get_number(sy, "sync", "threshold", default=DEFAULT_THRESHOLD,
                             minimum=0.0, maximum=1.0)
@@ -322,7 +319,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         workers=workers,
         preamble_length=pre_len,
         preamble_root=pre_root,
-        gap_symbols=gap,
         sync_threshold=threshold,
         out_csv=out_csv,
         out_curve_svg=out_svg,

@@ -44,8 +44,8 @@ class FrameParams:
     def __post_init__(self) -> None:
         if self.m < 2 or self.n < 2 or self.m % 2 or self.n % 2:
             raise ValueError(f"m and n must be even and >= 2, got {self.m}x{self.n}")
-        if self.nu_p <= 0:
-            raise ValueError("nu_p must be positive")
+        if not 0 < self.nu_p < math.inf:
+            raise ValueError(f"nu_p must be positive and finite, got {self.nu_p}")
 
     @property
     def tau_p(self) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -61,8 +62,9 @@ def read_iq_header(path: str) -> IqHeader:
         raise IqFormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise IqFormatError(f"{path}: unsupported version {version}")
-    if not rate > 0:
-        raise IqFormatError(f"{path}: nonpositive sample rate {rate}")
+    if not 0 < rate < math.inf:
+        kind = "nonpositive" if rate <= 0 else "non-finite"
+        raise IqFormatError(f"{path}: {kind} sample rate {rate}")
     if body != 8 * count:
         raise IqFormatError(
             f"{path}: header promises {count} samples, "

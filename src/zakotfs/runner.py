@@ -142,6 +142,12 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
                  template=template)
 
 
+# The gap, in symbols, separates the template's last sample from the first
+# frame sample, which for a wide transmit window sits well before the
+# frame core, so the preamble clears the frame's rolloff flank.
+_GAP_SYMBOLS = 64
+
+
 def _compose_burst(cfg: ExperimentConfig, frame_sig: AnalogSignal,
                    template: AnalogSignal | None) -> tuple[AnalogSignal, int]:
     """Put preamble (optional), gap, and frame on one time axis.
@@ -153,10 +159,7 @@ def _compose_burst(cfg: ExperimentConfig, frame_sig: AnalogSignal,
     rate = frame_sig.rate
     n_frame = frame_sig.samples.size
     tail_pad = int(math.ceil((cfg.tau_max + cfg.impairments.dt) * rate)) + 4 * cfg.q
-    # The gap separates the template's last sample from the first frame
-    # sample, which for a wide transmit window sits well before the
-    # frame core, so the preamble clears the frame's rolloff flank.
-    lead = 0 if template is None else template.samples.size + cfg.gap_symbols * cfg.q
+    lead = 0 if template is None else template.samples.size + _GAP_SYMBOLS * cfg.q
     buf = np.zeros(lead + n_frame + tail_pad, dtype=np.complex128)
     buf[lead:lead + n_frame] = frame_sig.samples
     chip0_nominal = -1
@@ -202,8 +205,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
 
     sync_res = None
     if cfg.sync_enabled:
-        # The latest chip-0 lock whose trimmed buffer still holds the
-        # frame's last symbol instant; it follows from the burst format.
+        # The latest chip-0 lock whose axis move keeps the frame's last
+        # symbol instant in the buffer; it follows from the burst format.
         last_symbol = core_lo + (params.m * params.n - 1) * cfg.q
         last_start = chip0_nominal + rx.samples.size - 1 - last_symbol
         sync_res = detect_timing(rx, plan.template, threshold=cfg.sync_threshold,
@@ -211,9 +214,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
         if sync_res.detected and cfg.cfo_mode == "time_domain":
             cfo_hat = estimate_cfo(rx, plan.template, cfg.q, sync_res.start_index)
             sync_res = replace(sync_res, cfo_hat=cfo_hat)
-            trimmed = correct(rx, max(sync_res.start_index - chip0_nominal, 0), cfo_hat)
-            rx = AnalogSignal.adopt(trimmed.samples, rate=rx.rate, start=rx.start)
-            del trimmed
+            rx = correct(rx, sync_res.start_index - chip0_nominal, cfo_hat)
 
     if sync_res is not None and not sync_res.detected:
         # A lost frame counts as a decode of all-zero bits against what was sent.

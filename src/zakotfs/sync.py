@@ -25,7 +25,6 @@ __all__ = [
 DEFAULT_LENGTH = 256
 DEFAULT_ROOT = 25
 DEFAULT_THRESHOLD = 0.3
-DEFAULT_GAP = 64
 CFO_BLOCK_CHIPS = 16
 
 
@@ -173,8 +172,8 @@ def kay_cfo(rx_preamble: np.ndarray, rate: float) -> float:
     x = np.asarray(rx_preamble, dtype=np.complex128)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("Kay's estimator needs at least two samples")
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not 0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
     dphi = np.angle(x[1:] * np.conj(x[:-1]))
     return float(rate / (2 * np.pi) * np.sum(_kay_window(x.size) * dphi))
 
@@ -219,20 +218,17 @@ def estimate_cfo(rx: AnalogSignal, template: AnalogSignal, q: int,
     return kay_cfo(sums, rx.rate / width)
 
 
-def correct(rx: AnalogSignal, start_index: int, cfo_hz: float) -> AnalogSignal:
-    """Trim to start_index and undo a carrier offset of cfo_hz.
+def correct(rx: AnalogSignal, offset: int, cfo_hz: float) -> AnalogSignal:
+    """Relabel rx's time axis for a lock offset samples late; undo cfo_hz.
 
-    The derotation references the buffer's own time axis, so running
+    The samples keep their place in the buffer and start becomes
+    rx.start - offset, so the sample at the lock takes the nominal one's
+    grid index; any integer offset, early (negative) or late, is a valid
+    move.  The derotation references rx's own time axis, so running
     correct with the true (offset, CFO) of a synthetic impairment
-    restores the original samples to a few ulp, and exactly when the
-    offset is 0 Hz.
+    restores the original samples to a few ulp, and exactly when cfo_hz
+    is 0.
     """
-    if not 0 <= start_index <= rx.samples.size:
-        raise ValueError(
-            f"start index {start_index} outside buffer of {rx.samples.size}"
-        )
-    trimmed = rx.samples[start_index:]
-    start = rx.start + start_index
-    ramp = phase_ramp(-cfo_hz, start, rx.rate, trimmed.size, 0.0)
-    out = np.multiply(trimmed, ramp, out=ramp)
-    return AnalogSignal.adopt(out, rate=rx.rate, start=start)
+    ramp = phase_ramp(-cfo_hz, rx.start, rx.rate, rx.samples.size, 0.0)
+    out = np.multiply(rx.samples, ramp, out=ramp)
+    return AnalogSignal.adopt(out, rate=rx.rate, start=rx.start - offset)

@@ -122,8 +122,8 @@ class AnalogSignal:
     def _set(self, samples: np.ndarray, rate: float, start: int) -> None:
         if samples.ndim != 1:
             raise ValueError("AnalogSignal samples must be 1-D")
-        if rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {rate}")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "start", _grid_index(start))
@@ -482,7 +482,7 @@ def matched_filter(r: AnalogSignal, shape: PulseShape, params: FrameParams) -> A
     """
     b = params.b
     q = _sample_grid(r, b, 2)
-    # A timing trim shortens the buffer, so the length is part of the key.
+    # Keyed on start, which a timing lock moves; the length is fixed per config.
     window = _window_at(shape, r.start, r.rate, r.samples.size, params.t, 0.0)
     if shape.exact:
         _first_instant(-r.start, q, r.samples.size, params.m * params.n)

@@ -62,6 +62,11 @@ class TestFrameParams:
         with pytest.raises(ValueError, match="positive"):
             FrameParams(m=64, n=64, nu_p=-NU_P)
 
+    @pytest.mark.parametrize("nu_p", [math.nan, math.inf])
+    def test_finite_periods_required(self, nu_p):
+        with pytest.raises(ValueError, match="nu_p must be positive and finite"):
+            FrameParams(m=64, n=64, nu_p=nu_p)
+
 
 # =====================================================================
 # Pilot and guard layout

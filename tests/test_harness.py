@@ -317,8 +317,14 @@ class TestConfigFromDict:
         cfg = config_from_dict(tiny_config_dict())
         assert cfg.preamble_length == 256
         assert cfg.preamble_root == 25
-        assert cfg.gap_symbols == 64
         assert cfg.sync_threshold == 0.3
+
+    def test_gap_symbols_is_refused(self):
+        """The preamble-to-frame gap is fixed by the burst format, not a knob."""
+        raw = tiny_config_dict()
+        raw["sync"] = {"gap_symbols": 64}
+        with pytest.raises(ConfigError, match="^sync: unknown keys: gap_symbols$"):
+            config_from_dict(raw)
 
     def test_sync_root_coprimality_checked(self):
         raw = tiny_config_dict()
@@ -694,7 +700,7 @@ class TestRunTrial:
     @pytest.mark.parametrize("span", [None, 16])
     def test_search_bound_is_the_last_start_that_holds_the_frame(self, span,
                                                                  monkeypatch):
-        """Trimming at the bound keeps the last symbol instant; one more does not."""
+        """Moving the axis by the bound keeps the last symbol instant; one more does not."""
         cfg = config_from_dict(linked_config_dict(span))
         seen = {}
 
@@ -707,20 +713,39 @@ class TestRunTrial:
         chip0_nominal = -runner._plan(cfg).template.start
         shift = seen["last_start"] - chip0_nominal
         mn = cfg.params.m * cfg.params.n
-        # The trimmed buffer keeps rx's time axis, as run_trial's does.
+        # A lock shift samples late moves rx's time axis back by shift, as
+        # run_trial's correct does, so the last symbol instant sits shift
+        # samples further into the buffer.
         last_symbol = (mn - 1) * cfg.q - rx.start
-        assert last_symbol < rx.samples.size - shift
-        assert not last_symbol < rx.samples.size - (shift + 1)
+        assert last_symbol + shift < rx.samples.size
+        assert not last_symbol + shift + 1 < rx.samples.size
 
-        def decode_window(trim):
-            trimmed = sync.correct(rx, trim, 0.0)
-            kept = AnalogSignal(samples=trimmed.samples, rate=rx.rate, start=rx.start)
+        def decode_window(offset):
+            moved = sync.correct(rx, offset, 0.0)
             return waveform.sample_and_periodize(
-                waveform.matched_filter(kept, cfg.shape, cfg.params), cfg.params)
+                waveform.matched_filter(moved, cfg.shape, cfg.params), cfg.params)
 
         assert decode_window(shift).size == mn
         with pytest.raises(ValueError, match="does not cover the frame period"):
             decode_window(shift + 1)
+
+    def test_early_lock_is_applied(self, monkeypatch):
+        """A lock 2 samples before the nominal chip 0 moves the axis by -2."""
+        cfg = config_from_dict(linked_config_dict(16))
+        offsets = []
+
+        def early(*args, **kwargs):
+            res = sync.detect_timing(*args, **kwargs)
+            return dataclasses.replace(res, start_index=res.start_index - 2)
+
+        def spy(rx, offset, cfo_hz):
+            offsets.append(offset)
+            return sync.correct(rx, offset, cfo_hz)
+        monkeypatch.setattr(runner, "detect_timing", early)
+        monkeypatch.setattr(runner, "correct", spy)
+        report = run_trial(cfg, 0)
+        assert report.sync.start_index == -runner._plan(cfg).template.start - 2
+        assert offsets == [-2]
 
     def test_report_validates_error_count(self):
         with pytest.raises(ValueError, match="more bit errors"):
@@ -1489,6 +1514,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert "rate_hz:" not in captured.out
         assert "nonpositive sample rate 0.0" in captured.err
+
+    def test_iq_info_infinite_rate_exits_two(self, tmp_path, capsys):
+        path = str(tmp_path / "cap.iq")
+        write_iq(path, AnalogSignal(samples=np.ones(4), rate=2e6, start=0))
+        with open(path, "r+b") as f:
+            f.seek(6)  # the rate field follows the magic and the version
+            f.write(np.float64(np.inf).astype("<f8").tobytes())
+        with pytest.raises(IqFormatError, match="non-finite sample rate inf"):
+            read_iq(path)
+        assert main(["iq-info", path]) == 2
+        captured = capsys.readouterr()
+        assert "rate_hz:" not in captured.out
+        assert "non-finite sample rate inf" in captured.err
 
     def test_iq_info_garbage_exits_two(self, tmp_path, capsys):
         path = tmp_path / "junk.iq"

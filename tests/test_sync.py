@@ -338,6 +338,11 @@ class TestKayCfo:
         with pytest.raises(ValueError, match="rate"):
             kay_cfo(np.ones(8), 0.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            kay_cfo(np.ones(8), rate)
+
 
 class TestEstimateCfo:
     """Block-correlation CFO readout against the known template."""
@@ -409,7 +414,7 @@ class TestEstimateCfo:
 
 
 class TestCorrect:
-    """Trim plus derotation by an acquired start index and CFO."""
+    """A move of the time axis plus derotation by a lock offset and CFO."""
 
     def test_noop_sync_is_identity(self):
         rng = np.random.default_rng(12)
@@ -419,12 +424,13 @@ class TestCorrect:
         assert np.array_equal(out.samples, sig.samples)
 
     def test_zero_offset_is_identity_on_any_grid(self):
-        """A 0 Hz ramp is exactly 1 for any length, trim and time origin."""
+        """A 0 Hz ramp is exactly 1 for any length, lock offset and time origin."""
         rng = np.random.default_rng(14)
         x = rng.standard_normal(1001) + 1j * rng.standard_normal(1001)
         sig = AnalogSignal(samples=x, rate=RATE, start=-37)
         out = correct(sig, 5, 0.0)
-        assert out.samples.tobytes() == x[5:].tobytes()
+        assert out.samples.tobytes() == x.tobytes()
+        assert out.start == -42
 
     @settings(max_examples=80, deadline=None)
     @example(freq=0.0, n=1001, start=-37, phase=0.0)
@@ -443,7 +449,7 @@ class TestCorrect:
             assert np.all(got == 1.0)
 
     def test_exact_undo_of_synthetic_impairment(self):
-        """Correcting with the true offset and CFO restores the signal."""
+        """Correcting with the true offset and CFO puts the signal back at t = 0."""
         rng = np.random.default_rng(13)
         clean = rng.standard_normal(512) + 1j * rng.standard_normal(512)
         shift, cfo = 37, 1700.0
@@ -452,12 +458,39 @@ class TestCorrect:
         rx = AnalogSignal(samples=buf * np.exp(2j * np.pi * cfo * t),
                           rate=RATE, start=0)
         out = correct(rx, shift, cfo)
-        assert np.max(np.abs(out.samples - clean)) < 1e-10
+        assert out.samples.size == buf.size
+        assert out.start == -shift
+        assert np.max(np.abs(out.samples[shift:] - clean)) < 1e-10
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3000),
+           start=st.integers(-40_000, 40_000), offset=st.integers(-5000, 5000),
+           cfo=st.floats(-5e4, 5e4))
+    def test_true_offset_and_cfo_give_back_the_original(self, seed, n, start, offset,
+                                                        cfo):
+        """Delay by offset samples and rotate by cfo; correct undoes both.
+
+        The delay moves the time axis, and the rotation is the direct exp on
+        the delayed axis, so the result is the original on its own grid,
+        within phase_ramp's 4-ulp bound at the largest phase.
+        """
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        delayed = start + offset
+        rotation = np.exp(2j * np.pi * cfo * ((delayed + np.arange(n)) / RATE))
+        rx = AnalogSignal(samples=x * rotation, rate=RATE, start=delayed)
+        out = correct(rx, offset, cfo)
+        assert out.start == start
+        ulp = np.finfo(float).eps * (
+            1.0 + 2 * np.pi * abs(cfo) * max(abs(delayed), abs(delayed + n)) / RATE)
+        assert np.all(np.abs(out.samples - x) <= 4 * ulp * np.abs(x))
 
     def test_time_origin_advances(self):
-        sig = AnalogSignal(samples=np.zeros(64), rate=RATE, start=-8)
+        """t = 0 moves offset samples further into the buffer."""
+        sig = AnalogSignal(samples=np.arange(64.0), rate=RATE, start=-8)
         out = correct(sig, 8, 0.0)
-        assert out.start == 0
+        assert out.start == -16
+        assert np.array_equal(out.samples, sig.samples)
 
     def test_partial_cfo_leaves_residual_ramp(self):
         n = np.arange(1024)
@@ -467,6 +500,9 @@ class TestCorrect:
         assert kay_cfo(out.samples, RATE) == pytest.approx(400.0, abs=1e-3)
 
     def test_start_index_bounds(self):
-        sig = AnalogSignal(samples=np.zeros(64), rate=RATE, start=0)
-        with pytest.raises(ValueError, match="outside buffer"):
-            correct(sig, 65, 0.0)
+        """Any integer offset is a move, even one past either end of the buffer."""
+        sig = AnalogSignal(samples=np.arange(64.0), rate=RATE, start=0)
+        for offset in (65, -65):
+            out = correct(sig, offset, 0.0)
+            assert out.start == -offset
+            assert np.array_equal(out.samples, sig.samples)

@@ -333,6 +333,11 @@ class TestAnalogSignal:
         with pytest.raises(ValueError, match="rate"):
             AnalogSignal(samples=np.zeros(4), rate=0.0)
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_rate_finite(self, rate):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            AnalogSignal(samples=np.zeros(4), rate=rate)
+
     def test_samples_1d(self):
         with pytest.raises(ValueError, match="1-D"):
             AnalogSignal(samples=np.zeros((2, 2)), rate=1.0)
